@@ -11,11 +11,10 @@ check every defining identity exactly; there are no tolerances.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .cellmod import CellModule
-from .linalg import FieldMatrix, invert
+from .linalg import FieldMatrix
 from .rootdata import CosaturatedFlag, SaturatedSet, Weight, build_flag
 from .scalars import (
     FieldContext,
@@ -152,21 +151,23 @@ class SchurAlgebra:
     # -- star and word images ---------------------------------------------------
 
     def full_gram(self, lam: Weight) -> tuple:
-        """(G, G^-1) for Delta(lambda) in the generic basis (block diagonal
-        by weight)."""
+        """(G, G^-1) for Delta(lambda) in the generic basis, assembled from
+        the weight-space blocks (the form pairs only equal weights)."""
         lam = tuple(lam)
         cached = self._gram_cache.get(lam)
         if cached is None:
             cm = self.modules[lam]
             g = FieldMatrix.zero(GENERIC, cm.dim, cm.dim)
+            ginv = FieldMatrix.zero(GENERIC, cm.dim, cm.dim)
             for mu in cm.weights:
-                sp = cm.spaces[mu]
+                basis = cm.basis(mu)
+                block, inv = basis.gram.to_field(GENERIC), basis.inverse()
                 off = cm.offset(mu)
-                for r, br in enumerate(sp.generic_basis):
-                    for c, bc in enumerate(sp.generic_basis):
-                        g.entries[off + r][off + c] = GENERIC.from_laurent(
-                            sp.gram.entries[br][bc])
-            cached = (g, invert(g))
+                for r in range(block.rows):
+                    for c in range(block.cols):
+                        g.entries[off + r][off + c] = block.entries[r][c]
+                        ginv.entries[off + r][off + c] = inv.entries[r][c]
+            cached = (g, ginv)
             self._gram_cache[lam] = cached
         return cached
 
@@ -211,13 +212,8 @@ class SchurAlgebra:
         """The chosen basis of Delta(lambda) as word combos, in weight-block
         order (generic: single words; integral: lattice combinations)."""
         cm = self.modules[tuple(lam)]
-        if not integral:
-            return [((word, LaurentPoly.one()),) for _, word in cm.basis_index]
-        cm.ensure_integral()
-        out = []
-        for mu in cm.weights:
-            out.extend(cm.spaces[mu].integral.combos)
-        return out
+        return [combo for mu in cm.weights
+                for combo in cm.basis(mu, integral).combos]
 
     def cellular_basis(self, integral: bool = False) -> list:
         """The glued family over all cells, in flag order: for each lambda
@@ -235,23 +231,12 @@ class SchurAlgebra:
         return elements
 
 
-def assemble(pi: SaturatedSet, flag: CosaturatedFlag = None,
-             threads: int = 1) -> SchurAlgebra:
-    """Build all cell modules of S(pi) and the block generator model.
-
-    Cells for distinct lambda are independent; threads > 1 builds them in
-    a pool, with results assembled in flag order so output is identical
-    regardless of schedule.
-    """
+def assemble(pi: SaturatedSet, flag: CosaturatedFlag = None) -> SchurAlgebra:
+    """Build all cell modules of S(pi), in flag order, and the block
+    generator model."""
     if flag is None:
         flag = build_flag(pi)
-    order = list(flag)
-    if threads > 1 and len(order) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            built = list(pool.map(lambda lam: CellModule(pi.datum, lam), order))
-        modules = dict(zip(order, built))
-    else:
-        modules = {lam: CellModule(pi.datum, lam) for lam in order}
+    modules = {lam: CellModule(pi.datum, lam) for lam in flag}
     return SchurAlgebra(pi, flag, modules)
 
 

@@ -2,16 +2,18 @@
 and exact generator action matrices.
 
 Each weight space carries the overcomplete list of alive divided words,
-its Gram matrix under the contravariant form, a deterministic generic
-basis (greedy word selection over Q(v)), and on demand an integral basis
+its Gram matrix under the contravariant form, and a Basis: the generic
+one (greedy word selection over Q(v)) and, on demand, an integral basis
 of the Q[v,v^-1]-lattice extracted by Hermite column reduction of the
-Gram matrix.  Vectors are re-expressed through Gram solves; the ambient
-algebra is never materialized.
+Gram matrix.  A Basis is a list of word combinations with its Gram
+matrix; coordinates and generator actions are computed the same way in
+either basis, through Gram solves.  The ambient algebra is never
+materialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CoordinateFailureError, RankMismatchError
@@ -57,38 +59,51 @@ def enumerate_words(ctx: ModuleContext) -> dict:
 
 
 @dataclass
-class IntegralData:
-    """An A-basis of a weight-space lattice (A = Q[v,v^-1]).
+class Basis:
+    """A basis b_1..b_r of one weight space, as combinations of its words.
 
-    combos[j] expresses the j-th basis vector as a combination of words;
-    hnf_basis and transform are the Hermite certificate (hnf_basis =
-    gram * transform); gram is the Gram matrix in the integral basis.
+    combos[j] lists the (word, coefficient) terms of b_j; pairing[j][k] is
+    phi(b_j, word_k) under the contravariant form and gram[j][l] is
+    phi(b_j, b_l).  An integral basis also keeps its Hermite certificate
+    hnf_basis = word_gram * transform, whose column j holds the word
+    coefficients of b_j.
     """
 
     combos: tuple
-    hnf_basis: LaurentMatrix
-    transform: LaurentMatrix
+    pairing: LaurentMatrix
     gram: LaurentMatrix
+    hnf_basis: Optional[LaurentMatrix] = None
+    transform: Optional[LaurentMatrix] = None
+    _inverse: Optional[FieldMatrix] = field(default=None, repr=False,
+                                            compare=False)
+
+    def inverse(self) -> FieldMatrix:
+        """The Gram inverse over Q(v), computed on first use."""
+        if self._inverse is None:
+            self._inverse = invert(self.gram.to_field(GENERIC))
+        return self._inverse
 
 
 @dataclass
 class WeightSpaceData:
-    """One weight space of Delta(lambda)."""
+    """One weight space of Delta(lambda): its words, their Gram matrix, the
+    generic basis and, once ensure_integral has run, the integral one."""
 
     mu: Weight
     words: tuple
     gram: LaurentMatrix
-    generic_basis: tuple  # indices into words
+    generic: Basis
     rank: int
-    integral: Optional[IntegralData] = None
+    integral: Optional[Basis] = None
 
 
 class CellModule:
     """Delta(lambda) with exact structure constants.
 
-    The generic basis vectors are divided words; coordinates of arbitrary
-    word vectors are extracted against the weight-space Gram matrices,
-    which is valid because the contravariant form is nondegenerate.
+    Coordinates of arbitrary word vectors are extracted against the Gram
+    matrix of the chosen basis, which is valid because the contravariant
+    form is nondegenerate.  Both bases of a weight space have the same
+    rank, so one offset per weight serves both.
     """
 
     def __init__(self, datum: RootDatum, lam: Weight):
@@ -107,29 +122,31 @@ class CellModule:
             by_weight,
             key=lambda mu: (self._height(mu), mu)))
         self.spaces: dict = {}
-        for mu in self.weights:
-            words = tuple(by_weight[mu])
-            gram = self._build_gram(words)
-            basis = self._generic_basis(gram)
-            if len(basis) != char[mu]:
-                raise RankMismatchError(
-                    "Gram rank %d != multiplicity %d at weight %r of %r"
-                    % (len(basis), char[mu], mu, lam))
-            self.spaces[mu] = WeightSpaceData(mu, words, gram, basis, len(basis))
-        self.dim = sum(sp.rank for sp in self.spaces.values())
         self._offsets = {}
         off = 0
         for mu in self.weights:
+            words = tuple(by_weight[mu])
+            gram = self._build_gram(words)
+            picked = self._greedy_basis_words(gram)
+            if len(picked) != char[mu]:
+                raise RankMismatchError(
+                    "Gram rank %d != multiplicity %d at weight %r of %r"
+                    % (len(picked), char[mu], mu, lam))
+            rows = [gram.entries[k] for k in picked]
+            generic = Basis(
+                tuple(((words[k], LaurentPoly.one()),) for k in picked),
+                LaurentMatrix(len(picked), len(words), rows),
+                LaurentMatrix.from_rows([[row[k] for k in picked]
+                                         for row in rows]))
+            self.spaces[mu] = WeightSpaceData(mu, words, gram, generic,
+                                              len(picked))
             self._offsets[mu] = off
-            off += self.spaces[mu].rank
+            off += len(picked)
+        self.dim = off
         self.basis_index = tuple(
-            (mu, self.spaces[mu].words[k])
-            for mu in self.weights for k in self.spaces[mu].generic_basis)
-        self._gram_inv_cache: dict = {}
+            (mu, combo[0][0])
+            for mu in self.weights for combo in self.spaces[mu].generic.combos)
         self._action_cache: dict = {}
-        self._int_gram_inv_cache: dict = {}
-        self._int_action_cache: dict = {}
-        self._int_offsets = None
 
     def _height(self, mu: Weight) -> int:
         coords = self.datum.alpha_coords(
@@ -146,7 +163,7 @@ class CellModule:
                 entries[j][i] = e
         return LaurentMatrix(n, n, entries)
 
-    def _generic_basis(self, gram: LaurentMatrix) -> tuple:
+    def _greedy_basis_words(self, gram: LaurentMatrix) -> tuple:
         """Greedy: keep a word when its Gram column grows the column rank."""
         n = gram.cols
         picked = []
@@ -163,49 +180,68 @@ class CellModule:
                 picked.append(j)
         return tuple(picked)
 
-    # -- generic coordinates -------------------------------------------------
+    def character(self) -> dict:
+        return {mu: self.spaces[mu].rank for mu in self.weights}
+
+    # -- bases and coordinates -----------------------------------------------
 
     def offset(self, mu: Weight) -> int:
         return self._offsets[mu]
 
-    def _gram_sub_inverse(self, mu: Weight) -> FieldMatrix:
-        cached = self._gram_inv_cache.get(mu)
-        if cached is None:
-            sp = self.spaces[mu]
-            sub = FieldMatrix.from_rows(GENERIC, [
-                [GENERIC.from_laurent(sp.gram.entries[i][j])
-                 for j in sp.generic_basis] for i in sp.generic_basis])
-            cached = invert(sub)
-            self._gram_inv_cache[mu] = cached
-        return cached
+    def basis(self, mu: Weight, integral: bool = False) -> Basis:
+        """The generic or (built on first use) the integral basis at mu."""
+        sp = self.spaces[mu]
+        if integral and sp.integral is None:
+            self.ensure_integral()
+        return sp.integral if integral else sp.generic
 
-    def coordinates(self, mu: Weight, vec: dict) -> list:
-        """Coordinates of a word vector of weight mu in the generic basis,
-        via the Gram solve (nondegeneracy of the contravariant form)."""
+    def ensure_integral(self) -> None:
+        """Extract an A-basis of every weight-space lattice (lazy; HNF is
+        the expensive step)."""
+        for mu in self.weights:
+            sp = self.spaces[mu]
+            if sp.integral is not None:
+                continue
+            basis_mat, transform = hnf_column_basis(sp.gram)
+            if basis_mat.cols != sp.rank:
+                raise RankMismatchError(
+                    "integral rank %d != generic rank %d at %r"
+                    % (basis_mat.cols, sp.rank, mu))
+            combos = tuple(
+                tuple((sp.words[k], transform.entries[k][j])
+                      for k in range(len(sp.words))
+                      if not transform.entries[k][j].is_zero())
+                for j in range(transform.cols))
+            pairing = transform.transpose() * sp.gram
+            sp.integral = Basis(combos, pairing, pairing * transform,
+                                basis_mat, transform)
+
+    def coordinates(self, mu: Weight, vec: dict,
+                    integral: bool = False) -> list:
+        """Coordinates over Q(v) of a word vector of weight mu in the chosen
+        basis: solve gram * x = (phi(b_j, vec))_j."""
         sp = self.spaces.get(mu)
         if sp is None:
             if vec:
                 raise CoordinateFailureError("vector at absent weight %r" % (mu,))
             return []
+        basis = self.basis(mu, integral)
         index = {w: k for k, w in enumerate(sp.words)}
         rhs = []
-        for bi in sp.generic_basis:
-            acc = GENERIC.zero()
+        for row in basis.pairing.entries:
+            acc = LaurentPoly.zero()
             for w, coeff in vec.items():
-                acc = acc + GENERIC.from_laurent(
-                    sp.gram.entries[bi][index[w]] * coeff)
-            rhs.append(acc)
-        return self._gram_sub_inverse(mu).apply(rhs)
+                acc = acc + row[index[w]] * coeff
+            rhs.append(GENERIC.from_laurent(acc))
+        return basis.inverse().apply(rhs)
 
     # -- generator action ----------------------------------------------------
 
-    def action_matrix(self, symbol: tuple) -> FieldMatrix:
-        """Matrix of a generator over Q(v) in the generic basis.
-
-        symbol is ("F", i, a), ("E", i, a) or ("P", mu) for the weight
-        projector 1_mu.
-        """
-        cached = self._action_cache.get(symbol)
+    def _action(self, symbol: tuple, integral: bool) -> FieldMatrix:
+        """Matrix over Q(v) of a generator in the chosen basis; symbol is
+        ("F", i, a), ("E", i, a) or ("P", mu) for the weight projector."""
+        key = (symbol, integral)
+        cached = self._action_cache.get(key)
         if cached is not None:
             return cached
         m = FieldMatrix.zero(GENERIC, self.dim, self.dim)
@@ -221,153 +257,39 @@ class CellModule:
             m = FieldMatrix.identity(GENERIC, self.dim)  # F^{(0)} = E^{(0)} = 1
         else:
             kind, i, a = symbol
+            push = concat_divided_vector if kind == "F" else push_E_through_vector
+            shift = tuple((1 if kind == "E" else -1) * a * x
+                          for x in self.datum.alpha[i])
             col = 0
             for mu in self.weights:
-                sp = self.spaces[mu]
-                shift = tuple((1 if kind == "E" else -1) * a * x
-                              for x in self.datum.alpha[i])
                 target = tuple(p + s for p, s in zip(mu, shift))
-                for k in sp.generic_basis:
-                    word = sp.words[k]
-                    if kind == "F":
-                        vec = concat_divided_vector(
-                            self.ctx, i, a, {word: LaurentPoly.one()})
-                    else:
-                        vec = push_E_through_vector(
-                            self.ctx, i, a, {word: LaurentPoly.one()})
+                for combo in self.basis(mu, integral).combos:
+                    vec = push(self.ctx, i, a, dict(combo))
                     if vec:
-                        coords = self.coordinates(target, vec)
+                        coords = self.coordinates(target, vec, integral)
                         toff = self._offsets[target]
                         for r, c in enumerate(coords):
                             m.entries[toff + r][col] = c
                     col += 1
-        self._action_cache[symbol] = m
+        self._action_cache[key] = m
         return m
 
-    def character(self) -> dict:
-        return {mu: self.spaces[mu].rank for mu in self.weights}
-
-    # -- integral lattice ----------------------------------------------------
-
-    def ensure_integral(self) -> None:
-        """Extract an A-basis of every weight-space lattice (lazy; HNF is
-        the expensive step)."""
-        for mu in self.weights:
-            sp = self.spaces[mu]
-            if sp.integral is not None:
-                continue
-            basis_mat, transform = hnf_column_basis(sp.gram)
-            if basis_mat.cols != sp.rank:
-                raise RankMismatchError(
-                    "integral rank %d != generic rank %d at %r"
-                    % (basis_mat.cols, sp.rank, mu))
-            combos = []
-            for j in range(transform.cols):
-                combo = tuple(
-                    (sp.words[k], transform.entries[k][j])
-                    for k in range(len(sp.words))
-                    if not transform.entries[k][j].is_zero())
-                combos.append(combo)
-            tg = transform.transpose() * sp.gram * transform
-            sp.integral = IntegralData(tuple(combos), basis_mat, transform, tg)
-
-    def integral_offsets(self) -> dict:
-        if self._int_offsets is None:
-            self.ensure_integral()
-            off = 0
-            out = {}
-            for mu in self.weights:
-                out[mu] = off
-                off += self.spaces[mu].rank
-            self._int_offsets = out
-        return self._int_offsets
-
-    def _integral_gram_inverse(self, mu: Weight) -> FieldMatrix:
-        cached = self._int_gram_inv_cache.get(mu)
-        if cached is None:
-            sp = self.spaces[mu]
-            cached = invert(sp.integral.gram.to_field(GENERIC))
-            self._int_gram_inv_cache[mu] = cached
-        return cached
-
-    def integral_coordinates(self, mu: Weight, vec: dict) -> list:
-        """Coordinates of a word vector in the integral basis; entries lie
-        in Q[v,v^-1] whenever the vector lies in the lattice."""
-        sp = self.spaces.get(mu)
-        if sp is None:
-            if vec:
-                raise CoordinateFailureError("vector at absent weight %r" % (mu,))
-            return []
-        index = {w: k for k, w in enumerate(sp.words)}
-        # rhs_k = phi(y_k, vec) = (T^t G imgvec)_k
-        img = [LaurentPoly.zero()] * len(sp.words)
-        for w, coeff in vec.items():
-            img[index[w]] = coeff
-        gi = []
-        for r in range(len(sp.words)):
-            acc = LaurentPoly.zero()
-            for k, c in enumerate(img):
-                if not c.is_zero():
-                    acc = acc + sp.gram.entries[r][k] * c
-            gi.append(acc)
-        t = sp.integral.transform
-        rhs = []
-        for j in range(t.cols):
-            acc = LaurentPoly.zero()
-            for r in range(t.rows):
-                if not t.entries[r][j].is_zero() and not gi[r].is_zero():
-                    acc = acc + t.entries[r][j] * gi[r]
-            rhs.append(GENERIC.from_laurent(acc))
-        coords = self._integral_gram_inverse(mu).apply(rhs)
-        out = []
-        for c in coords:
-            rf = c.data
-            if not rf.is_laurent():
-                raise CoordinateFailureError(
-                    "lattice coordinate %s is not integral" % rf)
-            out.append(rf.to_laurent())
-        return out
+    def action_matrix(self, symbol: tuple) -> FieldMatrix:
+        """Matrix of a generator over Q(v) in the generic basis."""
+        return self._action(symbol, False)
 
     def integral_action_matrix(self, symbol: tuple) -> LaurentMatrix:
-        """Matrix of a divided-power generator in the integral basis;
-        entries lie in Q[v,v^-1] because generators preserve the lattice."""
-        cached = self._int_action_cache.get(symbol)
-        if cached is not None:
-            return cached
-        self.ensure_integral()
-        offsets = self.integral_offsets()
-        m = LaurentMatrix.zero(self.dim, self.dim)
-        if symbol[0] == "P":
-            mu = tuple(symbol[1])
-            sp = self.spaces.get(mu)
-            if sp is not None:
-                off = offsets[mu]
-                for k in range(sp.rank):
-                    m.entries[off + k][off + k] = LaurentPoly.one()
-        elif symbol[2] == 0:
-            m = LaurentMatrix.identity(self.dim)
-        else:
-            kind, i, a = symbol
-            col = 0
-            for mu in self.weights:
-                sp = self.spaces[mu]
-                shift = tuple((1 if kind == "E" else -1) * a * x
-                              for x in self.datum.alpha[i])
-                target = tuple(p + s for p, s in zip(mu, shift))
-                for combo in sp.integral.combos:
-                    vec = {w: c for w, c in combo}
-                    if kind == "F":
-                        vec = concat_divided_vector(self.ctx, i, a, vec)
-                    else:
-                        vec = push_E_through_vector(self.ctx, i, a, vec)
-                    if vec:
-                        coords = self.integral_coordinates(target, vec)
-                        toff = offsets[target]
-                        for r, c in enumerate(coords):
-                            m.entries[toff + r][col] = c
-                    col += 1
-        self._int_action_cache[symbol] = m
-        return m
+        """Matrix of a generator in the integral basis; entries lie in
+        Q[v,v^-1] because generators preserve the lattice."""
+        m = self._action(symbol, True)
+        rows = []
+        for row in m.entries:
+            for c in row:
+                if not c.data.is_laurent():
+                    raise CoordinateFailureError(
+                        "lattice coordinate %s is not integral" % c.data)
+            rows.append([c.data.to_laurent() for c in row])
+        return LaurentMatrix(m.rows, m.cols, rows)
 
 
 def build_cell_module(datum: RootDatum, lam: Weight) -> CellModule:

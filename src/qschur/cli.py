@@ -2,9 +2,9 @@
 
 Parses a JSON job configuration, runs the requested pipeline stage, and
 writes a deterministic JSON report to stdout (and optionally to a file):
-identical configurations produce byte-identical reports, independent of
-thread count.  Human diagnostics, including timing, go to stderr.  Exit
-codes: 0 success, 1 verification failure, 2 configuration error.
+identical configurations produce byte-identical reports.  Human
+diagnostics, including timing, go to stderr.  Exit codes: 0 success,
+1 verification failure, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -36,6 +36,12 @@ DEFAULT_CAPS = {
 }
 
 
+def _integer(value, what: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError("%s must be an integer, got %r" % (what, value))
+    return value
+
+
 class JobConfig:
     """A parsed job document: datum spec, pi seeds, field, caps."""
 
@@ -54,15 +60,20 @@ class JobConfig:
         pi_spec = doc.get("pi", {})
         if not isinstance(pi_spec, dict) or set(pi_spec) - {"seeds"}:
             raise ConfigError("pi must be an object with key 'seeds'")
-        self.seeds = [tuple(int(c) for c in seed)
-                      for seed in pi_spec.get("seeds", [])]
+        seeds = pi_spec.get("seeds", [])
+        if not isinstance(seeds, list) or \
+                not all(isinstance(seed, list) for seed in seeds):
+            raise ConfigError("pi.seeds must be a list of integer lists")
+        self.seeds = [tuple(_integer(c, "seed entry") for c in seed)
+                      for seed in seeds]
         self.field_spec = doc.get("field", "generic")
         caps = dict(DEFAULT_CAPS)
         user_caps = doc.get("caps", {})
         if not isinstance(user_caps, dict) or set(user_caps) - set(DEFAULT_CAPS):
             raise ConfigError("unknown caps keys: %s"
                               % sorted(set(user_caps) - set(DEFAULT_CAPS)))
-        caps.update({k: int(v) for k, v in user_caps.items()})
+        caps.update({k: _integer(v, "caps.%s" % k)
+                     for k, v in user_caps.items()})
         self.caps = caps
 
     def echo(self) -> dict:
@@ -102,9 +113,9 @@ def parse_field(spec) -> FieldContext:
                 "specialization fields must have characteristic zero")
         keys = set(spec) - {"char"}
         if keys == {"q"}:
-            return FieldContext.rational_point(Fraction(str(spec["q"])))
+            return parse_field("q=%s" % spec["q"])
         if keys == {"cyclotomic"}:
-            return FieldContext.cyclotomic_point(int(spec["cyclotomic"]))
+            return parse_field("cyclotomic=%s" % spec["cyclotomic"])
         raise ConfigError("bad field object: %r" % (spec,))
     if not isinstance(spec, str):
         raise ConfigError("bad field spec: %r" % (spec,))
@@ -155,10 +166,14 @@ def _check_json(rep) -> list:
 class Pipeline:
     """Shared lazily-built state for one job."""
 
-    def __init__(self, config: JobConfig, threads: int = 1):
+    def __init__(self, config: JobConfig):
         self.config = config
-        self.threads = threads
         self.datum = config.build_datum()
+        for seed in config.seeds:
+            if len(seed) != self.datum.n:
+                raise ConfigError(
+                    "seed %r has %d entries; the weight lattice has rank %d"
+                    % (list(seed), len(seed), self.datum.n))
         self.pi = saturate(self.datum, config.seeds)
         if len(self.pi.orbit_weights()) > config.caps["orbit"]:
             raise CapExceededError(
@@ -169,7 +184,7 @@ class Pipeline:
 
     def algebra(self):
         if self._algebra is None:
-            self._algebra = assemble(self.pi, self.flag, threads=self.threads)
+            self._algebra = assemble(self.pi, self.flag)
         return self._algebra
 
     def modules(self) -> dict:
@@ -350,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--depth", type=int, metavar="N",
                         help="override caps.depth (divided powers)")
     parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="parallel cell-module builds")
+                        help="accepted for compatibility; has no effect")
     parser.add_argument("--integral", action="store_true",
                         help="cellbasis: use the integral lattice bases")
     parser.add_argument("--matrices", action="store_true",
@@ -375,8 +390,12 @@ def main(argv=None) -> int:
         if args.depth is not None:
             config.caps["depth"] = args.depth
         if args.lam is not None:
-            args.lam = tuple(int(c) for c in args.lam.split(","))
-        pipeline = Pipeline(config, threads=max(1, args.threads))
+            try:
+                args.lam = tuple(int(c) for c in args.lam.split(","))
+            except ValueError:
+                raise ConfigError("--lambda entries must be integers: %r"
+                                  % args.lam)
+        pipeline = Pipeline(config)
         payload = COMMANDS[args.command](pipeline, args)
     except OSError as exc:
         print("error: %s" % exc, file=sys.stderr)

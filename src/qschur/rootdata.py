@@ -70,29 +70,21 @@ class CartanDatum:
 
 
 def _positive_definite(dot) -> bool:
-    """Leading principal minors of the (integer) symmetric matrix."""
+    """Sylvester's criterion for the (integer) symmetric matrix.
+
+    Elimination without row swaps: the k-th leading principal minor is the
+    product of the first k pivots, so all minors are positive iff every
+    pivot is.
+    """
     n = len(dot)
-    for k in range(1, n + 1):
-        m = [[Fraction(dot[i][j]) for j in range(k)] for i in range(k)]
-        det = Fraction(1)
-        for c in range(k):
-            piv = None
-            for i in range(c, k):
-                if m[i][c]:
-                    piv = i
-                    break
-            if piv is None:
-                return False
-            if piv != c:
-                m[c], m[piv] = m[piv], m[c]
-                det = -det
-            det *= m[c][c]
-            for i in range(c + 1, k):
-                f = m[i][c] / m[c][c]
-                if f:
-                    m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-        if det <= 0:
+    m = [[Fraction(x) for x in row] for row in dot]
+    for c in range(n):
+        if m[c][c] <= 0:
             return False
+        for i in range(c + 1, n):
+            f = m[i][c] / m[c][c]
+            if f:
+                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
     return True
 
 
@@ -223,7 +215,7 @@ class RootDatum:
     def _weyl_order(self) -> int:
         # orbit of a strictly dominant weight in the root lattice is regular
         a = self.cartan.cartan_matrix()
-        c = _solve_unit_columns(a)
+        c = _make_alpha_solver(tuple(zip(*a)), self.rank)((1,) * self.rank)
         denom = lcm(*(x.denominator for x in c)) if c else 1
         probe = tuple(sum(int(c[j] * denom) * self.alpha[j][k]
                           for j in range(self.rank))
@@ -367,22 +359,6 @@ def _make_alpha_solver(alpha: tuple, n: int):
         return tuple(sol)
 
     return solver
-
-
-def _solve_unit_columns(a) -> list:
-    """Solve A c = (1,...,1) over Q for a finite-type Cartan matrix A."""
-    r = len(a)
-    m = [[Fraction(a[i][j]) for j in range(r)] + [Fraction(1)] for i in range(r)]
-    for col in range(r):
-        sel = next(i for i in range(col, r) if m[i][col])
-        m[col], m[sel] = m[sel], m[col]
-        inv = 1 / m[col][col]
-        m[col] = [x * inv for x in m[col]]
-        for i in range(r):
-            if i != col and m[i][col]:
-                f = m[i][col]
-                m[i] = [x - f * y for x, y in zip(m[i], m[col])]
-    return [m[i][r] for i in range(r)]
 
 
 # -- presets -----------------------------------------------------------------

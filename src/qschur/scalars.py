@@ -157,12 +157,6 @@ class LaurentPoly:
             return self
         return LaurentPoly({e + k: c for e, c in self.coeffs.items()})
 
-    def stretch(self, d: int) -> "LaurentPoly":
-        """Substitute v -> v^d (the paper's P |-> P_i convention)."""
-        if d == 1:
-            return self
-        return LaurentPoly({e * d: c for e, c in self.coeffs.items()})
-
     def bar(self) -> "LaurentPoly":
         """The bar involution v -> v^-1."""
         return LaurentPoly({-e: c for e, c in self.coeffs.items()})
@@ -260,19 +254,8 @@ def laurent_divmod(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, Laurent
         return (_ZERO, _ZERO)
     alo, da = a.to_dense()
     blo, db = b.to_dense()
-    da = [Fraction(c) for c in da]
-    db = [Fraction(c) for c in db]
-    dq = [Fraction(0)] * max(len(da) - len(db) + 1, 0)
-    lead = db[-1]
-    for k in range(len(da) - len(db), -1, -1):
-        c = da[k + len(db) - 1] / lead
-        if c:
-            dq[k] = c
-            for j, bc in enumerate(db):
-                da[k + j] -= c * bc
-    q = LaurentPoly.from_dense(alo - blo, dq)
-    r = LaurentPoly.from_dense(alo, da)
-    return (q, r)
+    dq, dr = _dense_divmod(da, db)
+    return (LaurentPoly.from_dense(alo - blo, dq), LaurentPoly.from_dense(alo, dr))
 
 
 def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .cellmod import CellModule
 from .errors import InconsistentCharactersError
-from .linalg import LaurentMatrix, laurent_determinant, nullspace, rank
+from .linalg import laurent_determinant, nullspace, rank
 from .rootdata import CosaturatedFlag, Weight
 from .scalars import (
     FieldContext,
@@ -54,12 +54,10 @@ def specialize_module(cm: CellModule, ctx: FieldContext) -> SpecializedModule:
     contravariant form pairs only equal weights, so the radical is
     weight-graded.  Integral entries cannot hit a vanishing denominator.
     """
-    cm.ensure_integral()
     weight_ranks = {}
     radicals = {}
     for mu in cm.weights:
-        sp = cm.spaces[mu]
-        g = sp.integral.gram.to_field(ctx)
+        g = cm.basis(mu, integral=True).gram.to_field(ctx)
         weight_ranks[mu] = rank(g)
         radicals[mu] = nullspace(g)
     return SpecializedModule(
@@ -110,21 +108,13 @@ def gram_determinant(cm: CellModule, mu: Weight, scan_bound: int = 50,
                      integral: bool = False) -> GramDeterminantRecord:
     """Determinant of the Gram form on one weight space.
 
-    By default this is the word-basis Gram restricted to the generic-basis
-    submatrix (the word set may be overcomplete); with integral=True it is
-    the Gram in the A-basis of the lattice, the f(v) whose zeros decide
+    By default this is the Gram in the generic basis (the words picked
+    from a possibly overcomplete set); with integral=True it is the Gram
+    in the A-basis of the lattice, the f(v) whose zeros decide
     semisimplicity of specializations.  Always nonzero over Q(v).
     """
     mu = tuple(mu)
-    sp = cm.spaces[mu]
-    if integral:
-        cm.ensure_integral()
-        g = sp.integral.gram
-    else:
-        g = LaurentMatrix.from_rows(
-            [[sp.gram.entries[i][j] for j in sp.generic_basis]
-             for i in sp.generic_basis])
-    det = _normalize_det(laurent_determinant(g))
+    det = _normalize_det(laurent_determinant(cm.basis(mu, integral).gram))
     assert not det.is_zero(), "contravariant form degenerate over Q(v)"
     factors, cofactor = _cyclotomic_scan(det, scan_bound)
     return GramDeterminantRecord(cm.lam, mu, det, factors, cofactor)
@@ -215,9 +205,8 @@ def semisimplicity_report(modules: dict, flag: CosaturatedFlag,
     witnesses = []
     for lam in flag:
         cm = modules[lam]
-        cm.ensure_integral()
         for mu in cm.weights:
-            det = laurent_determinant(cm.spaces[mu].integral.gram)
+            det = laurent_determinant(cm.basis(mu, integral=True).gram)
             if ctx.kind == "generic":
                 vanished = det.is_zero()
             else:
@@ -233,8 +222,7 @@ def radical_is_submodule(cm: CellModule, ctx: FieldContext,
     rad_q into rad_q (exact membership: rad_q is the nullspace of the
     specialized integral Gram, weight by weight)."""
     spec = specialize_module(cm, ctx)
-    offsets = cm.integral_offsets()
-    grams = {mu: cm.spaces[mu].integral.gram.to_field(ctx)
+    grams = {mu: cm.basis(mu, integral=True).gram.to_field(ctx)
              for mu in cm.weights}
     symbols = []
     for i in range(cm.datum.rank):
@@ -246,13 +234,13 @@ def radical_is_submodule(cm: CellModule, ctx: FieldContext,
         for mu in cm.weights:
             for vec in spec.radicals[mu]:
                 full = [ctx.zero()] * cm.dim
-                off = offsets[mu]
+                off = cm.offset(mu)
                 for k, x in enumerate(vec):
                     full[off + k] = x
                 image = m.apply(full)
                 # image must pair to zero against every weight block
                 for nu in cm.weights:
-                    noff = offsets[nu]
+                    noff = cm.offset(nu)
                     comp = [image[noff + k] for k in range(cm.spaces[nu].rank)]
                     if all(x.is_zero() for x in comp):
                         continue

@@ -57,10 +57,6 @@ def word_weight(datum: RootDatum, word: Word) -> Weight:
     return tuple(out)
 
 
-def word_depth(word: Word) -> int:
-    return sum(a for _, a in word)
-
-
 def is_alive(ctx: ModuleContext, word: Word) -> bool:
     """True iff every prefix weight lambda - wt(prefix) stays in W pi_lambda.
 

@@ -15,8 +15,8 @@ A2 = build_root_datum("A2")
 GEN = FieldContext.generic()
 
 
-def build(datum, seeds, threads=1):
-    return assemble(saturate(datum, seeds), threads=threads)
+def build(datum, seeds):
+    return assemble(saturate(datum, seeds))
 
 
 def test_assemble_dims():
@@ -188,11 +188,3 @@ def test_idempotent_straightening_example():
         lhs = s.gen(("F", 0, n)) * s.gen(("P", lam)) * s.gen(("E", 0, n))
         rhs = s.gen(("P", (-n,)))
         assert lhs.blocks[lam] == rhs.blocks[lam]
-
-
-def test_threaded_assembly_identical():
-    pi = saturate(A1, [(3,)])
-    s1 = assemble(pi, threads=1)
-    s4 = assemble(pi, threads=4)
-    for sym in (("E", 0, 1), ("F", 0, 2), ("P", (1,))):
-        assert s1.gen(sym) == s4.gen(sym)

@@ -64,7 +64,9 @@ def test_dimensions_match_weyl():
 def test_generic_basis_adjoint():
     cm = CellModule(A2, (1, 1))
     sp = cm.spaces[(0, 0)]
-    assert sp.rank == 2 and sp.generic_basis == (0, 1)
+    assert sp.rank == 2
+    assert sp.generic.combos == tuple(
+        ((w, LaurentPoly.one()),) for w in sp.words[:2])
 
 
 def test_action_matrices_rank1_golden():
@@ -241,14 +243,33 @@ def test_integral_action_is_laurent():
     for i in range(2):
         e = cm.integral_action_matrix(("E", i, 1))
         f = cm.integral_action_matrix(("F", i, 1))
-        offs = cm.integral_offsets()
         comm = [[a - b for a, b in zip(r1, r2)]
                 for r1, r2 in zip((e * f).entries, (f * e).entries)]
         for mu in cm.weights:
             sp = cm.spaces[mu]
             coeff = quantum_integer(A2.pairing(i, mu), A2.d[i])
             for k in range(sp.rank):
-                idx = offs[mu] + k
+                idx = cm.offset(mu) + k
                 for jdx in range(cm.dim):
                     expect = coeff if jdx == idx else LaurentPoly.zero()
                     assert comm[idx][jdx] == expect
+
+
+def test_generic_and_integral_actions_agree():
+    # C[:, j] = generic coordinates of integral basis vector j; then
+    # action_matrix(s) * C == C * integral_action_matrix(s) over Q(v)
+    for datum, lam in [(A1, (4,)), (A2, (1, 1)), (B2, (1, 1))]:
+        cm = CellModule(datum, lam)
+        c = FieldMatrix.zero(GEN, cm.dim, cm.dim)
+        for mu in cm.weights:
+            off = cm.offset(mu)
+            for j, combo in enumerate(cm.basis(mu, integral=True).combos):
+                for r, x in enumerate(cm.coordinates(mu, dict(combo))):
+                    c.entries[off + r][off + j] = x
+        assert rank(c) == cm.dim
+        for i in range(datum.rank):
+            for kind in ("E", "F"):
+                for a in (1, 2):
+                    sym = (kind, i, a)
+                    integral = cm.integral_action_matrix(sym).to_field(GEN)
+                    assert cm.action_matrix(sym) * c == c * integral, (lam, sym)

@@ -190,3 +190,25 @@ def test_non_finite_type_exit_code(tmp_path, capsys):
     }))
     rc, _, err = run(capsys, "datum", "--config", str(cfg))
     assert rc == 2 and "error" in err
+
+
+@pytest.mark.parametrize("doc, extra", [
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1, 5]]}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1]]}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [["x", 1]]}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1.5, 1]]}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [1, 1]}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1]]},
+      "caps": {"depth": "x"}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1]]},
+      "field": {"cyclotomic": "x"}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1]]}},
+     ["--lambda", "1,x"]),
+])
+def test_malformed_input_exits_2(tmp_path, capsys, doc, extra):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "specialize", "--config", str(cfg), *extra)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
