@@ -36,7 +36,7 @@ from .straighten import (
     gram_entry,
     idempotent_straighten,
 )
-from .cellmod import CellModule, build_cell_module, enumerate_words
+from .cellmod import CellModule, enumerate_words
 from .assembly import (
     SchurAlgebra,
     assemble,
@@ -58,7 +58,7 @@ __all__ = [
     "build_root_datum", "saturate", "build_flag",
     "ModuleContext", "concat_divided", "push_E_through", "gram_entry",
     "idempotent_straighten",
-    "CellModule", "build_cell_module", "enumerate_words",
+    "CellModule", "enumerate_words",
     "SchurAlgebra", "assemble", "verify_relations", "verify_cellularity",
     "specialize_module", "gram_determinant", "decomposition_matrix",
     "semisimplicity_report",

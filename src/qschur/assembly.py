@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 
 from .cellmod import CellModule
-from .linalg import FieldMatrix
+from .linalg import FieldMatrix, forward_eliminate
 from .rootdata import CosaturatedFlag, SaturatedSet, Weight, build_flag
 from .scalars import (
     FieldContext,
@@ -480,7 +480,7 @@ def _flatten(s: SchurAlgebra, bm: BlockMatrix) -> dict:
         for i in range(blk.rows):
             for j in range(blk.cols):
                 x = blk.entries[i][j]
-                if not x.is_zero():
+                if x:
                     out[base + i * blk.cols + j] = x
         base += blk.rows * blk.cols
     return out
@@ -488,26 +488,7 @@ def _flatten(s: SchurAlgebra, bm: BlockMatrix) -> dict:
 
 def matrix_span_rank(s: SchurAlgebra, mats: list) -> int:
     """Rank of the span of block matrices, by sparse exact elimination."""
-    pivots: dict = {}
-    rank = 0
-    for bm in mats:
-        row = _flatten(s, bm)
-        while row:
-            c = min(row)
-            piv = pivots.get(c)
-            if piv is None:
-                inv = row[c].inverse()
-                pivots[c] = {k: v * inv for k, v in row.items()}
-                rank += 1
-                break
-            f = row[c]
-            for k, v in piv.items():
-                cur = row.get(k, GENERIC.zero()) - f * v
-                if cur.is_zero():
-                    row.pop(k, None)
-                else:
-                    row[k] = cur
-    return rank
+    return len(forward_eliminate(_flatten(s, bm) for bm in mats))
 
 
 def coordinates_of_combo(cm: CellModule, combo: tuple) -> list:

@@ -17,7 +17,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import CoordinateFailureError, RankMismatchError
-from .linalg import FieldMatrix, LaurentMatrix, hnf_column_basis, invert
+from .linalg import (
+    FieldMatrix,
+    LaurentMatrix,
+    forward_eliminate,
+    hnf_column_basis,
+    invert,
+)
 from .rootdata import RootDatum, Weight
 from .scalars import FieldContext, LaurentPoly
 from .straighten import (
@@ -164,21 +170,12 @@ class CellModule:
         return LaurentMatrix(n, n, entries)
 
     def _greedy_basis_words(self, gram: LaurentMatrix) -> tuple:
-        """Greedy: keep a word when its Gram column grows the column rank."""
-        n = gram.cols
-        picked = []
-        reduced = []  # list of (pivot_row, column over Q(v))
-        for j in range(n):
-            col = [GENERIC.from_laurent(gram.entries[i][j]) for i in range(n)]
-            for prow, pcol in reduced:
-                if not col[prow].is_zero():
-                    f = col[prow] / pcol[prow]
-                    col = [a - f * b for a, b in zip(col, pcol)]
-            pivot = next((i for i in range(n) if not col[i].is_zero()), None)
-            if pivot is not None:
-                reduced.append((pivot, col))
-                picked.append(j)
-        return tuple(picked)
+        """Greedy: keep a word when its Gram column grows the column rank
+        over Q(v).  The Gram matrix is symmetric, so its columns are its
+        rows."""
+        rows = ({j: GENERIC.from_laurent(x) for j, x in enumerate(row) if x}
+                for row in gram.entries)
+        return tuple(index for index, _ in forward_eliminate(rows))
 
     def character(self) -> dict:
         return {mu: self.spaces[mu].rank for mu in self.weights}
@@ -285,12 +282,8 @@ class CellModule:
         rows = []
         for row in m.entries:
             for c in row:
-                if not c.data.is_laurent():
+                if not c.is_laurent():
                     raise CoordinateFailureError(
-                        "lattice coordinate %s is not integral" % c.data)
-            rows.append([c.data.to_laurent() for c in row])
+                        "lattice coordinate %s is not integral" % c)
+            rows.append([c.to_laurent() for c in row])
         return LaurentMatrix(m.rows, m.cols, rows)
-
-
-def build_cell_module(datum: RootDatum, lam: Weight) -> CellModule:
-    return CellModule(datum, lam)

@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import __version__
 from .assembly import assemble, rank1_canonical_identity, verify_cellularity, verify_relations
 from .errors import CapExceededError, ConfigError, EngineError, UnsupportedCharacteristicError
-from .rootdata import RootDatum, build_flag, build_root_datum, saturate
+from .rootdata import RootDatum, build_flag, build_root_datum, parse_preset, saturate
 from .scalars import FieldContext
 from .specialize import (
     decomposition_matrix,
@@ -42,6 +42,46 @@ def _integer(value, what: str) -> int:
     return value
 
 
+def _count(value, what: str) -> int:
+    value = _integer(value, what)
+    if value < 0:
+        raise ConfigError("%s must be nonnegative, got %d" % (what, value))
+    return value
+
+
+def _integer_rows(value, what: str) -> list:
+    if not isinstance(value, list) or not value or \
+            not all(isinstance(row, list) for row in value):
+        raise ConfigError("%s must be a nonempty list of integer rows" % what)
+    return [[_integer(x, what + " entry") for x in row] for row in value]
+
+
+def _datum_rank(spec: dict) -> int:
+    """Rank of the datum a spec describes, found without building it:
+    building enumerates the whole Weyl group, so the rank cap comes first."""
+    if "preset" in spec:
+        preset, rank = spec["preset"], spec.get("rank")
+        if not isinstance(preset, str):
+            raise ConfigError("datum.preset must be a string, got %r" % (preset,))
+        try:
+            _, factors = parse_preset(
+                preset, None if rank is None else _integer(rank, "datum.rank"))
+        except ValueError as exc:
+            raise ConfigError(str(exc))
+        return sum(r for _, r in factors)
+    if not {"cartan", "alpha", "alphav"} <= set(spec):
+        raise ConfigError("datum needs a preset or explicit cartan, alpha and alphav")
+    cartan, alpha, alphav = (_integer_rows(spec[k], "datum." + k)
+                             for k in ("cartan", "alpha", "alphav"))
+    r, n = len(cartan), len(alpha[0])
+    if n == 0 or len(alpha) != r or len(alphav) != r or \
+            any(len(row) != r for row in cartan) or \
+            any(len(row) != n for row in alpha + alphav):
+        raise ConfigError("datum.cartan must be r x r, datum.alpha and "
+                          "datum.alphav r x n with n > 0")
+    return r
+
+
 class JobConfig:
     """A parsed job document: datum spec, pi seeds, field, caps."""
 
@@ -57,6 +97,7 @@ class JobConfig:
         bad = set(self.datum_spec) - {"preset", "rank", "cartan", "alpha", "alphav"}
         if bad:
             raise ConfigError("unknown datum keys: %s" % sorted(bad))
+        self.rank = _datum_rank(self.datum_spec)
         pi_spec = doc.get("pi", {})
         if not isinstance(pi_spec, dict) or set(pi_spec) - {"seeds"}:
             raise ConfigError("pi must be an object with key 'seeds'")
@@ -72,7 +113,7 @@ class JobConfig:
         if not isinstance(user_caps, dict) or set(user_caps) - set(DEFAULT_CAPS):
             raise ConfigError("unknown caps keys: %s"
                               % sorted(set(user_caps) - set(DEFAULT_CAPS)))
-        caps.update({k: _integer(v, "caps.%s" % k)
+        caps.update({k: _count(v, "caps.%s" % k)
                      for k, v in user_caps.items()})
         self.caps = caps
 
@@ -85,20 +126,18 @@ class JobConfig:
         }
 
     def build_datum(self) -> RootDatum:
-        spec = self.datum_spec
-        if "preset" in spec:
-            datum = build_root_datum(spec["preset"], spec.get("rank"))
-        else:
-            if "cartan" not in spec:
-                raise ConfigError("datum needs a preset or explicit matrices")
-            datum = build_root_datum(cartan=spec["cartan"],
-                                     alpha=spec.get("alpha"),
-                                     alphav=spec.get("alphav"))
-        if datum.rank > self.caps["rank"]:
+        if self.rank > self.caps["rank"]:
             raise CapExceededError(
                 "rank %d exceeds cap %d (raise caps.rank to override)"
-                % (datum.rank, self.caps["rank"]))
-        return datum
+                % (self.rank, self.caps["rank"]))
+        spec = self.datum_spec
+        if "preset" in spec:
+            try:
+                return build_root_datum(spec["preset"], spec.get("rank"))
+            except ValueError as exc:  # a series with no datum of that rank
+                raise ConfigError(str(exc))
+        return build_root_datum(cartan=spec["cartan"], alpha=spec["alpha"],
+                                alphav=spec["alphav"])
 
     def field_context(self) -> FieldContext:
         return parse_field(self.field_spec)
@@ -388,7 +427,7 @@ def main(argv=None) -> int:
             parse_field(args.field)  # validate before overriding
             config.field_spec = args.field
         if args.depth is not None:
-            config.caps["depth"] = args.depth
+            config.caps["depth"] = _count(args.depth, "--depth")
         if args.lam is not None:
             try:
                 args.lam = tuple(int(c) for c in args.lam.split(","))

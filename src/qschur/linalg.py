@@ -1,10 +1,11 @@
 """Exact dense linear algebra.
 
-Two layers: FieldMatrix does Gaussian elimination over any FieldContext
-(rank, solve, nullspace, determinant, inverse), and LaurentMatrix supports
-Hermite-style column reduction over the Euclidean domain Q[v,v^-1], used to
-extract bases of integral lattices.  Pivoting is always "first nonzero in
-index order" -- the arithmetic is exact, so determinism beats conditioning.
+Two layers: over a field, forward_eliminate (rank, determinant, every
+greedy independence test) and the reduced echelon form (solve, nullspace,
+inverse); over the Euclidean domain Q[v,v^-1], Hermite-style column
+reduction of LaurentMatrix, used to extract bases of integral lattices.
+Pivoting is always "first nonzero in index order" -- the arithmetic is
+exact, so determinism beats conditioning.
 """
 
 from __future__ import annotations
@@ -24,12 +25,12 @@ from .scalars import (
 
 @dataclass
 class FieldMatrix:
-    """A dense matrix with FieldValue entries sharing one context."""
+    """A dense matrix whose entries are scalars of one context."""
 
     ctx: FieldContext
     rows: int
     cols: int
-    entries: list  # list of lists of FieldValue
+    entries: list  # list of lists of context scalars
 
     @staticmethod
     def from_rows(ctx: FieldContext, rows: list) -> "FieldMatrix":
@@ -91,10 +92,10 @@ class FieldMatrix:
                 acc = z
                 for k in range(self.cols):
                     a = srow[k]
-                    if a.is_zero():
+                    if not a:
                         continue
                     b = ot[k][j]
-                    if b.is_zero():
+                    if not b:
                         continue
                     acc = acc + a * b
                 row.append(acc)
@@ -112,14 +113,14 @@ class FieldMatrix:
         for i in range(self.rows):
             acc = z
             for k, x in enumerate(vec):
-                if x.is_zero():
+                if not x:
                     continue
                 acc = acc + self.entries[i][k] * x
             out.append(acc)
         return out
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for r in self.entries for a in r)
+        return not any(a for r in self.entries for a in r)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldMatrix):
@@ -132,21 +133,22 @@ class FieldMatrix:
 def _echelonize(m: FieldMatrix) -> tuple[FieldMatrix, list]:
     """Row-reduce a copy of m; returns (rref, pivot column indices)."""
     a = m.copy()
+    one = m.ctx.one()
     pivots = []
     prow = 0
     for col in range(a.cols):
         sel = None
         for i in range(prow, a.rows):
-            if not a.entries[i][col].is_zero():
+            if a.entries[i][col]:
                 sel = i
                 break
         if sel is None:
             continue
         a.entries[prow], a.entries[sel] = a.entries[sel], a.entries[prow]
-        inv = a.entries[prow][col].inverse()
+        inv = one / a.entries[prow][col]
         a.entries[prow] = [x * inv for x in a.entries[prow]]
         for i in range(a.rows):
-            if i != prow and not a.entries[i][col].is_zero():
+            if i != prow and a.entries[i][col]:
                 f = a.entries[i][col]
                 a.entries[i] = [x - f * y for x, y in
                                 zip(a.entries[i], a.entries[prow])]
@@ -157,9 +159,42 @@ def _echelonize(m: FieldMatrix) -> tuple[FieldMatrix, list]:
     return a, pivots
 
 
+def forward_eliminate(rows) -> list:
+    """Forward elimination on sparse rows {column: nonzero scalar}, taken
+    in order and reduced in place at their first nonzero column until they
+    vanish or pivot there.  Returns (row index, reduced row) for the pivot
+    rows: the indices greedily pick a maximal independent set of rows."""
+    pivots: dict = {}
+    out = []
+    for index, row in enumerate(rows):
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                pivots[col] = row
+                out.append((index, row))
+                break
+            f = row[col] / piv[col]
+            for k, x in piv.items():
+                y = row.get(k)
+                if y is None:
+                    row[k] = -(f * x)
+                else:
+                    y = y - f * x
+                    if y:
+                        row[k] = y
+                    else:
+                        del row[k]
+    return out
+
+
+def _sparse_rows(m: FieldMatrix):
+    return ({j: x for j, x in enumerate(row) if x} for row in m.entries)
+
+
 def rank(m: FieldMatrix) -> int:
-    """Rank over the context field, by exact Gaussian elimination."""
-    return len(_echelonize(m)[1])
+    """Rank over the context field, by exact forward elimination."""
+    return len(forward_eliminate(_sparse_rows(m)))
 
 
 def solve(m: FieldMatrix, b: list) -> list:
@@ -203,31 +238,21 @@ def nullspace(m: FieldMatrix) -> list:
 
 
 def determinant(m: FieldMatrix) -> FieldValue:
+    """Sign of the pivot-column permutation times the product of pivots:
+    the reduced rows, sorted by pivot column, are triangular."""
     assert m.rows == m.cols
-    a = m.copy()
+    reduced = forward_eliminate(_sparse_rows(m))
+    if len(reduced) < m.rows:
+        return m.ctx.zero()
     det = m.ctx.one()
-    sign = False
-    for col in range(a.cols):
-        sel = None
-        for i in range(col, a.rows):
-            if not a.entries[i][col].is_zero():
-                sel = i
-                break
-        if sel is None:
-            return m.ctx.zero()
-        if sel != col:
-            a.entries[col], a.entries[sel] = a.entries[sel], a.entries[col]
-            sign = not sign
-        piv = a.entries[col][col]
-        det = det * piv
-        inv = piv.inverse()
-        for i in range(col + 1, a.rows):
-            if a.entries[i][col].is_zero():
-                continue
-            f = a.entries[i][col] * inv
-            a.entries[i] = [x - f * y for x, y in
-                            zip(a.entries[i], a.entries[col])]
-    return -det if sign else det
+    cols = []
+    for _, row in reduced:
+        col = min(row)
+        cols.append(col)
+        det = det * row[col]
+    inversions = sum(1 for i, a in enumerate(cols) for b in cols[i + 1:]
+                     if a > b)
+    return -det if inversions % 2 else det
 
 
 def invert(m: FieldMatrix) -> FieldMatrix:
@@ -407,6 +432,4 @@ def express_in_column_basis(basis: LaurentMatrix, y: list) -> list:
 
 def laurent_determinant(m: LaurentMatrix) -> LaurentPoly:
     """Exact determinant of a square Laurent matrix (via Q(v) elimination)."""
-    ctx = FieldContext.generic()
-    d = determinant(m.to_field(ctx))
-    return d.data.to_laurent()
+    return determinant(m.to_field(FieldContext.generic())).to_laurent()

@@ -23,6 +23,7 @@ from .errors import (
     NotFiniteTypeError,
     PairingMismatchError,
 )
+from .linalg import forward_eliminate
 
 Weight = tuple  # tuple[int, ...] in X coordinates
 
@@ -72,20 +73,14 @@ class CartanDatum:
 def _positive_definite(dot) -> bool:
     """Sylvester's criterion for the (integer) symmetric matrix.
 
-    Elimination without row swaps: the k-th leading principal minor is the
-    product of the first k pivots, so all minors are positive iff every
-    pivot is.
+    While the leading principal minors are nonzero, forward elimination
+    pivots row k at column k, and the k-th minor is the product of the
+    first k pivots; so all minors are positive iff every pivot is.
     """
-    n = len(dot)
-    m = [[Fraction(x) for x in row] for row in dot]
-    for c in range(n):
-        if m[c][c] <= 0:
-            return False
-        for i in range(c + 1, n):
-            f = m[i][c] / m[c][c]
-            if f:
-                m[i] = [x - f * y for x, y in zip(m[i], m[c])]
-    return True
+    reduced = forward_eliminate(
+        {j: Fraction(x) for j, x in enumerate(row) if x} for row in dot)
+    return len(reduced) == len(dot) and \
+        all(min(row) == k and row[k] > 0 for k, (_, row) in enumerate(reduced))
 
 
 class RootDatum:
@@ -323,39 +318,28 @@ def _box(bounds) -> Iterable[tuple]:
 
 
 def _make_alpha_solver(alpha: tuple, n: int):
-    """Precompute an echelon solve for nu = sum c_j alpha_j over Q."""
+    """Precompute an echelon solve for nu = sum c_j alpha_j over Q.
+
+    Forward elimination of the rows of [A | I], A with the alpha vectors
+    as columns, leaves rows [U | E] with E A = U; a row with U = 0 states
+    a consistency condition, the others solve by back substitution.
+    """
     r = len(alpha)
-    # columns are the alpha vectors
-    rows = [[Fraction(alpha[j][k]) for j in range(r)] for k in range(n)]
+    rows = ({**{j: Fraction(alpha[j][k]) for j in range(r) if alpha[j][k]},
+             r + k: Fraction(1)} for k in range(n))
+    reduced = sorted(((min(row), row) for _, row in forward_eliminate(rows)),
+                     key=lambda pr: pr[0], reverse=True)
 
     def solver(nu):
-        m = [row[:] + [Fraction(v)] for row, v in zip(rows, nu)]
-        piv_cols = []
-        prow = 0
-        for col in range(r):
-            sel = None
-            for i in range(prow, n):
-                if m[i][col]:
-                    sel = i
-                    break
-            if sel is None:
-                continue
-            m[prow], m[sel] = m[sel], m[prow]
-            inv = 1 / m[prow][col]
-            m[prow] = [x * inv for x in m[prow]]
-            for i in range(n):
-                if i != prow and m[i][col]:
-                    f = m[i][col]
-                    m[i] = [x - f * y for x, y in zip(m[i], m[prow])]
-            piv_cols.append(col)
-            prow += 1
         sol = [Fraction(0)] * r
-        for p, col in enumerate(piv_cols):
-            sol[col] = m[p][r]
-        # consistency: rows without pivots must have zero RHS
-        for i in range(prow, n):
-            if m[i][r]:
-                return None
+        for p, row in reduced:
+            rhs = sum(x * nu[c - r] for c, x in row.items() if c >= r)
+            if p >= r:
+                if rhs:
+                    return None
+                continue
+            rhs -= sum(x * sol[c] for c, x in row.items() if p < c < r)
+            sol[p] = rhs / row[p]
         return tuple(sol)
 
     return solver
@@ -416,15 +400,18 @@ def _preset_cartan(series: str, r: int) -> tuple:
     raise ValueError("unknown series %r" % series)
 
 
-def _parse_preset(name: str) -> list:
-    """Parse e.g. 'A2', 'B3', 'A1xA1' into [(series, rank), ...]."""
-    parts = name.replace(" ", "").split("x")
-    out = []
-    for part in parts:
+def parse_preset(preset: str, rank: Optional[int] = None) -> tuple:
+    """Parse e.g. 'A2', 'B3', 'A1xA1', or a series letter plus a separate
+    rank, into (name, [(series, rank), ...]).  Builds no matrix, so a
+    caller can check the rank before construction."""
+    if rank is not None and len(preset) == 1:
+        preset = "%s%d" % (preset, rank)
+    factors = []
+    for part in preset.replace(" ", "").split("x"):
         if len(part) < 2 or part[0].upper() not in "ABCDEFG":
-            raise ValueError("bad preset %r" % name)
-        out.append((part[0].upper(), int(part[1:])))
-    return out
+            raise ValueError("bad preset %r" % preset)
+        factors.append((part[0].upper(), int(part[1:])))
+    return preset, factors
 
 
 def build_root_datum(preset: Optional[str] = None, rank: Optional[int] = None,
@@ -437,9 +424,7 @@ def build_root_datum(preset: Optional[str] = None, rank: Optional[int] = None,
     the minimal symmetrizer; the pairing axiom is checked.
     """
     if preset is not None:
-        if rank is not None and len(preset) == 1:
-            preset = "%s%d" % (preset, rank)
-        factors = _parse_preset(preset)
+        preset, factors = parse_preset(preset, rank)
         blocks = [_preset_cartan(s, r) for s, r in factors]
         total = sum(r for _, r in factors)
         a = [[0] * total for _ in range(total)]
@@ -481,6 +466,9 @@ def _minimal_symmetrizer(a) -> list:
             i = stack.pop()
             for j in range(r):
                 if i != j and a[i][j]:
+                    if not a[j][i]:
+                        raise NotFiniteTypeError(
+                            "Cartan matrix is not symmetrizable")
                     val = d[i] * Fraction(a[i][j], a[j][i])
                     if d[j] is None:
                         d[j] = val
@@ -551,9 +539,6 @@ class CosaturatedFlag:
 
     def __len__(self):
         return len(self.ordering)
-
-    def prefix(self, j: int) -> tuple:
-        return self.ordering[:j]
 
 
 def build_flag(pi: SaturatedSet) -> CosaturatedFlag:

@@ -493,7 +493,70 @@ def _dense_inv_mod(a: list, mod: list) -> list:
     return _dense_trim([x / c for x in s0])
 
 
+# -- the cyclotomic field Q[v]/Phi_ell(v) -----------------------------------
+
+@lru_cache(maxsize=None)
+def _modulus(ell: int) -> tuple:
+    """Dense coefficient tuple of Phi_ell, lowest degree first."""
+    return tuple(cyclotomic_polynomial(ell).to_dense()[1])
+
+
+class Residue:
+    """An element of the cyclotomic field Q[v]/Phi_ell(v).
+
+    coeffs lists c_0, c_1, ... of the reduced representative sum c_j v^j
+    (degree below that of Phi_ell) without trailing zeros, so equality is
+    plain comparison and zero is the empty tuple.
+    """
+
+    __slots__ = ("ell", "coeffs")
+
+    def __init__(self, ell: int, coeffs: tuple):
+        self.ell = ell
+        self.coeffs = coeffs
+
+    def __bool__(self) -> bool:
+        return bool(self.coeffs)
+
+    def __sub__(self, other: "Residue") -> "Residue":
+        return Residue(self.ell, tuple(_dense_sub(self.coeffs, other.coeffs)))
+
+    def __neg__(self) -> "Residue":
+        return Residue(self.ell, tuple(-x for x in self.coeffs))
+
+    def __add__(self, other: "Residue") -> "Residue":
+        return self - (-other)
+
+    def __mul__(self, other: "Residue") -> "Residue":
+        prod = _dense_mul(self.coeffs, other.coeffs)
+        return Residue(self.ell,
+                       tuple(_dense_divmod(prod, _modulus(self.ell))[1]))
+
+    def __truediv__(self, other: "Residue") -> "Residue":
+        inv = _dense_inv_mod(other.coeffs, _modulus(self.ell))
+        return self * Residue(self.ell, tuple(inv))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Residue):
+            return NotImplemented
+        return self.ell == other.ell and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.ell, self.coeffs))
+
+    def __str__(self) -> str:
+        return str(LaurentPoly(dict(enumerate(self.coeffs))))
+
+    def __repr__(self) -> str:
+        return "Residue(cyclotomic=%d, %s)" % (self.ell, self)
+
+
 # -- specialization fields ---------------------------------------------------
+#
+# Each field uses its own scalar type; all three support + - * /, unary -,
+# == and bool() (false exactly at zero).
+
+FieldValue = Union[RatFunc, Fraction, Residue]
 
 GENERIC = "generic"
 RATIONAL = "rational"
@@ -504,9 +567,10 @@ CYCLOTOMIC = "cyclotomic"
 class FieldContext:
     """A characteristic-zero field receiving v.
 
-    kind "generic": Q(v) itself (identity embedding).
-    kind "rational": Q with v |-> q, q a nonzero rational.
-    kind "cyclotomic": Q[v]/Phi_ell(v) with v |-> the residue class, ell >= 2.
+    kind "generic": Q(v) itself (identity embedding), scalars RatFunc.
+    kind "rational": Q with v |-> q, q a nonzero rational; scalars Fraction.
+    kind "cyclotomic": Q[v]/Phi_ell(v) with v |-> the residue class,
+    ell >= 2; scalars Residue.
     """
 
     kind: str
@@ -530,13 +594,6 @@ class FieldContext:
             raise ValueError("cyclotomic order must be >= 2")
         return FieldContext(CYCLOTOMIC, ell=ell)
 
-    @property
-    def modulus(self) -> tuple:
-        """Dense coefficient tuple of Phi_ell (cyclotomic contexts only)."""
-        lo, dense = cyclotomic_polynomial(self.ell).to_dense()
-        assert lo == 0
-        return tuple(dense)
-
     def label(self) -> str:
         if self.kind == GENERIC:
             return "generic"
@@ -544,29 +601,27 @@ class FieldContext:
             return "q=%s" % self.q
         return "cyclotomic=%d" % self.ell
 
-    # raw payloads: RatFunc | Fraction | tuple-of-Fractions (residue coeffs)
-
-    def zero(self) -> "FieldValue":
+    def zero(self) -> FieldValue:
         return self.from_fraction(Fraction(0))
 
-    def one(self) -> "FieldValue":
+    def one(self) -> FieldValue:
         return self.from_fraction(Fraction(1))
 
-    def from_fraction(self, c) -> "FieldValue":
+    def from_fraction(self, c) -> FieldValue:
         c = Fraction(c)
         if self.kind == GENERIC:
-            return FieldValue(self, RatFunc.from_laurent(LaurentPoly.const(c)))
+            return RatFunc.from_laurent(LaurentPoly.const(c))
         if self.kind == RATIONAL:
-            return FieldValue(self, c)
-        return FieldValue(self, ((c,) if c else ()))
+            return c
+        return Residue(self.ell, (c,) if c else ())
 
-    def from_laurent(self, p: LaurentPoly) -> "FieldValue":
+    def from_laurent(self, p: LaurentPoly) -> FieldValue:
         if self.kind == GENERIC:
-            return FieldValue(self, RatFunc.from_laurent(p))
+            return RatFunc.from_laurent(p)
         if self.kind == RATIONAL:
-            return FieldValue(self, p.evaluate(self.q))
+            return p.evaluate(self.q)
         ell = self.ell
-        mod = list(self.modulus)
+        mod = _modulus(ell)
         deg = len(mod) - 1
         acc = [Fraction(0)] * deg
         for e, c in p.coeffs.items():
@@ -575,98 +630,17 @@ class FieldContext:
             _, rem = _dense_divmod(dense, mod) if k >= deg else (None, dense)
             for j, x in enumerate(rem):
                 acc[j] += x
-        return FieldValue(self, tuple(_dense_trim(acc)))
+        return Residue(ell, tuple(_dense_trim(acc)))
 
-    def from_ratfunc(self, r: RatFunc) -> "FieldValue":
+    def from_ratfunc(self, r: RatFunc) -> FieldValue:
         num = self.from_laurent(r.num)
         if r.den == _ONE:
             return num
         den = self.from_laurent(r.den)
-        if den.is_zero():
+        if not den:
             raise DenominatorVanishes(
                 "denominator (%s) vanishes at %s" % (r.den, self.label()))
-        return num * den.inverse()
-
-
-class FieldValue:
-    """A scalar in a FieldContext; all four field operations are exact."""
-
-    __slots__ = ("ctx", "data")
-
-    def __init__(self, ctx: FieldContext, data):
-        self.ctx = ctx
-        self.data = data
-
-    def is_zero(self) -> bool:
-        if self.ctx.kind == GENERIC:
-            return self.data.is_zero()
-        if self.ctx.kind == RATIONAL:
-            return self.data == 0
-        return not self.data
-
-    def __bool__(self) -> bool:
-        return not self.is_zero()
-
-    def __add__(self, other: "FieldValue") -> "FieldValue":
-        k = self.ctx.kind
-        if k == CYCLOTOMIC:
-            a, b = list(self.data), list(other.data)
-            n = max(len(a), len(b))
-            a += [Fraction(0)] * (n - len(a))
-            b += [Fraction(0)] * (n - len(b))
-            return FieldValue(self.ctx, tuple(_dense_trim([x + y for x, y in zip(a, b)])))
-        return FieldValue(self.ctx, self.data + other.data)
-
-    def __sub__(self, other: "FieldValue") -> "FieldValue":
-        return self + (-other)
-
-    def __neg__(self) -> "FieldValue":
-        if self.ctx.kind == CYCLOTOMIC:
-            return FieldValue(self.ctx, tuple(-x for x in self.data))
-        return FieldValue(self.ctx, -self.data)
-
-    def __mul__(self, other: "FieldValue") -> "FieldValue":
-        k = self.ctx.kind
-        if k == CYCLOTOMIC:
-            prod = _dense_mul(list(self.data), list(other.data))
-            _, rem = _dense_divmod(prod, list(self.ctx.modulus))
-            return FieldValue(self.ctx, tuple(rem))
-        return FieldValue(self.ctx, self.data * other.data)
-
-    def inverse(self) -> "FieldValue":
-        k = self.ctx.kind
-        if self.is_zero():
-            raise ZeroDivisionError("inverting zero in %s" % self.ctx.label())
-        if k == GENERIC:
-            return FieldValue(self.ctx, self.data.inverse())
-        if k == RATIONAL:
-            return FieldValue(self.ctx, Fraction(1) / self.data)
-        return FieldValue(self.ctx, tuple(_dense_inv_mod(list(self.data),
-                                                         list(self.ctx.modulus))))
-
-    def __truediv__(self, other: "FieldValue") -> "FieldValue":
-        return self * other.inverse()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, FieldValue):
-            return NotImplemented
-        return self.ctx == other.ctx and self.data == other.data
-
-    def __hash__(self):
-        return hash((self.ctx, self.data))
-
-    def __str__(self) -> str:
-        k = self.ctx.kind
-        if k == GENERIC:
-            return str(self.data)
-        if k == RATIONAL:
-            return _coeff_str(self.data)
-        if not self.data:
-            return "0"
-        return str(LaurentPoly({e: c for e, c in enumerate(self.data)}))
-
-    def __repr__(self) -> str:
-        return "FieldValue(%s, %s)" % (self.ctx.label(), self)
+        return num / den
 
 
 def specialize(x, ctx: FieldContext) -> FieldValue:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 from .cellmod import CellModule
 from .errors import InconsistentCharactersError
-from .linalg import laurent_determinant, nullspace, rank
+from .linalg import laurent_determinant, nullspace
 from .rootdata import CosaturatedFlag, Weight
 from .scalars import (
     FieldContext,
@@ -58,8 +58,8 @@ def specialize_module(cm: CellModule, ctx: FieldContext) -> SpecializedModule:
     radicals = {}
     for mu in cm.weights:
         g = cm.basis(mu, integral=True).gram.to_field(ctx)
-        weight_ranks[mu] = rank(g)
         radicals[mu] = nullspace(g)
+        weight_ranks[mu] = g.cols - len(radicals[mu])
     return SpecializedModule(
         lam=cm.lam, ctx=ctx, weight_ranks=weight_ranks, radicals=radicals,
         char_delta=cm.character(), dim_delta=cm.dim)
@@ -207,11 +207,7 @@ def semisimplicity_report(modules: dict, flag: CosaturatedFlag,
         cm = modules[lam]
         for mu in cm.weights:
             det = laurent_determinant(cm.basis(mu, integral=True).gram)
-            if ctx.kind == "generic":
-                vanished = det.is_zero()
-            else:
-                vanished = ctx.from_laurent(det).is_zero()
-            if vanished:
+            if not ctx.from_laurent(det):
                 witnesses.append((lam, mu))
     return SemisimplicityReport(ctx, not witnesses, tuple(witnesses))
 
@@ -242,9 +238,8 @@ def radical_is_submodule(cm: CellModule, ctx: FieldContext,
                 for nu in cm.weights:
                     noff = cm.offset(nu)
                     comp = [image[noff + k] for k in range(cm.spaces[nu].rank)]
-                    if all(x.is_zero() for x in comp):
+                    if not any(comp):
                         continue
-                    paired = grams[nu].apply(comp)
-                    if not all(x.is_zero() for x in paired):
+                    if any(grams[nu].apply(comp)):
                         return False
     return True

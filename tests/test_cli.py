@@ -164,6 +164,11 @@ def test_bad_configs(tmp_path, capsys):
     # rank cap (default 4) rejects E6 with a clear message
     rc, _, err = run(capsys, "datum", "--config", str(bad3))
     assert rc == 2 and "cap" in err
+    # E8 is rejected before its Weyl group (order 696729600) is enumerated
+    bad4 = tmp_path / "bad4.json"
+    bad4.write_text(json.dumps({"datum": {"preset": "E8"}}))
+    rc, _, err = run(capsys, "datum", "--config", str(bad4))
+    assert rc == 2 and "cap" in err
     missing = run(capsys, "datum", "--config", str(tmp_path / "nope.json"))
     assert missing[0] == 2
 
@@ -204,6 +209,24 @@ def test_non_finite_type_exit_code(tmp_path, capsys):
       "field": {"cyclotomic": "x"}}, []),
     ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1]]}},
      ["--lambda", "1,x"]),
+    ({"datum": {"preset": "Q3"}}, []),
+    ({"datum": {"preset": "A0"}}, []),
+    ({"datum": {"preset": "Ax"}}, []),
+    ({"datum": {"preset": 3}}, []),
+    ({"datum": {"cartan": [[2]]}}, []),
+    ({"datum": {"cartan": "x", "alpha": [[2]], "alphav": [[1]]}}, []),
+    ({"datum": {"cartan": [[2, -1], [-1, 2]], "alpha": [[2, -1]],
+                "alphav": [[1, 0], [0, 1]]}}, []),
+    ({"datum": {"cartan": [[2, -1], [0, 2]], "alpha": [[2, -1], [0, 2]],
+                "alphav": [[1, 0], [0, 1]]}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1]]},
+      "caps": {"depth": -3}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1]]},
+      "caps": {"samples": -1}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1]]},
+      "caps": {"cyclotomic_scan": -1}}, []),
+    ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1]]}},
+     ["--depth", "-1"]),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, extra):
     cfg = tmp_path / "bad.json"

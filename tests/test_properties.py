@@ -62,7 +62,7 @@ def test_cyclotomic_specialization_respects_bar(p, ell):
     # specialization composed with the field automorphism zeta -> zeta^-1,
     # so zero images are preserved either way
     ctx = FieldContext.cyclotomic_point(ell)
-    assert specialize(p, ctx).is_zero() == specialize(p.bar(), ctx).is_zero()
+    assert bool(specialize(p, ctx)) == bool(specialize(p.bar(), ctx))
 
 
 @settings(max_examples=40, deadline=None)

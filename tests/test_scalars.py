@@ -171,13 +171,13 @@ def test_specialize_examples():
     ctx1 = FieldContext.rational_point(1)
     for n in range(-6, 7):
         val = specialize(quantum_integer(n), ctx1)
-        assert val.data == n  # [n] at v=1 is the ordinary integer
+        assert val == n  # [n] at v=1 is the ordinary integer
     ctx4 = FieldContext.cyclotomic_point(4)
-    assert specialize(quantum_integer(2), ctx4).is_zero()
-    assert not specialize(quantum_integer(3), ctx4).is_zero()
+    assert not specialize(quantum_integer(2), ctx4)
+    assert specialize(quantum_integer(3), ctx4)
     gen = FieldContext.generic()
     x = RatFunc(quantum_integer(3), quantum_integer(2))
-    assert specialize(x, gen).data == x  # identity embedding
+    assert specialize(x, gen) == x  # identity embedding
 
 
 def test_specialize_denominator_vanishes():
@@ -187,7 +187,7 @@ def test_specialize_denominator_vanishes():
         specialize(bad, ctx4)
     ctx_half = FieldContext.rational_point(Fraction(1, 2))
     # [2](1/2) = 5/2 != 0, fine there
-    assert specialize(bad, ctx_half).data == Fraction(2, 5)
+    assert specialize(bad, ctx_half) == Fraction(2, 5)
 
 
 def test_context_validation():
@@ -230,7 +230,7 @@ def test_field_inverse_closure(ctx):
     count = 0
     while count < 40:
         x = specialize(_random_laurent(rng), ctx)
-        if x.is_zero():
+        if not x:
             continue
         count += 1
-        assert x * x.inverse() == ctx.one()
+        assert x * (ctx.one() / x) == ctx.one()
