@@ -62,9 +62,6 @@ class BlockMatrix:
             return NotImplemented
         return all(a == other.blocks[lam] for lam, a in self.blocks.items())
 
-    def block(self, lam: Weight) -> FieldMatrix:
-        return self.blocks[tuple(lam)]
-
 
 @dataclass
 class CellBasisElement:
@@ -134,14 +131,19 @@ class SchurAlgebra:
         return BlockMatrix({lam: FieldMatrix.zero(GENERIC, cm.dim, cm.dim)
                             for lam, cm in self.modules.items()})
 
+    def combination(self, terms) -> BlockMatrix:
+        """The sum of c x over (Laurent c, block matrix x), skipping zero c."""
+        out = self.zero()
+        for c, x in terms:
+            if c:
+                out = out + x.scale(GENERIC.from_laurent(c))
+        return out
+
     def k_element(self, h) -> BlockMatrix:
         """K_h = sum over mu in W pi of v^{<h, mu>} 1_mu."""
-        out = self.zero()
-        for mu in self.orbit_weights:
-            exp = sum(hh * mm for hh, mm in zip(h, mu))
-            out = out + self.gen(("P", mu)).scale(
-                GENERIC.from_laurent(LaurentPoly.var(exp)))
-        return out
+        return self.combination(
+            (LaurentPoly.var(sum(hh * mm for hh, mm in zip(h, mu))),
+             self.gen(("P", mu))) for mu in self.orbit_weights)
 
     def k_bar(self, i: int, inverse: bool = False) -> BlockMatrix:
         s = -1 if inverse else 1
@@ -200,11 +202,8 @@ class SchurAlgebra:
         return cached
 
     def rho_combo(self, kind: str, combo: tuple) -> BlockMatrix:
-        out = self.zero()
-        for word, coeff in combo:
-            out = out + self.rho_word(kind, word).scale(
-                GENERIC.from_laurent(coeff))
-        return out
+        return self.combination((coeff, self.rho_word(kind, word))
+                                for word, coeff in combo)
 
     # -- cellular basis -----------------------------------------------------------
 
@@ -240,6 +239,37 @@ def assemble(pi: SaturatedSet, flag: CosaturatedFlag = None) -> SchurAlgebra:
     return SchurAlgebra(pi, flag, modules)
 
 
+# -- checks -----------------------------------------------------------------
+
+
+def _expect(rep: VerificationReport, name: str, cases) -> None:
+    """Record the check `name`: lhs == rhs for every (witness, lhs, rhs)
+    case.  Cases are drawn lazily; the first failing one ends the check and
+    its witness, a dict, becomes the detail."""
+    for witness, lhs, rhs in cases:
+        if lhs != rhs:
+            rep.add(name, False, ", ".join(
+                "%s=%s" % (key, _combo_text(value) if key in ("left", "right")
+                           else value)
+                for key, value in witness.items()))
+            return
+    rep.add(name, True)
+
+
+def _combo_text(combo: tuple) -> str:
+    """A word combo as coeff*[[i, a], ...] terms joined by " + "."""
+    return " + ".join("%s*%s" % (coeff, [list(f) for f in word])
+                      for word, coeff in combo)
+
+
+def _shift_cases(witness: dict, e, f, p, p_up, p_down):
+    """E 1 = 1_up E, 1 E = E 1_down, F 1 = 1_down F and 1 F = F 1_up."""
+    yield dict(witness, identity="E 1 = 1_up E"), e * p, p_up * e
+    yield dict(witness, identity="1 E = E 1_down"), p * e, e * p_down
+    yield dict(witness, identity="F 1 = 1_down F"), f * p, p_down * f
+    yield dict(witness, identity="1 F = F 1_up"), p * f, f * p_up
+
+
 # -- relation suite -----------------------------------------------------------
 
 
@@ -251,220 +281,162 @@ def verify_relations(s: SchurAlgebra, depth: int = 3, samples: int = 8,
     relations with the boundary convention, divided-power commutation
     identities up to the depth cap, quantum Serre relations, the
     ad-expansion identity, rank-1 subalgebra relations, K_h behaviour,
-    and the minimal polynomial of each K-bar element.
+    and the minimal polynomial of each K-bar element.  A failing check
+    names its first failing witness in its detail.
     """
     rep = VerificationReport()
-    datum = s.datum
-    r = datum.rank
-    ident = s.identity()
-    zero = s.zero()
+    datum, weights = s.datum, s.orbit_weights
+    r, d = datum.rank, datum.d
+    ident, zero, one = s.identity(), s.zero(), LaurentPoly.one()
+
+    def E(i, a=1):
+        return s.gen(("E", i, a))
+
+    def F(i, a=1):
+        return s.gen(("F", i, a))
+
+    def P(mu, i=None, a=0):
+        """1_{mu + a alpha_i}: a zero block matrix off W pi."""
+        if a:
+            mu = tuple(m + a * x for m, x in zip(mu, datum.alpha[i]))
+        return s.gen(("P", mu))
+
+    def power_sum(x, y, m, di):
+        """sum_t (-1)^t [m; t]_i x^{m-t} y x^t."""
+        powers = [ident]
+        for _ in range(m):
+            powers.append(powers[-1] * x)
+        return s.combination((quantum_binomial(m, t, di).scale((-1) ** t),
+                              powers[m - t] * y * powers[t])
+                             for t in range(m + 1))
+
+    def swapped(x, u, y, v, top, i, p):
+        """sum_t [top; t]_i X_i^{(u-t)} Y_i^{(v-t)} p over nonzero terms."""
+        return s.combination(
+            (c, s.gen((x, i, u - t)) * s.gen((y, i, v - t)) * p)
+            for t in range(min(u, v) + 1)
+            if (c := quantum_binomial(top, t, d[i])))
 
     # (1) orthogonal idempotents summing to 1
-    total = s.zero()
-    ok = True
-    for mu in s.orbit_weights:
-        total = total + s.gen(("P", mu))
-        for nu in s.orbit_weights:
-            prod = s.gen(("P", mu)) * s.gen(("P", nu))
-            expect = s.gen(("P", mu)) if mu == nu else zero
-            if prod != expect:
-                ok = False
-    rep.add("idempotents.orthogonal", ok)
-    rep.add("idempotents.complete", total == ident)
+    _expect(rep, "idempotents.orthogonal",
+            (({"mu": mu, "nu": nu}, P(mu) * P(nu), P(mu) if mu == nu else zero)
+             for mu in weights for nu in weights))
+    total = s.combination((one, P(mu)) for mu in weights)
+    _expect(rep, "idempotents.complete",
+            (({"lambda": lam}, total.blocks[lam], ident.blocks[lam])
+             for lam in s.modules))
 
     # (2) E_i F_j - F_j E_i = delta_ij sum_mu [<alpha_i^vee, mu>]_i 1_mu
-    ok = True
-    bad = ""
-    for i in range(r):
-        for j in range(r):
-            lhs = s.gen(("E", i, 1)) * s.gen(("F", j, 1)) - \
-                s.gen(("F", j, 1)) * s.gen(("E", i, 1))
-            rhs = zero
-            if i == j:
-                for mu in s.orbit_weights:
-                    c = quantum_integer(datum.pairing(i, mu), datum.d[i])
-                    if not c.is_zero():
-                        rhs = rhs + s.gen(("P", mu)).scale(GENERIC.from_laurent(c))
-            if lhs != rhs:
-                ok = False
-                bad = "E_%d F_%d" % (i, j)
-    rep.add("relation.commutator", ok, bad)
+    _expect(rep, "relation.commutator",
+            (({"i": i, "j": j}, E(i) * F(j) - F(j) * E(i),
+              s.combination((quantum_integer(datum.pairing(i, mu), d[i]),
+                             P(mu)) for mu in weights if i == j))
+             for i in range(r) for j in range(r)))
 
     # (3) weight-shift relations, including 1_{mu +- alpha_i} = 0 off W pi
-    ok = True
-    weight_set = set(s.orbit_weights)
-    for i in range(r):
-        e, f = s.gen(("E", i, 1)), s.gen(("F", i, 1))
-        for mu in s.orbit_weights:
-            up = tuple(m + a for m, a in zip(mu, datum.alpha[i]))
-            down = tuple(m - a for m, a in zip(mu, datum.alpha[i]))
-            p = s.gen(("P", mu))
-            p_up = s.gen(("P", up)) if up in weight_set else zero
-            p_down = s.gen(("P", down)) if down in weight_set else zero
-            if e * p != p_up * e or p * e != e * p_down:
-                ok = False
-            if f * p != p_down * f or p * f != f * p_up:
-                ok = False
-    rep.add("relation.weight_shift", ok)
+    _expect(rep, "relation.weight_shift",
+            (case for i in range(r) for mu in weights
+             for case in _shift_cases({"i": i, "mu": mu}, E(i), F(i), P(mu),
+                                      P(mu, i, 1), P(mu, i, -1))))
 
     # (4) divided-power commutation identities, a, b <= depth
-    ok = True
-    for i in range(r):
-        di = datum.d[i]
-        for a in range(0, depth + 1):
-            ea = s.gen(("E", i, a))
-            fa = s.gen(("F", i, a))
-            for mu in s.orbit_weights:
-                p = s.gen(("P", mu))
-                up = tuple(m + a * x for m, x in zip(mu, datum.alpha[i]))
-                down = tuple(m - a * x for m, x in zip(mu, datum.alpha[i]))
-                p_up = s.gen(("P", up)) if up in weight_set else zero
-                p_down = s.gen(("P", down)) if down in weight_set else zero
-                if ea * p != p_up * ea or fa * p != p_down * fa:
-                    ok = False
-        for a in range(1, depth + 1):
-            for b in range(1, depth + 1):
-                for mu in s.orbit_weights:
-                    pairing = datum.pairing(i, mu)
-                    p = s.gen(("P", mu))
-                    lhs_b = s.gen(("E", i, a)) * s.gen(("F", i, b)) * p
-                    lhs_c = s.gen(("F", i, b)) * s.gen(("E", i, a)) * p
-                    rhs_b = zero
-                    rhs_c = zero
-                    for t in range(0, min(a, b) + 1):
-                        qb = quantum_binomial(a - b + pairing, t, di)
-                        if not qb.is_zero():
-                            rhs_b = rhs_b + (
-                                s.gen(("F", i, b - t)) * s.gen(("E", i, a - t)) * p
-                            ).scale(GENERIC.from_laurent(qb))
-                        qc = quantum_binomial(b - a - pairing, t, di)
-                        if not qc.is_zero():
-                            rhs_c = rhs_c + (
-                                s.gen(("E", i, a - t)) * s.gen(("F", i, b - t)) * p
-                            ).scale(GENERIC.from_laurent(qc))
-                    if lhs_b != rhs_b or lhs_c != rhs_c:
-                        ok = False
-    rep.add("relation.divided_power_commutation", ok)
+    def divided_powers():
+        for i in range(r):
+            for a in range(depth + 1):
+                for mu in weights:
+                    w = {"i": i, "a": a, "mu": mu}
+                    yield (dict(w, identity="E^(a) 1 = 1_up E^(a)"),
+                           E(i, a) * P(mu), P(mu, i, a) * E(i, a))
+                    yield (dict(w, identity="F^(a) 1 = 1_down F^(a)"),
+                           F(i, a) * P(mu), P(mu, i, -a) * F(i, a))
+            for a in range(1, depth + 1):
+                for b in range(1, depth + 1):
+                    for mu in weights:
+                        n, p = datum.pairing(i, mu), P(mu)
+                        w = {"i": i, "a": a, "b": b, "mu": mu}
+                        yield (dict(w, identity="E^(a) F^(b) 1"),
+                               E(i, a) * F(i, b) * p,
+                               swapped("F", b, "E", a, a - b + n, i, p))
+                        yield (dict(w, identity="F^(b) E^(a) 1"),
+                               F(i, b) * E(i, a) * p,
+                               swapped("E", a, "F", b, b - a - n, i, p))
 
-    # (5) quantum Serre relations (vacuous in rank 1)
+    _expect(rep, "relation.divided_power_commutation", divided_powers())
+
+    # (5) quantum Serre relations (vacuous in rank 1) and the ad-expansion
+    # (ad E_i)^m E_j = sum_t (-1)^t [m; t]_i E_i^{m-t} E_j E_i^t, m = 1 - a_ij
     if r >= 2:
         a_mat = datum.cartan.cartan_matrix()
-        ok = True
-        for i in range(r):
-            for j in range(r):
-                if i == j:
-                    continue
-                m = 1 - a_mat[i][j]
-                for kind in ("E", "F"):
-                    gi = s.gen((kind, i, 1))
-                    gj = s.gen((kind, j, 1))
-                    powers = [s.identity()]
-                    for _ in range(m):
-                        powers.append(powers[-1] * gi)
-                    acc = s.zero()
-                    for t in range(m + 1):
-                        term = powers[m - t] * gj * powers[t]
-                        c = quantum_binomial(m, t, datum.d[i])
-                        if t % 2:
-                            c = -c
-                        acc = acc + term.scale(GENERIC.from_laurent(c))
-                    if not acc.is_zero():
-                        ok = False
-        rep.add("relation.serre", ok)
+        pairs = [(i, j) for i in range(r) for j in range(r) if i != j]
+        _expect(rep, "relation.serre",
+                (({"i": i, "j": j, "kind": kind},
+                  power_sum(s.gen((kind, i, 1)), s.gen((kind, j, 1)),
+                            1 - a_mat[i][j], d[i]), zero)
+                 for i, j in pairs for kind in ("E", "F")))
 
-        # ad-expansion: (ad E_i)^m E_j = sum_t (-1)^t [m; t]_i E^{m-t} E_j E^t
-        ok = True
-        for i in range(r):
-            for j in range(r):
-                if i == j:
-                    continue
-                m = 1 - a_mat[i][j]
-                kb = s.k_bar(i)
-                kbi = s.k_bar(i, inverse=True)
-                e_i = s.gen(("E", i, 1))
-                x = s.gen(("E", j, 1))
-                for _ in range(m):
-                    x = e_i * x - (kb * x * kbi) * e_i
-                expanded = s.zero()
-                powers = [s.identity()]
-                for _ in range(m):
-                    powers.append(powers[-1] * e_i)
-                for t in range(m + 1):
-                    c = quantum_binomial(m, t, datum.d[i])
-                    if t % 2:
-                        c = -c
-                    expanded = expanded + (
-                        powers[m - t] * s.gen(("E", j, 1)) * powers[t]
-                    ).scale(GENERIC.from_laurent(c))
-                if x != expanded:
-                    ok = False
-        rep.add("relation.ad_expansion", ok)
+        def ad_expansion():
+            for i, j in pairs:
+                kb, kbi = s.k_bar(i), s.k_bar(i, inverse=True)
+                x = E(j)
+                for _ in range(1 - a_mat[i][j]):
+                    x = E(i) * x - (kb * x * kbi) * E(i)
+                yield ({"i": i, "j": j}, x,
+                       power_sum(E(i), E(j), 1 - a_mat[i][j], d[i]))
 
-    # (6) rank-1 subalgebra relations for each i
-    ok = True
-    for i in range(r):
-        levels = sorted({datum.pairing(i, mu) for mu in s.orbit_weights})
-        level_proj = {}
-        for n in levels:
-            p = zero
-            for mu in s.orbit_weights:
-                if datum.pairing(i, mu) == n:
-                    p = p + s.gen(("P", mu))
-            level_proj[n] = p
-        total = zero
-        for n, p in level_proj.items():
-            total = total + p
-            for n2, p2 in level_proj.items():
-                expect = p if n == n2 else zero
-                if p * p2 != expect:
-                    ok = False
-        if total != ident:
-            ok = False
-        e, f = s.gen(("E", i, 1)), s.gen(("F", i, 1))
-        comm = e * f - f * e
-        rhs = zero
-        for n, p in level_proj.items():
-            c = quantum_integer(n, datum.d[i])
-            if not c.is_zero():
-                rhs = rhs + p.scale(GENERIC.from_laurent(c))
-        if comm != rhs:
-            ok = False
-        for n, p in level_proj.items():
-            p_up = level_proj.get(n + 2, zero)
-            p_down = level_proj.get(n - 2, zero)
-            if e * p != p_up * e or p * e != e * p_down:
-                ok = False
-            if f * p != p_down * f or p * f != f * p_up:
-                ok = False
-    rep.add("relation.rank1_subalgebra", ok)
+        _expect(rep, "relation.ad_expansion", ad_expansion())
+
+    # (6) rank-1 subalgebra relations for each i, on the level projectors
+    # (sums of the 1_mu with equal <alpha_i^vee, mu>)
+    def rank1_subalgebras():
+        for i in range(r):
+            levels = sorted({datum.pairing(i, mu) for mu in weights})
+            level = {n: s.combination((one, P(mu)) for mu in weights
+                                      if datum.pairing(i, mu) == n)
+                     for n in levels}
+            for n, p in level.items():
+                for n2, p2 in level.items():
+                    yield ({"i": i, "level": n, "level2": n2},
+                           p * p2, p if n == n2 else zero)
+            yield ({"i": i, "identity": "levels sum to 1"},
+                   s.combination((one, p) for p in level.values()), ident)
+            yield ({"i": i, "identity": "E F - F E"},
+                   E(i) * F(i) - F(i) * E(i),
+                   s.combination((quantum_integer(n, d[i]), p)
+                                 for n, p in level.items()))
+            for n, p in level.items():
+                yield from _shift_cases({"i": i, "level": n}, E(i), F(i), p,
+                                        level.get(n + 2, zero),
+                                        level.get(n - 2, zero))
+
+    _expect(rep, "relation.rank1_subalgebra", rank1_subalgebras())
 
     # K_h: K_0 = 1, K_h K_h' = K_{h+h'} on deterministic random samples
-    rng = random.Random(seed)
-    ok = s.k_element([0] * datum.n) == ident
-    for _ in range(samples):
-        h1 = [rng.randint(-3, 3) for _ in range(datum.n)]
-        h2 = [rng.randint(-3, 3) for _ in range(datum.n)]
-        if s.k_element(h1) * s.k_element(h2) != s.k_element(
-                [a + b for a, b in zip(h1, h2)]):
-            ok = False
-    rep.add("relation.k_multiplicative", ok)
+    def k_samples():
+        yield {"h": [0] * datum.n}, s.k_element([0] * datum.n), ident
+        rng = random.Random(seed)
+        for _ in range(samples):
+            h1 = [rng.randint(-3, 3) for _ in range(datum.n)]
+            h2 = [rng.randint(-3, 3) for _ in range(datum.n)]
+            yield ({"h1": h1, "h2": h2}, s.k_element(h1) * s.k_element(h2),
+                   s.k_element([a + b for a, b in zip(h1, h2)]))
+
+    _expect(rep, "relation.k_multiplicative", k_samples())
 
     # (7) minimal polynomial of K-bar_i over the spectrum +-pi^(i)
-    ok = True
-    for i in range(r):
-        kb = s.k_bar(i)
-        spectrum = sorted({datum.pairing(i, mu) for mu in s.orbit_weights}
-                          | {-datum.pairing(i, mu) for mu in s.orbit_weights})
-        prod = ident
-        for n in spectrum:
-            prod = prod * (kb - ident.scale(
-                GENERIC.from_laurent(LaurentPoly.var(datum.d[i] * n))))
-        if not prod.is_zero():
-            ok = False
-        if s.k_bar(i) * s.k_bar(i, inverse=True) != ident:
-            ok = False
-    rep.add("relation.kbar_minimal_polynomial", ok)
+    def kbar_spectra():
+        for i in range(r):
+            kb = s.k_bar(i)
+            spectrum = sorted({sign * datum.pairing(i, mu) for mu in weights
+                               for sign in (1, -1)})
+            prod = ident
+            for n in spectrum:
+                prod = prod * s.combination(
+                    ((one, kb), (LaurentPoly.var(d[i] * n, -1), ident)))
+            yield {"i": i, "identity": "minimal polynomial"}, prod, zero
+            yield ({"i": i, "identity": "K-bar inverse"},
+                   kb * s.k_bar(i, inverse=True), ident)
 
+    _expect(rep, "relation.kbar_minimal_polynomial", kbar_spectra())
     return rep
 
 
@@ -491,18 +463,6 @@ def matrix_span_rank(s: SchurAlgebra, mats: list) -> int:
     return len(forward_eliminate(_flatten(s, bm) for bm in mats))
 
 
-def coordinates_of_combo(cm: CellModule, combo: tuple) -> list:
-    """Global generic-basis coordinates of a one-weight word combo."""
-    vec = {w: c for w, c in combo}
-    mu = cm.ctx.weight_of(combo[0][0])
-    coords = cm.coordinates(mu, vec)
-    out = [GENERIC.zero()] * cm.dim
-    off = cm.offset(mu)
-    for k, c in enumerate(coords):
-        out[off + k] = c
-    return out
-
-
 def verify_cellularity(s: SchurAlgebra, elements: list = None,
                        integral: bool = False) -> VerificationReport:
     """Certify the cellular structure of the assembled algebra.
@@ -514,70 +474,69 @@ def verify_cellularity(s: SchurAlgebra, elements: list = None,
     (4) star swaps the two indices,
     (5) the idempotent straightening formula holds on block lambda for one
         reduced word per orbit element.
+    A failing check names its first failing witness in its detail.
     """
     rep = VerificationReport()
     datum = s.datum
     if elements is None:
         elements = s.cellular_basis(integral=integral)
 
-    count_ok = len(elements) == s.dim
     rank_span = matrix_span_rank(s, [el.matrix for el in elements])
-    rep.add("cellular.count", count_ok,
+    rep.add("cellular.count", len(elements) == s.dim,
             "%d elements, dim %d" % (len(elements), s.dim))
     rep.add("cellular.independent", rank_span == s.dim,
             "span rank %d of %d" % (rank_span, s.dim))
 
-    ok = True
-    for el in elements:
-        for mu in s.pi:
-            if not datum.dominance_leq(el.lam, mu):
-                if not el.matrix.blocks[mu].is_zero():
-                    ok = False
-    rep.add("cellular.triangular", ok)
+    def witness(el, **more):
+        return dict({"lambda": el.lam, "left": el.left, "right": el.right},
+                    **more)
 
-    # rank-one structure on the home block: rho_lam(C_{b',b}) = u' (G u)^T
-    ok = True
-    for lam in s.flag:
-        cm = s.modules[lam]
-        cell = [el for el in elements if el.lam == lam]
-        g, _ = s.full_gram(lam)
-        coord_cache: dict = {}
+    zero = s.zero()
+    _expect(rep, "cellular.triangular",
+            ((witness(el, mu=mu), el.matrix.blocks[mu], zero.blocks[mu])
+             for el in elements for mu in s.pi
+             if not datum.dominance_leq(el.lam, mu)))
 
-        def coords(combo):
-            if combo not in coord_cache:
-                coord_cache[combo] = coordinates_of_combo(cm, combo)
-            return coord_cache[combo]
+    # rank-one structure on the home block: rho_lam(C_{b',b}) = u' (G u)^T,
+    # u the global generic-basis coordinates of a one-weight word combo
+    coords: dict = {}
 
-        for el in cell:
-            u_left = coords(el.left)
-            u_right = coords(el.right)
-            paired = g.apply(u_right)
-            blk = el.matrix.blocks[lam]
-            for i in range(cm.dim):
-                for j in range(cm.dim):
-                    if blk.entries[i][j] != u_left[i] * paired[j]:
-                        ok = False
-    rep.add("cellular.rank_one_blocks", ok)
+    def coordinates(lam, combo):
+        if (lam, combo) not in coords:
+            cm = s.modules[lam]
+            mu = cm.ctx.weight_of(combo[0][0])
+            u = [GENERIC.zero()] * cm.dim
+            off = cm.offset(mu)
+            for k, c in enumerate(cm.coordinates(mu, dict(combo))):
+                u[off + k] = c
+            coords[lam, combo] = u
+        return coords[lam, combo]
 
-    ok = True
+    def rank_one(el):
+        paired = s.full_gram(el.lam)[0].apply(coordinates(el.lam, el.right))
+        return FieldMatrix(GENERIC, len(paired), len(paired),
+                           [[x * y for y in paired]
+                            for x in coordinates(el.lam, el.left)])
+
+    _expect(rep, "cellular.rank_one_blocks",
+            ((witness(el), el.matrix.blocks[el.lam], rank_one(el))
+             for el in elements))
     by_pair = {(el.lam, el.left, el.right): el for el in elements}
-    for el in elements:
-        swapped = by_pair[(el.lam, el.right, el.left)]
-        if s.star(el.matrix) != swapped.matrix:
-            ok = False
-    rep.add("cellular.star_swaps", ok)
+    _expect(rep, "cellular.star_swaps",
+            ((witness(el), s.star(el.matrix),
+              by_pair[(el.lam, el.right, el.left)].matrix)
+             for el in elements))
 
-    ok = True
-    for lam in s.flag:
-        for nu in sorted(datum.weyl_orbit(lam)):
-            plus, word = datum.dominant_representative(nu)
-            sandwich = idempotent_straighten(datum, word, lam)
-            w = sandwich.as_divided_word()
-            m = s.rho_word("F", w) * s.gen(("P", lam)) * s.rho_word("E", w)
-            if m.blocks[lam] != s.gen(("P", nu)).blocks[lam]:
-                ok = False
-    rep.add("cellular.idempotent_straightening", ok)
+    def straightened():
+        for lam in s.flag:
+            for nu in sorted(datum.weyl_orbit(lam)):
+                _, word = datum.dominant_representative(nu)
+                w = idempotent_straighten(datum, word, lam).as_divided_word()
+                m = s.rho_word("F", w) * s.gen(("P", lam)) * s.rho_word("E", w)
+                yield ({"lambda": lam, "nu": nu}, m.blocks[lam],
+                       s.gen(("P", nu)).blocks[lam])
 
+    _expect(rep, "cellular.idempotent_straightening", straightened())
     return rep
 
 
@@ -587,22 +546,17 @@ def rank1_canonical_identity(s: SchurAlgebra, n: int) -> bool:
     holds on block (n) (the identity is modulo the ideal above (n))."""
     assert s.datum.rank == 1
     lam = (n,)
-    weight_set = set(s.orbit_weights)
+    gen = s.gen
     for a in range(0, n + 1):
         for b in range(0, n + 1):
             if a + b < n:
                 continue
-            lhs = s.gen(("F", 0, b)) * s.gen(("P", lam)) * s.gen(("E", 0, a))
-            rhs = s.zero()
-            for t in range(0, min(a, b) + 1):
-                c = quantum_binomial(a + b - n, t, 1)
-                if c.is_zero():
-                    continue
-                mid = (n - 2 * (a + b - t),)
-                if mid not in weight_set:
-                    continue
-                rhs = rhs + (s.gen(("E", 0, a - t)) * s.gen(("P", mid)) *
-                             s.gen(("F", 0, b - t))).scale(GENERIC.from_laurent(c))
+            lhs = gen(("F", 0, b)) * gen(("P", lam)) * gen(("E", 0, a))
+            rhs = s.combination(
+                (c, gen(("E", 0, a - t)) * gen(("P", (n - 2 * (a + b - t),))) *
+                 gen(("F", 0, b - t)))
+                for t in range(0, min(a, b) + 1)
+                if (c := quantum_binomial(a + b - n, t, 1)))
             if lhs.blocks[lam] != rhs.blocks[lam]:
                 return False
     return True

@@ -108,6 +108,7 @@ class JobConfig:
         self.seeds = [tuple(_integer(c, "seed entry") for c in seed)
                       for seed in seeds]
         self.field_spec = doc.get("field", "generic")
+        parse_field(self.field_spec)  # validate now, not on first use
         caps = dict(DEFAULT_CAPS)
         user_caps = doc.get("caps", {})
         if not isinstance(user_caps, dict) or set(user_caps) - set(DEFAULT_CAPS):
@@ -213,11 +214,8 @@ class Pipeline:
                 raise ConfigError(
                     "seed %r has %d entries; the weight lattice has rank %d"
                     % (list(seed), len(seed), self.datum.n))
-        self.pi = saturate(self.datum, config.seeds)
-        if len(self.pi.orbit_weights()) > config.caps["orbit"]:
-            raise CapExceededError(
-                "|W pi| exceeds cap %d (raise caps.orbit to override)"
-                % config.caps["orbit"])
+        self.pi = saturate(self.datum, config.seeds,
+                           orbit_cap=config.caps["orbit"])
         self.flag = build_flag(self.pi)
         self._algebra = None
 

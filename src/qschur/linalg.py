@@ -82,25 +82,9 @@ class FieldMatrix:
 
     def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
         assert self.cols == other.rows
-        z = self.ctx.zero()
-        out = []
-        ot = other.entries
-        for i in range(self.rows):
-            row = []
-            srow = self.entries[i]
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = srow[k]
-                    if not a:
-                        continue
-                    b = ot[k][j]
-                    if not b:
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return FieldMatrix(self.ctx, self.rows, other.cols, out)
+        return FieldMatrix(self.ctx, self.rows, other.cols,
+                           _product(self.entries, other.entries, other.cols,
+                                    self.ctx.zero()))
 
     def scale(self, c: FieldValue) -> "FieldMatrix":
         return FieldMatrix(self.ctx, self.rows, self.cols,
@@ -108,16 +92,8 @@ class FieldMatrix:
 
     def apply(self, vec: list) -> list:
         assert len(vec) == self.cols
-        out = []
-        z = self.ctx.zero()
-        for i in range(self.rows):
-            acc = z
-            for k, x in enumerate(vec):
-                if not x:
-                    continue
-                acc = acc + self.entries[i][k] * x
-            out.append(acc)
-        return out
+        return [row[0] for row in _product(self.entries, [[x] for x in vec],
+                                           1, self.ctx.zero())]
 
     def is_zero(self) -> bool:
         return not any(a for r in self.entries for a in r)
@@ -128,6 +104,28 @@ class FieldMatrix:
         return (self.rows, self.cols) == (other.rows, other.cols) and \
             all(a == b for r1, r2 in zip(self.entries, other.entries)
                 for a, b in zip(r1, r2))
+
+
+def _product(left_rows: list, right_rows: list, cols: int, zero) -> list:
+    """Rows of the product of two dense matrices given by their rows; the
+    right factor has cols columns.  A zero left entry is skipped before its
+    right row is read, and a right row is read once, for its nonzeros, so
+    the cost follows the nonzeros rather than rows x inner x cols."""
+    sparse: dict = {}
+    out = []
+    for lrow in left_rows:
+        acc = [zero] * cols
+        for k, a in enumerate(lrow):
+            if not a:
+                continue
+            rrow = sparse.get(k)
+            if rrow is None:
+                rrow = sparse[k] = [(j, b) for j, b in
+                                    enumerate(right_rows[k]) if b]
+            for j, b in rrow:
+                acc[j] = acc[j] + a * b
+        out.append(acc)
+    return out
 
 
 def _echelonize(m: FieldMatrix) -> tuple[FieldMatrix, list]:
@@ -305,23 +303,9 @@ class LaurentMatrix:
 
     def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
         assert self.cols == other.rows
-        z = LaurentPoly.zero()
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    if a.is_zero():
-                        continue
-                    b = other.entries[k][j]
-                    if b.is_zero():
-                        continue
-                    acc = acc + a * b
-                row.append(acc)
-            out.append(row)
-        return LaurentMatrix(self.rows, other.cols, out)
+        return LaurentMatrix(self.rows, other.cols,
+                             _product(self.entries, other.entries, other.cols,
+                                      LaurentPoly.zero()))
 
     def to_field(self, ctx: FieldContext) -> FieldMatrix:
         return FieldMatrix(ctx, self.rows, self.cols,

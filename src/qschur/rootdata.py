@@ -12,6 +12,7 @@ agreement is one of the engine's standing cross-checks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -19,6 +20,7 @@ from math import gcd, lcm
 from typing import Iterable, Optional
 
 from .errors import (
+    CapExceededError,
     NonDominantSeedError,
     NotFiniteTypeError,
     PairingMismatchError,
@@ -112,7 +114,8 @@ class RootDatum:
         self._orbit_cache: dict = {}
         self._alpha_solver = _make_alpha_solver(self.alpha, n)
         self.positive_roots = self._find_positive_roots()
-        self.weyl_order = self._weyl_order()
+        self.weyl_order = _order_from_heights(
+            coords for _, coords in self.positive_roots)
 
     @property
     def rank(self) -> int:
@@ -207,15 +210,14 @@ class RootDatum:
         pos.sort(key=lambda rc: (sum(rc[1]), rc[0]))
         return tuple(pos)
 
-    def _weyl_order(self) -> int:
-        # orbit of a strictly dominant weight in the root lattice is regular
-        a = self.cartan.cartan_matrix()
-        c = _make_alpha_solver(tuple(zip(*a)), self.rank)((1,) * self.rank)
-        denom = lcm(*(x.denominator for x in c)) if c else 1
-        probe = tuple(sum(int(c[j] * denom) * self.alpha[j][k]
-                          for j in range(self.rank))
-                      for k in range(self.n))
-        return len(self.weyl_orbit(probe))
+    def orbit_size(self, mu: Weight) -> int:
+        """|W mu| for dominant mu, without enumerating the orbit: the
+        stabilizer is the parabolic subgroup of the simple reflections
+        fixing mu, whose positive roots are those supported on them."""
+        fixed = {i for i in range(self.rank) if self.pairing(i, mu) == 0}
+        return self.weyl_order // _order_from_heights(
+            coords for _, coords in self.positive_roots
+            if all(c == 0 or j in fixed for j, c in enumerate(coords)))
 
     # -- character oracles --------------------------------------------------
 
@@ -481,6 +483,18 @@ def _minimal_symmetrizer(a) -> list:
     return [x // g for x in ints]
 
 
+def _order_from_heights(positive_root_coords) -> int:
+    """|W| = prod (e + 1) over the exponents e.  The number of exponents
+    >= k is the number n_k of positive roots of height k (Kostant;
+    Humphreys, Reflection Groups and Coxeter Groups, 3.20), so k is an
+    exponent n_k - n_{k+1} times."""
+    heights = Counter(sum(coords) for coords in positive_root_coords)
+    order = 1
+    for k, n_k in heights.items():
+        order *= (k + 1) ** (n_k - heights.get(k + 1, 0))
+    return order
+
+
 # -- saturated sets and flags ------------------------------------------------
 
 @dataclass(frozen=True)
@@ -507,9 +521,16 @@ class SaturatedSet:
         return frozenset(out)
 
 
-def saturate(datum: RootDatum, seeds) -> SaturatedSet:
-    """Smallest saturated set containing the given dominant seeds."""
+def saturate(datum: RootDatum, seeds,
+             orbit_cap: Optional[int] = None) -> SaturatedSet:
+    """Smallest saturated set containing the given dominant seeds.
+
+    With orbit_cap, raise CapExceededError as soon as |W pi| exceeds it.
+    Distinct dominant weights have disjoint orbits, so |W pi| is the sum
+    of |W mu| over the dominant mu found so far.
+    """
     found = set()
+    orbit_total = 0
     for lam in seeds:
         lam = tuple(lam)
         if not datum.is_dominant(lam):
@@ -521,8 +542,15 @@ def saturate(datum: RootDatum, seeds) -> SaturatedSet:
             mu = tuple(lam[k] - sum(n_vec[j] * datum.alpha[j][k]
                                     for j in range(datum.rank))
                        for k in range(datum.n))
-            if datum.is_dominant(mu):
-                found.add(mu)
+            if mu in found or not datum.is_dominant(mu):
+                continue
+            found.add(mu)
+            if orbit_cap is not None:
+                orbit_total += datum.orbit_size(mu)
+                if orbit_total > orbit_cap:
+                    raise CapExceededError(
+                        "|W pi| exceeds cap %d (raise caps.orbit to override)"
+                        % orbit_cap)
     return SaturatedSet(datum, tuple(sorted(found)))
 
 

@@ -83,16 +83,6 @@ class LaurentPoly:
         """Units of Q[v,v^-1] are the single terms c*v^k."""
         return len(self.coeffs) == 1
 
-    def is_constant(self) -> bool:
-        return not self.coeffs or set(self.coeffs) == {0}
-
-    def constant_value(self) -> Rat:
-        if not self.coeffs:
-            return 0
-        if set(self.coeffs) != {0}:
-            raise ValueError("not a constant: %s" % self)
-        return self.coeffs[0]
-
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":

@@ -122,8 +122,30 @@ def test_negative_control_corrupted_generator():
     blk.entries[0][1] = blk.entries[0][1] + GEN.one()
     rep = verify_relations(s, depth=1, samples=1)
     assert not rep.ok
-    assert any(c.name == "relation.commutator" and not c.passed
-               for c in rep.checks)
+    failures = {c.name: c.detail for c in rep.failures()}
+    assert failures["relation.commutator"] == "i=0, j=0"
+    # every failing check names its first witness; passing ones stay blank
+    assert all(failures.values()), failures
+    assert all(c.detail == "" for c in rep.checks if c.passed)
+
+
+def test_negative_control_corrupted_cell_element():
+    s = build(A1, [(2,), (1,)])
+    elements = s.cellular_basis()
+    el = next(el for el in elements if el.lam == (2,)
+              and el.left != el.right)
+    for lam in ((1,), (2,)):  # (1,) is not above (2,): it must vanish
+        blk = el.matrix.blocks[lam]
+        blk.entries[0][0] = blk.entries[0][0] + GEN.one()
+    rep = verify_cellularity(s, elements)
+    failures = {c.name: c.detail for c in rep.failures()}
+    assert set(failures) == {"cellular.triangular", "cellular.rank_one_blocks",
+                             "cellular.star_swaps"}
+    for detail in failures.values():
+        assert "lambda=(2,)" in detail
+        assert "left=1*%s" % [list(f) for f in el.left[0][0]] in detail
+        assert "right=1*%s" % [list(f) for f in el.right[0][0]] in detail
+    assert failures["cellular.triangular"].endswith("mu=(1,)")
 
 
 def test_biweight_decomposition():

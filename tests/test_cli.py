@@ -1,9 +1,13 @@
 """CLI: config parsing, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import qschur
 from qschur.cli import main, parse_field
 from qschur.errors import ConfigError, UnsupportedCharacteristicError
 
@@ -227,11 +231,51 @@ def test_non_finite_type_exit_code(tmp_path, capsys):
       "caps": {"cyclotomic_scan": -1}}, []),
     ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1]]}},
      ["--depth", "-1"]),
+    ({"datum": {"preset": "A1"}, "pi": {"seeds": [[2]]}, "field": "galois"},
+     []),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, extra):
+    # module never reads the field, so a bad config field must be caught
+    # when the config is parsed
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(doc))
-    rc, out, err = run(capsys, "specialize", "--config", str(cfg), *extra)
-    assert rc == 2
-    assert out == ""
-    assert err.startswith("error: ")
+    for command in ("specialize", "module"):
+        rc, out, err = run(capsys, command, "--config", str(cfg), *extra)
+        assert rc == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+
+def test_orbit_cap_applies_during_saturation(tmp_path):
+    # |W pi| passes caps.orbit long before the (1201 x 1201)-point
+    # predecessor box of the seed is walked
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "A2"},
+                               "pi": {"seeds": [[600, 600]]}}))
+    src = os.path.dirname(os.path.dirname(qschur.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "qschur.cli", "saturate", "--config", str(cfg)],
+        capture_output=True, text=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "caps.orbit" in proc.stderr
+
+
+def test_e8_with_raised_rank_cap(tmp_path, capsys):
+    # the Weyl order comes from root heights: no group enumeration
+    cfg = tmp_path / "e8.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "E8"},
+                               "caps": {"rank": 8}}))
+    rc, out, _ = run(capsys, "datum", "--config", str(cfg))
+    assert rc == 0
+    payload = json.loads(out)["payload"]
+    assert payload["weyl_order"] == 696729600
+    assert len(payload["positive_roots"]) == 120
+    # a regular seed's orbit has |W| elements: the orbit cap rejects it
+    # from the orbit size alone, before any orbit is enumerated
+    cfg.write_text(json.dumps({"datum": {"preset": "E8"},
+                               "pi": {"seeds": [[1] * 8]},
+                               "caps": {"rank": 8}}))
+    rc, out, err = run(capsys, "saturate", "--config", str(cfg))
+    assert rc == 2 and out == "" and "caps.orbit" in err

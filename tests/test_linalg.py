@@ -135,6 +135,72 @@ def test_determinant_and_rank_oracle(ctx):
         assert rank(m) + len(nullspace(m)) == c
 
 
+def _mostly_zero_rows(rng, r, c, zero, nonzero):
+    """r x c rows with at most a fifth of the entries nonzero."""
+    rows = [[zero] * c for _ in range(r)]
+    for _ in range(r * c // 5):
+        rows[rng.randrange(r)][rng.randrange(c)] = nonzero()
+    return rows
+
+
+def _plain_product(left, right, inner, cols, zero):
+    """The textbook sum over k of left[i][k] * right[k][j]."""
+    return [[sum((row[k] * right[k][j] for k in range(inner)), zero)
+             for j in range(cols)] for row in left]
+
+
+PRODUCT_SHAPES = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)] + [
+    (r, k, c) for r in (2, 5) for k in (3, 7) for c in (1, 6)]
+
+
+@pytest.mark.parametrize("ctx", [
+    GEN,
+    FieldContext.rational_point(Fraction(2)),
+    FieldContext.cyclotomic_point(3),
+], ids=lambda c: c.label())
+def test_field_product_oracle(ctx):
+    rng = random.Random(47)
+    denom = ctx.from_laurent(quantum_integer(2))  # nonzero at each point
+
+    def nonzero():
+        while True:
+            x = ctx.from_laurent(_random_laurent(rng))
+            x = x / denom if rng.random() < 0.5 else x
+            if x:
+                return x
+
+    z = ctx.zero()
+    for _ in range(5):
+        for r, k, c in PRODUCT_SHAPES:
+            a = _mostly_zero_rows(rng, r, k, z, nonzero)
+            b = _mostly_zero_rows(rng, k, c, z, nonzero)
+            prod = FieldMatrix(ctx, r, k, a) * FieldMatrix(ctx, k, c, b)
+            assert (prod.rows, prod.cols) == (r, c)
+            assert prod.entries == _plain_product(a, b, k, c, z)
+            vec = [row[0] for row in _mostly_zero_rows(rng, k, 1, z, nonzero)]
+            assert FieldMatrix(ctx, r, k, a).apply(vec) == [
+                row[0] for row in _plain_product(a, [[x] for x in vec], k, 1, z)]
+
+
+def test_laurent_product_oracle():
+    rng = random.Random(53)
+
+    def nonzero():
+        while True:
+            p = _random_laurent(rng)
+            if p:
+                return p
+
+    z = L.zero()
+    for _ in range(5):
+        for r, k, c in PRODUCT_SHAPES:
+            a = _mostly_zero_rows(rng, r, k, z, nonzero)
+            b = _mostly_zero_rows(rng, k, c, z, nonzero)
+            prod = LaurentMatrix(r, k, a) * LaurentMatrix(k, c, b)
+            assert (prod.rows, prod.cols) == (r, c)
+            assert prod.entries == _plain_product(a, b, k, c, z)
+
+
 def test_hnf_identity():
     g = LaurentMatrix.identity(3)
     basis, transform = hnf_column_basis(g)

@@ -1,8 +1,11 @@
 """Root data: presets, Weyl combinatorics, saturation, character oracles."""
 
+import itertools
+
 import pytest
 
 from qschur.errors import (
+    CapExceededError,
     NonDominantSeedError,
     NotFiniteTypeError,
     PairingMismatchError,
@@ -53,6 +56,40 @@ def test_preset_products_and_bigger():
     assert d4.weyl_order == 192
     f4 = build_root_datum("F4")
     assert f4.weyl_order == 1152 and len(f4.positive_roots) == 24
+
+
+def test_weyl_order_exceptional():
+    assert build_root_datum("E6").weyl_order == 51840
+    assert build_root_datum("E7").weyl_order == 2903040
+    assert build_root_datum("E8").weyl_order == 696729600
+
+
+def _regular_orbit_size(datum):
+    """|W| as the orbit size of 2 rho, the sum of the positive roots,
+    which pairs to 2 with every simple coroot (so it is regular)."""
+    two_rho = tuple(sum(rt[k] for rt, _ in datum.positive_roots)
+                    for k in range(datum.n))
+    assert all(datum.pairing(i, two_rho) == 2 for i in range(datum.rank))
+    return len(datum.weyl_orbit(two_rho))
+
+
+@pytest.mark.parametrize("preset", [
+    "A1", "A2", "A3", "A4", "B2", "B3", "B4", "C2", "C3", "C4", "D3", "D4",
+    "F4", "G2", "A1xA1", "GL2"])
+def test_weyl_order_matches_regular_orbit(preset):
+    if preset == "GL2":
+        datum = build_root_datum(cartan=[[2]], alpha=[[1, -1]],
+                                 alphav=[[1, -1]])
+    else:
+        datum = build_root_datum(preset)
+    assert datum.weyl_order == _regular_orbit_size(datum)
+
+
+def test_orbit_size_without_enumeration():
+    for datum in (A1, A2, B2, G2, build_root_datum("A1xA1"),
+                  build_root_datum("A3")):
+        for lam in itertools.product(range(3), repeat=datum.n):
+            assert datum.orbit_size(lam) == len(datum.weyl_orbit(lam))
 
 
 def test_explicit_datum_and_pairing_mismatch():
@@ -110,6 +147,13 @@ def test_saturate():
     assert saturate(A2, []).elements == ()
     with pytest.raises(NonDominantSeedError):
         saturate(A2, [(-1, 0)])
+
+
+def test_saturate_orbit_cap():
+    # W pi for seed (2, 2) is 1 + 3 + 3 + 6 + 6 = 19 weights
+    assert len(saturate(A2, [(2, 2)], orbit_cap=19).orbit_weights()) == 19
+    with pytest.raises(CapExceededError):
+        saturate(A2, [(2, 2)], orbit_cap=18)
 
 
 def test_saturate_idempotent_monotone():
