@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .cellmod import CellModule
 from .linalg import FieldMatrix, forward_eliminate
@@ -103,7 +104,8 @@ class SchurAlgebra:
         self.pi = pi
         self.flag = flag
         self.modules = modules  # lambda -> CellModule, in flag order
-        self.orbit_weights = tuple(sorted(pi.orbit_weights()))
+        self._orbit = pi.orbit_weights()
+        self.orbit_weights = tuple(sorted(self._orbit))
         self.dim = sum(cm.dim * cm.dim for cm in modules.values())
         self.total_size = sum(cm.dim for cm in modules.values())
         self._gen_cache: dict = {}
@@ -113,15 +115,22 @@ class SchurAlgebra:
     # -- generators -----------------------------------------------------------
 
     def gen(self, symbol: tuple) -> BlockMatrix:
-        """Block matrix of E_i^{(a)}, F_i^{(a)} or 1_mu (symbol ("P", mu))."""
+        """Block matrix of E_i^{(a)}, F_i^{(a)} or 1_mu (symbol ("P", mu)).
+        Every 1_mu with mu outside W pi is one shared, uncached zero."""
         if symbol[0] == "P":
             symbol = ("P", tuple(symbol[1]))
+            if symbol[1] not in self._orbit:
+                return self._off_orbit_zero
         cached = self._gen_cache.get(symbol)
         if cached is None:
             cached = BlockMatrix({lam: cm.action_matrix(symbol)
                                   for lam, cm in self.modules.items()})
             self._gen_cache[symbol] = cached
         return cached
+
+    @cached_property
+    def _off_orbit_zero(self) -> BlockMatrix:
+        return self.zero()
 
     def identity(self) -> BlockMatrix:
         return BlockMatrix({lam: FieldMatrix.identity(GENERIC, cm.dim)

@@ -11,13 +11,13 @@ exact, so determinism beats conditioning.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import ExactDivisionError, NoSolutionError
 from .scalars import (
     FieldContext,
     FieldValue,
     LaurentPoly,
+    _quo,
     laurent_divmod,
     laurent_exact_div,
 )
@@ -357,8 +357,7 @@ def hnf_column_basis(g: LaurentMatrix) -> tuple[LaurentMatrix, LaurentMatrix]:
         work = [wc for wc in work if wc[0][row].is_zero()]
         # unit-normalize the pivot entry
         _, unit = col[row].unit_normalize()
-        inv = LaurentPoly({-unit.min_exp:
-                           1 / Fraction(unit.coeffs[unit.min_exp])})
+        inv = LaurentPoly({-unit.min_exp: _quo(1, unit.coeffs[unit.min_exp])})
         col = [c * inv for c in col]
         combo = [c * inv for c in combo]
         basis_cols.append((row, col))

@@ -160,8 +160,8 @@ class LaurentPoly:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(tuple(sorted(
-                (e, Fraction(c)) for e, c in self.coeffs.items())))
+            # an int and a Fraction of equal value hash alike
+            self._hash = hash(tuple(sorted(self.coeffs.items())))
         return self._hash
 
     # -- conversions -------------------------------------------------------
@@ -194,8 +194,7 @@ class LaurentPoly:
             return (_ZERO, _ONE)
         lo = self.min_exp
         top = self.coeffs[self.max_exp]
-        inv = Fraction(1, 1) / Fraction(top)
-        monic = LaurentPoly({e - lo: c * inv for e, c in self.coeffs.items()})
+        monic = LaurentPoly({e - lo: _quo(c, top) for e, c in self.coeffs.items()})
         return (monic, LaurentPoly({lo: top}))
 
     def __str__(self) -> str:
@@ -219,6 +218,16 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return "LaurentPoly(%s)" % self
+
+
+def _quo(x: Rat, y: Rat) -> Rat:
+    """x / y: an int when the quotient is integral, otherwise a Fraction."""
+    if type(x) is int and type(y) is int:
+        q, r = divmod(x, y)
+        if not r:
+            return q
+    f = Fraction(x, y)
+    return f.numerator if f.denominator == 1 else f
 
 
 def _coeff_str(c: Rat) -> str:
@@ -269,7 +278,9 @@ class RatFunc:
 
     den is nonzero with gcd(num, den) a unit; den is normalized to lowest
     exponent 0 and leading coefficient 1, so equality is plain comparison
-    of the two components.
+    of the two components.  A denominator equal to 1 is always the shared
+    _ONE, so Laurent operands are recognized by identity and their sums,
+    differences and products skip the gcd.
     """
 
     __slots__ = ("num", "den")
@@ -286,10 +297,10 @@ class RatFunc:
             den = laurent_exact_div(den, g)
         monic, unit = den.unit_normalize()
         if unit != _ONE:
-            inv_unit = LaurentPoly({-unit.min_exp: Fraction(1) / Fraction(unit.coeffs[unit.min_exp])})
+            inv_unit = LaurentPoly({-unit.min_exp: _quo(1, unit.coeffs[unit.min_exp])})
             num = num * inv_unit
         self.num = num
-        self.den = monic
+        self.den = _ONE if monic.is_unit() else monic
 
     @staticmethod
     def from_laurent(p: LaurentPoly) -> "RatFunc":
@@ -312,18 +323,22 @@ class RatFunc:
         return bool(self.num)
 
     def is_laurent(self) -> bool:
-        return self.den == _ONE
+        return self.den is _ONE
 
     def to_laurent(self) -> LaurentPoly:
-        if self.den != _ONE:
+        if self.den is not _ONE:
             raise ExactDivisionError("not a Laurent polynomial: %s" % self)
         return self.num
 
     def __add__(self, other: "RatFunc") -> "RatFunc":
+        if self.den is _ONE and other.den is _ONE:
+            return RatFunc.from_laurent(self.num + other.num)
         return RatFunc(self.num * other.den + other.num * self.den,
                        self.den * other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
+        if self.den is _ONE and other.den is _ONE:
+            return RatFunc.from_laurent(self.num - other.num)
         return RatFunc(self.num * other.den - other.num * self.den,
                        self.den * other.den)
 
@@ -333,6 +348,8 @@ class RatFunc:
         return out
 
     def __mul__(self, other: "RatFunc") -> "RatFunc":
+        if self.den is _ONE and other.den is _ONE:
+            return RatFunc.from_laurent(self.num * other.num)
         return RatFunc(self.num * other.num, self.den * other.den)
 
     def __truediv__(self, other: "RatFunc") -> "RatFunc":
@@ -352,7 +369,7 @@ class RatFunc:
         return hash((self.num, self.den))
 
     def __str__(self) -> str:
-        if self.den == _ONE:
+        if self.den is _ONE:
             return str(self.num)
         return "(%s)/(%s)" % (self.num, self.den)
 
@@ -435,7 +452,7 @@ def _dense_trim(a: list) -> list:
 def _dense_mul(a: list, b: list) -> list:
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
         if not x:
             continue
@@ -445,11 +462,14 @@ def _dense_mul(a: list, b: list) -> list:
 
 
 def _dense_divmod(a: list, b: list) -> tuple[list, list]:
-    a = [Fraction(x) for x in a]
-    q = [Fraction(0)] * max(len(a) - len(b) + 1, 0)
-    lead = Fraction(b[-1])
+    """Long division on dense coefficient lists.  Each quotient coefficient
+    is an int when it is integral, so integer inputs stay integer whenever
+    b is led by +-1."""
+    a = list(a)
+    q = [0] * max(len(a) - len(b) + 1, 0)
+    lead = b[-1]
     for k in range(len(a) - len(b), -1, -1):
-        c = a[k + len(b) - 1] / lead
+        c = _quo(a[k + len(b) - 1], lead)
         if c:
             q[k] = c
             for j, bc in enumerate(b):
@@ -459,7 +479,7 @@ def _dense_divmod(a: list, b: list) -> tuple[list, list]:
 
 def _dense_sub(a: list, b: list) -> list:
     n = max(len(a), len(b))
-    out = [Fraction(0)] * n
+    out = [0] * n
     for i, x in enumerate(a):
         out[i] += x
     for i, x in enumerate(b):
@@ -469,10 +489,10 @@ def _dense_sub(a: list, b: list) -> list:
 
 def _dense_inv_mod(a: list, mod: list) -> list:
     """Inverse of a modulo mod in Q[x] (mod irreducible), by extended Euclid."""
-    r0, r1 = [Fraction(c) for c in mod], _dense_trim([Fraction(c) for c in a])
+    r0, r1 = list(mod), _dense_trim(list(a))
     if not r1:
         raise ZeroDivisionError("inverting zero residue")
-    s0, s1 = [], [Fraction(1)]
+    s0, s1 = [], [1]
     while r1:
         q, r = _dense_divmod(r0, r1)
         r0, r1, s0, s1 = r1, r, s1, _dense_sub(s0, _dense_mul(q, s1))
@@ -480,7 +500,7 @@ def _dense_inv_mod(a: list, mod: list) -> list:
     if len(r0) != 1:
         raise ZeroDivisionError("residue not invertible (modulus not irreducible?)")
     c = r0[0]
-    return _dense_trim([x / c for x in s0])
+    return _dense_trim([_quo(x, c) for x in s0])
 
 
 # -- the cyclotomic field Q[v]/Phi_ell(v) -----------------------------------
@@ -599,10 +619,12 @@ class FieldContext:
 
     def from_fraction(self, c) -> FieldValue:
         c = Fraction(c)
-        if self.kind == GENERIC:
-            return RatFunc.from_laurent(LaurentPoly.const(c))
         if self.kind == RATIONAL:
             return c
+        if c.denominator == 1:
+            c = c.numerator
+        if self.kind == GENERIC:
+            return RatFunc.from_laurent(LaurentPoly.const(c))
         return Residue(self.ell, (c,) if c else ())
 
     def from_laurent(self, p: LaurentPoly) -> FieldValue:
@@ -613,10 +635,10 @@ class FieldContext:
         ell = self.ell
         mod = _modulus(ell)
         deg = len(mod) - 1
-        acc = [Fraction(0)] * deg
+        acc = [0] * deg
         for e, c in p.coeffs.items():
             k = e % ell  # v^ell = 1 in Q[v]/Phi_ell
-            dense = [Fraction(0)] * k + [Fraction(c)]
+            dense = [0] * k + [c]
             _, rem = _dense_divmod(dense, mod) if k >= deg else (None, dense)
             for j, x in enumerate(rem):
                 acc[j] += x
@@ -624,7 +646,7 @@ class FieldContext:
 
     def from_ratfunc(self, r: RatFunc) -> FieldValue:
         num = self.from_laurent(r.num)
-        if r.den == _ONE:
+        if r.den is _ONE:
             return num
         den = self.from_laurent(r.den)
         if not den:

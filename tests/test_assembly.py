@@ -96,6 +96,20 @@ def test_verify_relations_pass():
         assert rep.ok, [c.name for c in rep.failures()]
 
 
+def test_projectors_off_orbit_share_one_zero():
+    s = build(A2, [(1, 1)])
+    verify_relations(s, depth=2, samples=4)
+    weights = set(s.orbit_weights)
+    keys = [key for key in s._gen_cache if key[0] == "P"]
+    keys += [key[0] for cm in s.modules.values() for key in cm._action_cache
+             if key[0][0] == "P"]
+    assert keys and all(key[1] in weights for key in keys)
+    off = [(3, 3), (-4, 0), (0, 5)]
+    assert all(mu not in weights for mu in off)
+    zeros = [s.gen(("P", mu)) for mu in off]
+    assert all(z.is_zero() and z is zeros[0] for z in zeros)
+
+
 def test_serre_checked_only_in_higher_rank():
     rep1 = verify_relations(build(A1, [(2,)]), depth=2, samples=2)
     assert "relation.serre" not in [c.name for c in rep1.checks]

@@ -1,5 +1,7 @@
 """Property tests for the exact arithmetic core."""
 
+from fractions import Fraction
+
 from hypothesis import given, settings, strategies as st
 
 from qschur.linalg import LaurentMatrix, hnf_column_basis, express_in_column_basis, rank
@@ -8,6 +10,7 @@ from qschur.scalars import (
     LaurentPoly,
     RatFunc,
     laurent_divmod,
+    laurent_gcd,
     specialize,
 )
 
@@ -76,3 +79,80 @@ def test_hnf_column_module_property(rows):
     for j in range(g.cols):
         express_in_column_basis(basis, g.column(j))
     assert rank(basis.to_field(GEN)) == basis.cols == rank(g.to_field(GEN))
+
+
+# -- the Laurent fast path of RatFunc and integer division -------------------
+
+def _components(x):
+    return (x.num, x.den)
+
+
+def _assert_canonical(x):
+    one = LaurentPoly.one()
+    assert x.den.min_exp == 0 and x.den.coeffs[x.den.max_exp] == 1
+    assert x.num.is_zero() or laurent_gcd(x.num, x.den) == one
+    # a denominator equal to 1 is the shared one, so is_laurent is exact
+    assert x.is_laurent() == (x.den == one)
+
+
+@given(laurents, laurents)
+def test_ratfunc_laurent_fast_path_matches_constructor(a, b):
+    x, y = RatFunc.from_laurent(a), RatFunc.from_laurent(b)
+    general = (
+        (x + y, RatFunc(x.num * y.den + y.num * x.den, x.den * y.den)),
+        (x - y, RatFunc(x.num * y.den - y.num * x.den, x.den * y.den)),
+        (x * y, RatFunc(x.num * y.num, x.den * y.den)),
+    )
+    for fast, slow in general:
+        assert _components(fast) == _components(slow)
+        assert fast.is_laurent() and slow.is_laurent()
+
+
+@given(laurents, nonzero_laurents, laurents)
+def test_ratfunc_mixed_operands_reduce_to_canonical_form(a, d, b):
+    x = RatFunc(a, d)
+    for y in (RatFunc.from_laurent(b), RatFunc.from_laurent(b * d)):
+        for z, expected in ((x + y, RatFunc(a + y.num * d, d)),
+                            (y + x, RatFunc(a + y.num * d, d)),
+                            (x - y, RatFunc(a - y.num * d, d)),
+                            (x * y, RatFunc(a * y.num, d))):
+            _assert_canonical(z)
+            assert z == expected
+        assert _components(y * x) == _components(x * y)
+
+
+def _fraction_divmod(a, b):
+    """Schoolbook division over Q on exponent dicts, reducing the top term
+    of the remainder until its span from a's lowest exponent is below b's."""
+    r = {e: Fraction(c) for e, c in a.coeffs.items()}
+    q = {}
+    top, lead = b.max_exp, Fraction(b.coeffs[b.max_exp])
+    while r and max(r) - a.min_exp >= b.span:
+        e = max(r)
+        c, s = r[e] / lead, e - top
+        q[s] = c
+        for f, bc in b.coeffs.items():
+            r[s + f] = r.get(s + f, 0) - c * bc
+            if not r[s + f]:
+                del r[s + f]
+    return LaurentPoly(q), LaurentPoly(r)
+
+
+@given(laurents, nonzero_laurents, st.sampled_from([None, 1, -1]))
+def test_laurent_divmod_matches_fraction_division(a, b, lead):
+    if lead is not None:
+        b = LaurentPoly({**b.coeffs, b.max_exp: lead})
+    q, r = laurent_divmod(a, b)
+    assert (q, r) == _fraction_divmod(a, b)
+    if b.coeffs[b.max_exp] in (1, -1):
+        assert all(type(c) is int
+                   for p in (q, r) for c in p.coeffs.values())
+
+
+@given(laurents, nonzero_laurents)
+def test_int_and_fraction_forms_agree(p, d):
+    f = LaurentPoly({e: Fraction(c) for e, c in p.coeffs.items()})
+    assert f == p and hash(f) == hash(p) and str(f) == str(p)
+    for x, y in ((RatFunc.from_laurent(p), RatFunc.from_laurent(f)),
+                 (RatFunc(p, d), RatFunc(f, d))):
+        assert x == y and hash(x) == hash(y) and str(x) == str(y)

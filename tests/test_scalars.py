@@ -5,7 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from qschur.cellmod import CellModule
 from qschur.errors import DenominatorVanishes, ExactDivisionError
+from qschur.rootdata import build_root_datum
 from qschur.scalars import (
     FieldContext,
     LaurentPoly,
@@ -234,3 +236,48 @@ def test_field_inverse_closure(ctx):
             continue
         count += 1
         assert x * (ctx.one() / x) == ctx.one()
+
+
+# -- integer coefficients ----------------------------------------------------
+#
+# Objects of Z[v,v^-1] keep int coefficients through the scalar layer: an
+# integral quotient is an int, never Fraction(n, 1).
+
+def _int_coeffs(p):
+    return all(type(c) is int for c in p.coeffs.values())
+
+
+def test_quantum_numbers_have_int_coefficients():
+    for d in (1, 2, 3):
+        for a in range(-6, 9):
+            assert _int_coeffs(quantum_integer(a, d))
+            for t in range(6):
+                assert _int_coeffs(quantum_binomial(a, t, d)), (a, t, d)
+        for n in range(6):
+            assert _int_coeffs(quantum_factorial(n, d))
+
+
+def test_cyclotomic_polynomials_have_int_coefficients():
+    for ell in range(1, 31):
+        assert _int_coeffs(cyclotomic_polynomial(ell)), ell
+
+
+def test_gcd_of_quantum_integer_products_has_int_coefficients():
+    rng = random.Random(5)
+    for _ in range(40):
+        a = L.one()
+        b = L.one()
+        for _ in range(3):
+            a = a * quantum_integer(rng.randint(1, 7), rng.randint(1, 2))
+            b = b * quantum_integer(rng.randint(1, 7), rng.randint(1, 2))
+        g = laurent_gcd(a, b)
+        assert _int_coeffs(g)
+        assert _int_coeffs(laurent_exact_div(a, g))
+
+
+def test_word_gram_entries_have_int_coefficients():
+    for preset, lam in (("A2", (2, 2)), ("B2", (1, 1)), ("G2", (2, 0))):
+        cm = CellModule(build_root_datum(preset), lam)
+        for mu, sp in cm.spaces.items():
+            for row in sp.gram.entries:
+                assert all(_int_coeffs(x) for x in row), (preset, mu)
