@@ -1,9 +1,10 @@
 """Exact dense linear algebra.
 
-Two layers: over a field, forward_eliminate (rank, determinant, every
-greedy independence test) and the reduced echelon form (solve, nullspace,
-inverse); over the Euclidean domain Q[v,v^-1], Hermite-style column
-reduction of LaurentMatrix, used to extract bases of integral lattices.
+Two layers: over a field, one sparse elimination loop, forward_eliminate
+(rank, determinant, every greedy independence test), and the reduced
+echelon form read from it (solve, nullspace, inverse); over the Euclidean
+domain Q[v,v^-1], Hermite-style column reduction of LaurentMatrix, used
+to extract bases of integral lattices.
 Pivoting is always "first nonzero in index order" -- the arithmetic is
 exact, so determinism beats conditioning.
 """
@@ -54,10 +55,6 @@ class FieldMatrix:
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
-
-    def copy(self) -> "FieldMatrix":
-        return FieldMatrix(self.ctx, self.rows, self.cols,
-                           [list(r) for r in self.entries])
 
     def transpose(self) -> "FieldMatrix":
         return FieldMatrix(self.ctx, self.cols, self.rows,
@@ -128,35 +125,6 @@ def _product(left_rows: list, right_rows: list, cols: int, zero) -> list:
     return out
 
 
-def _echelonize(m: FieldMatrix) -> tuple[FieldMatrix, list]:
-    """Row-reduce a copy of m; returns (rref, pivot column indices)."""
-    a = m.copy()
-    one = m.ctx.one()
-    pivots = []
-    prow = 0
-    for col in range(a.cols):
-        sel = None
-        for i in range(prow, a.rows):
-            if a.entries[i][col]:
-                sel = i
-                break
-        if sel is None:
-            continue
-        a.entries[prow], a.entries[sel] = a.entries[sel], a.entries[prow]
-        inv = one / a.entries[prow][col]
-        a.entries[prow] = [x * inv for x in a.entries[prow]]
-        for i in range(a.rows):
-            if i != prow and a.entries[i][col]:
-                f = a.entries[i][col]
-                a.entries[i] = [x - f * y for x, y in
-                                zip(a.entries[i], a.entries[prow])]
-        pivots.append(col)
-        prow += 1
-        if prow == a.rows:
-            break
-    return a, pivots
-
-
 def forward_eliminate(rows) -> list:
     """Forward elimination on sparse rows {column: nonzero scalar}, taken
     in order and reduced in place at their first nonzero column until they
@@ -172,18 +140,40 @@ def forward_eliminate(rows) -> list:
                 pivots[col] = row
                 out.append((index, row))
                 break
-            f = row[col] / piv[col]
-            for k, x in piv.items():
-                y = row.get(k)
-                if y is None:
-                    row[k] = -(f * x)
-                else:
-                    y = y - f * x
-                    if y:
-                        row[k] = y
-                    else:
-                        del row[k]
+            _subtract(row, row[col] / piv[col], piv)
     return out
+
+
+def _subtract(row: dict, f, piv: dict) -> None:
+    """row -= f * piv on sparse rows, in place; cancelled entries go."""
+    for k, x in piv.items():
+        y = row.get(k)
+        if y is None:
+            row[k] = -(f * x)
+        else:
+            y = y - f * x
+            if y:
+                row[k] = y
+            else:
+                del row[k]
+
+
+def reduced_echelon(rows, one) -> list:
+    """The reduced echelon form of sparse rows, read from forward_eliminate:
+    (pivot column, row) pairs in column order, each row 1 at its own pivot
+    and 0 at every other pivot column.  Zero rows are dropped."""
+    reduced = sorted(((min(row), row) for _, row in forward_eliminate(rows)),
+                     key=lambda pr: pr[0])
+    for i in reversed(range(len(reduced))):
+        col, row = reduced[i]
+        for later, below in reduced[i + 1:]:
+            f = row.get(later)
+            if f:
+                _subtract(row, f, below)
+        inv = one / row[col]
+        for k in row:
+            row[k] = row[k] * inv
+    return reduced
 
 
 def _sparse_rows(m: FieldMatrix):
@@ -203,14 +193,15 @@ def solve(m: FieldMatrix, b: list) -> list:
     there.
     """
     assert len(b) == m.rows
-    aug = FieldMatrix(m.ctx, m.rows, m.cols + 1,
-                      [list(r) + [bv] for r, bv in zip(m.entries, b)])
-    red, pivots = _echelonize(aug)
-    if m.cols in pivots:
-        raise NoSolutionError("right-hand side outside the column space")
-    x = [m.ctx.zero()] * m.cols
-    for prow, col in enumerate(pivots):
-        x[col] = red.entries[prow][m.cols]
+    n = m.cols
+    rows = ({**row, n: bv} if bv else row
+            for row, bv in zip(_sparse_rows(m), b))
+    zero = m.ctx.zero()
+    x = [zero] * n
+    for col, row in reduced_echelon(rows, m.ctx.one()):
+        if col == n:
+            raise NoSolutionError("right-hand side outside the column space")
+        x[col] = row.get(n, zero)
     return x
 
 
@@ -220,17 +211,19 @@ def nullspace(m: FieldMatrix) -> list:
     Reduced-echelon parametrization: one vector per free column, taken in
     index order, with a 1 in the free coordinate.
     """
-    red, pivots = _echelonize(m)
-    pivot_set = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivot_set]
-    basis = []
     one = m.ctx.one()
     zero = m.ctx.zero()
-    for j in free:
+    reduced = reduced_echelon(_sparse_rows(m), one)
+    pivots = {col for col, _ in reduced}
+    basis = []
+    for j in range(m.cols):
+        if j in pivots:
+            continue
         vec = [zero] * m.cols
         vec[j] = one
-        for prow, col in enumerate(pivots):
-            vec[col] = -red.entries[prow][j]
+        for col, row in reduced:
+            if j in row:
+                vec[col] = -row[j]
         basis.append(vec)
     return basis
 
@@ -254,15 +247,18 @@ def determinant(m: FieldMatrix) -> FieldValue:
 
 
 def invert(m: FieldMatrix) -> FieldMatrix:
+    """The inverse, from the reduced echelon form of [m | I]; raises
+    NoSolutionError unless its pivots are exactly the columns of m."""
     assert m.rows == m.cols
     n = m.rows
-    aug = FieldMatrix(m.ctx, n, 2 * n,
-                      [list(r) + list(e) for r, e in
-                       zip(m.entries, FieldMatrix.identity(m.ctx, n).entries)])
-    red, pivots = _echelonize(aug)
-    if pivots[:n] != list(range(n)):
+    one = m.ctx.one()
+    zero = m.ctx.zero()
+    rows = ({**row, n + i: one} for i, row in enumerate(_sparse_rows(m)))
+    reduced = reduced_echelon(rows, one)
+    if [col for col, _ in reduced] != list(range(n)):
         raise NoSolutionError("matrix not invertible")
-    return FieldMatrix(m.ctx, n, n, [r[n:] for r in red.entries])
+    return FieldMatrix(m.ctx, n, n, [[row.get(n + j, zero) for j in range(n)]
+                                     for _, row in reduced])
 
 
 # -- Laurent matrices and Hermite column reduction ---------------------------

@@ -25,7 +25,7 @@ from .errors import (
     NotFiniteTypeError,
     PairingMismatchError,
 )
-from .linalg import forward_eliminate
+from .linalg import forward_eliminate, reduced_echelon
 
 Weight = tuple  # tuple[int, ...] in X coordinates
 
@@ -320,28 +320,27 @@ def _box(bounds) -> Iterable[tuple]:
 
 
 def _make_alpha_solver(alpha: tuple, n: int):
-    """Precompute an echelon solve for nu = sum c_j alpha_j over Q.
+    """Precompute a solve for nu = sum c_j alpha_j over Q.
 
-    Forward elimination of the rows of [A | I], A with the alpha vectors
-    as columns, leaves rows [U | E] with E A = U; a row with U = 0 states
-    a consistency condition, the others solve by back substitution.
+    The reduced echelon rows of [A | I], A with the alpha vectors as
+    columns, are [U | E] with E A = U.  A row with its pivot p inside A
+    gives c_p = E_row . nu (free coordinates are zero); a row with its
+    pivot past A states the consistency condition E_row . nu = 0.
     """
     r = len(alpha)
     rows = ({**{j: Fraction(alpha[j][k]) for j in range(r) if alpha[j][k]},
              r + k: Fraction(1)} for k in range(n))
-    reduced = sorted(((min(row), row) for _, row in forward_eliminate(rows)),
-                     key=lambda pr: pr[0], reverse=True)
+    reduced = [(p, [(c - r, x) for c, x in row.items() if c >= r])
+               for p, row in reduced_echelon(rows, Fraction(1))]
 
     def solver(nu):
         sol = [Fraction(0)] * r
-        for p, row in reduced:
-            rhs = sum(x * nu[c - r] for c, x in row.items() if c >= r)
-            if p >= r:
-                if rhs:
-                    return None
-                continue
-            rhs -= sum(x * sol[c] for c, x in row.items() if p < c < r)
-            sol[p] = rhs / row[p]
+        for p, e in reduced:
+            value = sum((x * nu[k] for k, x in e), Fraction(0))
+            if p < r:
+                sol[p] = value
+            elif value:
+                return None
         return tuple(sol)
 
     return solver
@@ -404,8 +403,9 @@ def _preset_cartan(series: str, r: int) -> tuple:
 
 def parse_preset(preset: str, rank: Optional[int] = None) -> tuple:
     """Parse e.g. 'A2', 'B3', 'A1xA1', or a series letter plus a separate
-    rank, into (name, [(series, rank), ...]).  Builds no matrix, so a
-    caller can check the rank before construction."""
+    rank, into (name, [(series, rank), ...]).  A separate rank must equal
+    the preset's own.  Builds no matrix, so a caller can check the rank
+    before construction."""
     if rank is not None and len(preset) == 1:
         preset = "%s%d" % (preset, rank)
     factors = []
@@ -413,6 +413,9 @@ def parse_preset(preset: str, rank: Optional[int] = None) -> tuple:
         if len(part) < 2 or part[0].upper() not in "ABCDEFG":
             raise ValueError("bad preset %r" % preset)
         factors.append((part[0].upper(), int(part[1:])))
+    total = sum(r for _, r in factors)
+    if rank is not None and rank != total:
+        raise ValueError("preset %r has rank %d, not %d" % (preset, total, rank))
     return preset, factors
 
 

@@ -168,9 +168,10 @@ class LaurentPoly:
 
     def evaluate(self, q: Fraction) -> Fraction:
         """Exact value at v = q (q must be nonzero if negative exponents occur)."""
+        q = Fraction(q)
         total = Fraction(0)
         for e, c in self.coeffs.items():
-            total += Fraction(c) * q ** e
+            total += c * q ** e
         return total
 
     def to_dense(self) -> tuple[int, list]:

@@ -3,8 +3,10 @@
 The integral-basis Gram matrices specialize exactly; their ranks give the
 weight multiplicities of the simple head L_q(lambda), their nullspaces the
 radical.  Decomposition numbers come from the unitriangular character
-solve; semisimplicity is decided by the nonvanishing of the integral Gram
-determinants (the paper's f(v) certificates).
+solve.  Semisimplicity is read from the same radicals: a radical is
+nonzero exactly where its integral Gram determinant (the paper's f(v)
+certificate) vanishes, as specialization is a ring homomorphism and so
+commutes with the determinant.
 """
 
 from __future__ import annotations
@@ -90,10 +92,31 @@ def _normalize_det(det: LaurentPoly) -> LaurentPoly:
     return det
 
 
+def _totient(n: int) -> int:
+    """Euler's phi(n), the degree of Phi_n, by trial division."""
+    out, p = n, 2
+    while p * p <= n:
+        if n % p == 0:
+            out -= out // p
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out -= out // n
+    return out
+
+
 def _cyclotomic_scan(det: LaurentPoly, bound: int) -> tuple:
+    """Trial division by Phi_1 .. Phi_bound.  Phi_ell is built only when
+    its degree phi(ell) fits in what is left; as phi(ell) >= sqrt(ell/2),
+    the scan ends once ell > 2 span^2, whatever the bound."""
     factors = {}
     rest = det
     for ell in range(1, bound + 1):
+        if ell > 2 * rest.span ** 2:
+            break
+        if _totient(ell) > rest.span:
+            continue
         phi = cyclotomic_polynomial(ell)
         while rest.span >= phi.span:
             q, r = laurent_divmod(rest, phi)
@@ -189,7 +212,8 @@ def decomposition_matrix(modules: dict, flag: CosaturatedFlag,
 class SemisimplicityReport:
     """Nonvanishing certificates for a specialization point.
 
-    semisimple is true iff every integral Gram determinant f(v) is nonzero
+    semisimple is true iff every specialized integral Gram has a zero
+    radical, that is iff every integral Gram determinant f(v) is nonzero
     at the point; witnesses lists the (lam, mu) where it vanishes.  The
     quasihereditary witness phi^q(x0, x0) = 1 holds identically.
     """
@@ -204,11 +228,8 @@ def semisimplicity_report(modules: dict, flag: CosaturatedFlag,
                           ctx: FieldContext) -> SemisimplicityReport:
     witnesses = []
     for lam in flag:
-        cm = modules[lam]
-        for mu in cm.weights:
-            det = laurent_determinant(cm.basis(mu, integral=True).gram)
-            if not ctx.from_laurent(det):
-                witnesses.append((lam, mu))
+        radicals = specialize_module(modules[lam], ctx).radicals
+        witnesses.extend((lam, mu) for mu, rad in radicals.items() if rad)
     return SemisimplicityReport(ctx, not witnesses, tuple(witnesses))
 
 

@@ -155,6 +155,27 @@ def test_out_file(capsys, tmp_path, cfg_a1):
     assert target.read_text() == out
 
 
+@pytest.mark.parametrize("seed", [2, 4])
+def test_huge_cyclotomic_scan_is_bounded(tmp_path, seed):
+    # Phi_ell cannot divide once its degree passes the determinant's span,
+    # so a huge scan cap ends as soon as the default one, with the same report
+    src = os.path.dirname(os.path.dirname(qschur.__file__))
+    payloads = []
+    for cap in (None, 1000000000):
+        doc = {"datum": {"preset": "A1"}, "pi": {"seeds": [[seed]]}}
+        if cap is not None:
+            doc["caps"] = {"cyclotomic_scan": cap}
+        cfg = tmp_path / ("scan-%s.json" % cap)
+        cfg.write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "qschur.cli", "gram", "--config", str(cfg)],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+            timeout=10)
+        assert proc.returncode == 0, proc.stderr
+        payloads.append(json.loads(proc.stdout)["payload"])
+    assert payloads[0] == payloads[1]
+
+
 def test_bad_configs(tmp_path, capsys):
     bad1 = tmp_path / "bad1.json"
     bad1.write_text("{not json")
@@ -232,6 +253,9 @@ def test_non_finite_type_exit_code(tmp_path, capsys):
     ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1]]}},
      ["--depth", "-1"]),
     ({"datum": {"preset": "A1"}, "pi": {"seeds": [[2]]}, "field": "galois"},
+     []),
+    ({"datum": {"preset": "A1", "rank": 2}, "pi": {"seeds": [[2]]}}, []),
+    ({"datum": {"preset": "A1xA1", "rank": 3}, "pi": {"seeds": [[1, 1]]}},
      []),
 ])
 def test_malformed_input_exits_2(tmp_path, capsys, doc, extra):

@@ -37,6 +37,8 @@ SUBSET = (
     [JOBS.Job("datum", name) for name in JOBS.CONFIGS]
     + JOBS.all_jobs("smoke")
     + [JOBS.Job("decomp", "A1-12", (), ell) for ell in JOBS.ELLS]
+    + [JOBS.Job("decomp", "A2-31", (), ell) for ell in JOBS.ELLS]
+    + [JOBS.Job("specialize", "A1-16", (), ell) for ell in JOBS.ELLS]
     + [JOBS.Job("cellbasis", "B2-11", ("--integral",))]
 )
 

@@ -116,12 +116,15 @@ def _shaped_rows(rng, r, c):
     return rows
 
 
-@pytest.mark.parametrize("ctx", [
+ORACLE_FIELDS = [
     GEN,
     FieldContext.rational_point(Fraction(2, 3)),
     FieldContext.cyclotomic_point(3),
     FieldContext.cyclotomic_point(4),
-], ids=lambda c: c.label())
+]
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=lambda c: c.label())
 def test_determinant_and_rank_oracle(ctx):
     rng = random.Random(31)
     for _ in range(40):
@@ -133,6 +136,62 @@ def test_determinant_and_rank_oracle(ctx):
         r, c = rng.randint(1, 4), rng.randint(1, 4)
         m = fm(ctx, _shaped_rows(rng, r, c))
         assert rank(m) + len(nullspace(m)) == c
+
+
+def _columns(m, stop):
+    return FieldMatrix(m.ctx, m.rows, stop, [row[:stop] for row in m.entries])
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=lambda c: c.label())
+def test_solve_oracle(ctx):
+    rng = random.Random(37)
+    for _ in range(30):
+        r, c = rng.randint(1, 4), rng.randint(1, 4)
+        m = fm(ctx, _shaped_rows(rng, r, c))
+        b = m.apply([ctx.from_laurent(_random_laurent(rng)) for _ in range(c)])
+        assert m.apply(solve(m, b)) == b
+        # a unit right-hand side is consistent iff it adds no rank
+        for i in range(r):
+            e = [ctx.one() if k == i else ctx.zero() for k in range(r)]
+            aug = FieldMatrix(ctx, r, c + 1,
+                              [row + [x] for row, x in zip(m.entries, e)])
+            if rank(aug) == rank(m):
+                assert m.apply(solve(m, e)) == e
+            else:
+                with pytest.raises(NoSolutionError):
+                    solve(m, e)
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=lambda c: c.label())
+def test_nullspace_oracle(ctx):
+    rng = random.Random(41)
+    for _ in range(30):
+        r, c = rng.randint(1, 4), rng.randint(1, 5)
+        m = fm(ctx, _shaped_rows(rng, r, c))
+        # column j is free when it adds no rank to the columns before it
+        free = [j for j in range(c)
+                if rank(_columns(m, j + 1)) == rank(_columns(m, j))]
+        basis = nullspace(m)
+        assert len(basis) == len(free) == c - rank(m)
+        for j, vec in zip(free, basis):
+            assert not any(m.apply(vec))
+            assert [vec[k] for k in free] == \
+                [ctx.one() if k == j else ctx.zero() for k in free]
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS, ids=lambda c: c.label())
+def test_invert_oracle(ctx):
+    rng = random.Random(43)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        m = fm(ctx, _shaped_rows(rng, n, n))
+        if _leibniz(ctx, m):
+            mi = invert(m)
+            assert mi * m == FieldMatrix.identity(ctx, n)
+            assert m * mi == FieldMatrix.identity(ctx, n)
+        else:
+            with pytest.raises(NoSolutionError):
+                invert(m)
 
 
 def _mostly_zero_rows(rng, r, c, zero, nonzero):

@@ -14,6 +14,7 @@ from qschur.rootdata import (
     CartanDatum,
     build_flag,
     build_root_datum,
+    parse_preset,
     saturate,
 )
 
@@ -56,6 +57,15 @@ def test_preset_products_and_bigger():
     assert d4.weyl_order == 192
     f4 = build_root_datum("F4")
     assert f4.weyl_order == 1152 and len(f4.positive_roots) == 24
+
+
+def test_preset_rank_must_match_the_name():
+    assert parse_preset("A2", 2) == ("A2", [("A", 2)])
+    assert parse_preset("A", 2) == ("A2", [("A", 2)])
+    assert build_root_datum("A1xA1", rank=2).rank == 2
+    for preset, rank in (("A1", 2), ("A1xA1", 3), ("G2", 1)):
+        with pytest.raises(ValueError):
+            parse_preset(preset, rank)
 
 
 def test_weyl_order_exceptional():

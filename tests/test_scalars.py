@@ -115,6 +115,13 @@ def test_laurent_strings():
     assert str(L.zero()) == "0"
 
 
+@pytest.mark.parametrize("q", [2, Fraction(2)])
+def test_laurent_evaluate_is_exact(q):
+    value = L({-1: 1, 2: 3}).evaluate(q)
+    assert type(value) is Fraction
+    assert value == Fraction(25, 2)
+
+
 def test_laurent_divmod_and_gcd():
     a = quantum_integer(2) * quantum_integer(3)
     q, r = laurent_divmod(a, quantum_integer(3))

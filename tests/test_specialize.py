@@ -1,6 +1,9 @@
 """Specialization: radicals, decomposition matrices, Gram determinants."""
 
+import pytest
+
 from qschur.cellmod import CellModule
+from qschur.linalg import laurent_determinant
 from qschur.rootdata import build_flag, build_root_datum, saturate
 from qschur.scalars import FieldContext, LaurentPoly, quantum_binomial
 from qschur.specialize import (
@@ -103,6 +106,24 @@ def test_semisimplicity_reports():
     assert not rep4.semisimple
     assert ((2,), (0,)) in rep4.witnesses
     assert rep4.quasihereditary_witness
+
+
+@pytest.mark.parametrize("preset, seed", [
+    ("A1", (4,)), ("A2", (2, 1)), ("B2", (1, 1))])
+def test_semisimplicity_matches_integral_determinants(preset, seed):
+    # the witnesses are exactly the weight spaces whose integral Gram
+    # determinant f(v) vanishes at the point, in flag x weight order
+    modules, flag = modules_for(build_root_datum(preset), [seed])
+    dets = [(lam, mu, laurent_determinant(modules[lam].basis(mu, True).gram))
+            for lam in flag for mu in modules[lam].weights]
+    points = [FieldContext.rational_point(1), FieldContext.rational_point(-1)]
+    points += [FieldContext.cyclotomic_point(ell) for ell in range(2, 7)]
+    for ctx in points:
+        expected = tuple((lam, mu) for lam, mu, det in dets
+                         if not ctx.from_laurent(det))
+        rep = semisimplicity_report(modules, flag, ctx)
+        assert rep.witnesses == expected
+        assert rep.semisimple == (not expected)
 
 
 def test_radical_submodule_property():
