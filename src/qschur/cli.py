@@ -254,9 +254,9 @@ def cmd_datum(p: Pipeline, args) -> dict:
 def cmd_saturate(p: Pipeline, args) -> dict:
     return {
         "pi": [weight_json(mu) for mu in p.pi],
-        "orbit_sizes": [[weight_json(mu), len(p.datum.weyl_orbit(mu))]
+        "orbit_sizes": [[weight_json(mu), p.datum.orbit_size(mu)]
                         for mu in p.pi],
-        "orbit_weight_count": len(p.pi.orbit_weights()),
+        "orbit_weight_count": sum(p.datum.orbit_size(mu) for mu in p.pi),
         "flag": [weight_json(mu) for mu in p.flag],
     }
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Iterable, Optional
+from typing import Optional
 
 from .errors import (
     CapExceededError,
@@ -236,24 +236,24 @@ class RootDatum:
         cached = self._char_cache.get(lam)
         if cached is not None:
             return dict(cached)
-        bounds = self._predecessor_box(lam)
-        # enumerate the box lam - sum n_j alpha_j by increasing height
-        by_height: dict = {}
-        for n_vec in _box(bounds):
-            h = sum(n_vec)
-            mu = tuple(lam[k] - sum(n_vec[j] * self.alpha[j][k]
-                                    for j in range(self.rank))
-                       for k in range(self.n))
-            by_height.setdefault(h, []).append(mu)
-        mult: dict = {}
-        for h in sorted(by_height):
-            for mu in sorted(by_height[h]):
-                if h == 0:
-                    mult[mu] = 1
-                    continue
+        # descend from lam by simple roots, carrying the root coordinates of
+        # lam - mu: each weight mu != lam has a weight mu + alpha_j one level
+        # up, and the recursion gives 0 on candidates that are not weights
+        mult = {lam: 1}
+        level = [(lam, (0,) * self.rank)]
+        h = 0
+        while level:
+            h += 1
+            candidates = {}
+            for mu, n_vec in level:
+                for j, aj in enumerate(self.alpha):
+                    nu = tuple(m - a for m, a in zip(mu, aj))
+                    if nu not in candidates:
+                        candidates[nu] = n_vec[:j] + (n_vec[j] + 1,) + n_vec[j + 1:]
+            level = []
+            for mu in sorted(candidates):
+                dcoords = candidates[mu]
                 # c = (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
-                diff = tuple(a - b for a, b in zip(lam, mu))
-                dcoords = tuple(int(x) for x in self.alpha_coords(diff))
                 c = sum(nj * dj * (self.pairing(j, lam) + self.pairing(j, mu) + 2)
                         for j, (nj, dj) in enumerate(zip(dcoords, self.d)) if nj)
                 acc = 0
@@ -271,6 +271,7 @@ class RootDatum:
                 assert rem == 0 and q >= 0, "Freudenthal inconsistency"
                 if q:
                     mult[mu] = q
+                    level.append((mu, dcoords))
         self._char_cache[lam] = dict(mult)
         return dict(mult)
 
@@ -290,33 +291,12 @@ class RootDatum:
         assert num.denominator == 1
         return int(num)
 
-    def _predecessor_box(self, lam: Weight) -> tuple:
-        """Per-coordinate bounds m with lam - w0(lam) = sum m_j alpha_j;
-        every dominant mu <= lam lies in the resulting box."""
-        diff = tuple(a - b for a, b in zip(lam, self.w0(lam)))
-        coords = self.alpha_coords(diff)
-        assert coords is not None
-        out = []
-        for c in coords:
-            assert c.denominator == 1 and c >= 0
-            out.append(int(c))
-        return tuple(out)
-
     def __repr__(self):
         return "RootDatum(%s, rank %d)" % (self.name, self.rank)
 
 
 def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-def _box(bounds) -> Iterable[tuple]:
-    if not bounds:
-        yield ()
-        return
-    for head in range(bounds[0] + 1):
-        for tail in _box(bounds[1:]):
-            yield (head,) + tail
 
 
 def _make_alpha_solver(alpha: tuple, n: int):
@@ -528,9 +508,11 @@ def saturate(datum: RootDatum, seeds,
              orbit_cap: Optional[int] = None) -> SaturatedSet:
     """Smallest saturated set containing the given dominant seeds.
 
-    With orbit_cap, raise CapExceededError as soon as |W pi| exceeds it.
-    Distinct dominant weights have disjoint orbits, so |W pi| is the sum
-    of |W mu| over the dominant mu found so far.
+    Descends from each seed over dominant weights by positive roots: every
+    dominant mu <= lam is reached by such a chain (Stembridge, Adv. Math.
+    136 (1998), Cor. 2.7).  With orbit_cap, raise CapExceededError as soon
+    as |W pi| exceeds it.  Distinct dominant weights have disjoint orbits,
+    so |W pi| is the sum of |W mu| over the dominant mu found so far.
     """
     found = set()
     orbit_total = 0
@@ -538,14 +520,10 @@ def saturate(datum: RootDatum, seeds,
         lam = tuple(lam)
         if not datum.is_dominant(lam):
             raise NonDominantSeedError("seed %r is not dominant" % (lam,))
-        if lam in found:
-            continue
-        bounds = datum._predecessor_box(lam)
-        for n_vec in _box(bounds):
-            mu = tuple(lam[k] - sum(n_vec[j] * datum.alpha[j][k]
-                                    for j in range(datum.rank))
-                       for k in range(datum.n))
-            if mu in found or not datum.is_dominant(mu):
+        stack = [lam]
+        while stack:
+            mu = stack.pop()
+            if mu in found:
                 continue
             found.add(mu)
             if orbit_cap is not None:
@@ -554,6 +532,10 @@ def saturate(datum: RootDatum, seeds,
                     raise CapExceededError(
                         "|W pi| exceeds cap %d (raise caps.orbit to override)"
                         % orbit_cap)
+            for rt, _ in datum.positive_roots:
+                nu = tuple(m - r for m, r in zip(mu, rt))
+                if nu not in found and datum.is_dominant(nu):
+                    stack.append(nu)
     return SaturatedSet(datum, tuple(sorted(found)))
 
 
@@ -573,15 +555,16 @@ class CosaturatedFlag:
 
 
 def build_flag(pi: SaturatedSet) -> CosaturatedFlag:
-    """Repeatedly remove the lexicographically least maximal element."""
+    """Repeatedly remove the lexicographically least maximal element.  The
+    strictly larger weights of each weight are found once, up front."""
     datum = pi.datum
-    remaining = list(pi.elements)
+    larger = {mu: {nu for nu in pi.elements
+                   if nu != mu and datum.dominance_leq(mu, nu)}
+              for mu in pi.elements}
+    remaining = set(pi.elements)
     ordering = []
     while remaining:
-        maximal = [mu for mu in remaining
-                   if not any(nu != mu and datum.dominance_leq(mu, nu)
-                              for nu in remaining)]
-        pick = min(maximal)
+        pick = min(mu for mu in remaining if remaining.isdisjoint(larger[mu]))
         ordering.append(pick)
         remaining.remove(pick)
     return CosaturatedFlag(datum, tuple(ordering))

@@ -108,12 +108,15 @@ def _totient(n: int) -> int:
 
 def _cyclotomic_scan(det: LaurentPoly, bound: int) -> tuple:
     """Trial division by Phi_1 .. Phi_bound.  Phi_ell is built only when
-    its degree phi(ell) fits in what is left; as phi(ell) >= sqrt(ell/2),
-    the scan ends once ell > 2 span^2, whatever the bound."""
+    its degree phi(ell) fits in what is left.  For ell of bit length b,
+    phi(ell) >= ell/b >= 2^(b-1)/b: ell has k <= b - 1 distinct primes,
+    and their factors (1 - 1/p) multiply to at least 1/(k+1).  So the scan
+    ends once 2^(b-1) > span b, whatever the bound."""
     factors = {}
     rest = det
     for ell in range(1, bound + 1):
-        if ell > 2 * rest.span ** 2:
+        b = ell.bit_length()
+        if 1 << (b - 1) > rest.span * b:
             break
         if _totient(ell) > rest.span:
             continue

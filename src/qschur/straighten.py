@@ -40,7 +40,10 @@ class ModuleContext:
         self.lam = lam
         self.pi_lambda: SaturatedSet = saturate(datum, [lam])
         self.weights = self.pi_lambda.orbit_weights()
-        self.max_depth = sum(datum._predecessor_box(lam))
+        depth = datum.alpha_coords(
+            tuple(a - b for a, b in zip(lam, datum.w0(lam))))
+        assert all(c.denominator == 1 and c >= 0 for c in depth)
+        self.max_depth = int(sum(depth))
         self._push_memo: dict = {}
 
     def weight_of(self, word: Word) -> Weight:

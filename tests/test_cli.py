@@ -271,8 +271,8 @@ def test_malformed_input_exits_2(tmp_path, capsys, doc, extra):
 
 
 def test_orbit_cap_applies_during_saturation(tmp_path):
-    # |W pi| passes caps.orbit long before the (1201 x 1201)-point
-    # predecessor box of the seed is walked
+    # |W pi| passes caps.orbit long before the walk has found every
+    # dominant weight below the seed
     cfg = tmp_path / "big.json"
     cfg.write_text(json.dumps({"datum": {"preset": "A2"},
                                "pi": {"seeds": [[600, 600]]}}))
@@ -303,3 +303,21 @@ def test_e8_with_raised_rank_cap(tmp_path, capsys):
                                "caps": {"rank": 8}}))
     rc, out, err = run(capsys, "saturate", "--config", str(cfg))
     assert rc == 2 and out == "" and "caps.orbit" in err
+
+
+def test_e8_saturation_walks_only_dominant_weights(tmp_path):
+    # E8 omega_7 has 4 dominant weights below it but a predecessor box of
+    # 1,615,416,075 root-coordinate vectors; the walk visits only the former
+    cfg = tmp_path / "e8.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "E8"},
+                               "pi": {"seeds": [[0, 0, 0, 0, 0, 0, 1, 0]]},
+                               "caps": {"rank": 8}}))
+    src = os.path.dirname(os.path.dirname(qschur.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qschur.cli", "saturate", "--config", str(cfg)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)["payload"]
+    assert len(payload["pi"]) == 4
+    assert payload["orbit_weight_count"] == 9121

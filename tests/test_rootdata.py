@@ -196,6 +196,67 @@ def test_flag_prefixes_cosaturated():
                     assert lam in prefix
 
 
+def _naive_flag(pi):
+    """Remove the lexicographically least maximal element, recomputing the
+    maximal set from scratch each time."""
+    datum = pi.datum
+    remaining = list(pi.elements)
+    ordering = []
+    while remaining:
+        pick = min(mu for mu in remaining
+                   if not any(nu != mu and datum.dominance_leq(mu, nu)
+                              for nu in remaining))
+        ordering.append(pick)
+        remaining.remove(pick)
+    return tuple(ordering)
+
+
+def _gl2():
+    return build_root_datum(cartan=[[2]], alpha=[[1, -1]], alphav=[[1, -1]])
+
+
+@pytest.mark.parametrize("datum, seeds", [
+    (B2, [(0, 4), (3, 0)]),
+    (G2, [(3, 2)]),
+    (A2, [(2, 2), (4, 1)]),
+    (build_root_datum("D4"), [(0, 2, 0, 0)]),
+    (_gl2(), [(3, 0), (2, 2), (4, -1)]),
+], ids=["B2", "G2", "A2", "D4", "GL2"])
+def test_flag_is_quadratic_and_lex_least_maximal(monkeypatch, datum, seeds):
+    pi = saturate(datum, seeds)
+    calls = []
+    leq = type(datum).dominance_leq
+
+    def counting(self, mu, lam):
+        calls.append((mu, lam))
+        return leq(self, mu, lam)
+
+    monkeypatch.setattr(type(datum), "dominance_leq", counting)
+    ordering = build_flag(pi).ordering
+    assert len(calls) <= len(pi) ** 2
+    assert ordering == _naive_flag(pi)
+
+
+LADDER = [
+    ("A1", (4,)), ("A2", (2, 1)), ("A3", (1, 0, 2)), ("A4", (1, 0, 0, 1)),
+    ("B2", (2, 1)), ("B3", (1, 0, 1)), ("B4", (0, 0, 0, 2)),
+    ("C3", (1, 1, 0)), ("D4", (1, 0, 1, 1)), ("F4", (1, 0, 0, 0)),
+    ("F4", (0, 0, 0, 1)), ("G2", (2, 1)), ("A1xA1", (2, 3)), ("GL2", (3, -1)),
+]
+
+
+@pytest.mark.parametrize("preset, lam", LADDER)
+def test_freudenthal_support_is_saturated_orbit(preset, lam):
+    # Freudenthal descends by simple roots through weights, saturate by
+    # positive roots through dominant weights: they must find the same set
+    datum = _gl2() if preset == "GL2" else build_root_datum(preset)
+    char = datum.freudenthal_character(lam)
+    pi = saturate(datum, [lam])
+    assert len(char) == len(pi.orbit_weights())
+    assert {mu for mu in char if datum.is_dominant(mu)} == set(pi.elements)
+    assert sum(char.values()) == datum.weyl_dimension(lam)
+
+
 def test_freudenthal_a1():
     for n in range(0, 7):
         char = A1.freudenthal_character((n,))

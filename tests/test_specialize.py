@@ -5,8 +5,15 @@ import pytest
 from qschur.cellmod import CellModule
 from qschur.linalg import laurent_determinant
 from qschur.rootdata import build_flag, build_root_datum, saturate
-from qschur.scalars import FieldContext, LaurentPoly, quantum_binomial
+from qschur.scalars import (
+    FieldContext,
+    LaurentPoly,
+    cyclotomic_polynomial,
+    quantum_binomial,
+)
 from qschur.specialize import (
+    _cyclotomic_scan,
+    _totient,
     decomposition_matrix,
     gram_determinant,
     radical_is_submodule,
@@ -164,3 +171,16 @@ def test_decomposition_rows_dominance_support():
             assert A1.dominance_leq(mu, lam)
     for lam in flag:
         assert dm.entries[(lam, lam)] == 1
+
+
+def test_totient_bit_length_bound():
+    # the bound that ends the cyclotomic scan: phi(n) >= n / bit_length(n)
+    assert all(_totient(n) * n.bit_length() >= n for n in range(1, 10 ** 5 + 1))
+
+
+def test_cyclotomic_scan_ends_early_with_the_same_answer():
+    phi = cyclotomic_polynomial
+    det = phi(3) * phi(3) * phi(7) * phi(30) * LaurentPoly({150: 1, 1: 1, 0: 3})
+    factors, cofactor = _cyclotomic_scan(det, 10 ** 9)
+    assert factors == {3: 2, 7: 1, 30: 1}
+    assert (factors, cofactor) == _cyclotomic_scan(det, 50)
