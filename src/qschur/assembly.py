@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cellmod import CellModule
-from .linalg import FieldMatrix, forward_eliminate
+from .linalg import FieldMatrix, _sparse_rows, add_scaled, forward_eliminate
 from .rootdata import CosaturatedFlag, SaturatedSet, Weight, build_flag
 from .scalars import (
     FieldContext,
@@ -30,38 +30,116 @@ GENERIC = FieldContext.generic()
 
 
 class BlockMatrix:
-    """A block-diagonal matrix over Q(v): one block per lambda in pi."""
+    """A block-diagonal matrix over Q(v): one sparse block per lambda in pi.
 
-    __slots__ = ("blocks",)
+    A block is {row: {col: nonzero scalar}}.  No zero entry, empty row or
+    empty block is ever stored, and the scalars are canonical, so equality
+    is plain dict equality and every operation touches nonzeros only.
+    Instances are treated as immutable; every operation returns new dicts.
+    """
 
-    def __init__(self, blocks: dict):
-        self.blocks = blocks
+    __slots__ = ("dims", "sparse")
+
+    def __init__(self, dims: dict, sparse: dict):
+        self.dims = dims      # lambda -> block size, in flag order
+        self.sparse = sparse  # lambda -> {row: {col: nonzero scalar}}
+
+    @property
+    def blocks(self) -> dict:
+        """Read-only dense export: lambda -> FieldMatrix, in flag order."""
+        out = {}
+        for lam, n in self.dims.items():
+            m = FieldMatrix.zero(GENERIC, n, n)
+            for i, row in self.sparse.get(lam, {}).items():
+                for j, x in row.items():
+                    m.entries[i][j] = x
+            out[lam] = m
+        return out
+
+    def block(self, lam: Weight) -> dict:
+        """The sparse block at lambda ({} when it is zero)."""
+        return self.sparse.get(lam, {})
 
     def __add__(self, other: "BlockMatrix") -> "BlockMatrix":
-        return BlockMatrix({lam: a + other.blocks[lam]
-                            for lam, a in self.blocks.items()})
+        out = {lam: {i: dict(row) for i, row in blk.items()}
+               for lam, blk in self.sparse.items()}
+        _accumulate(out, other.sparse, GENERIC.one())
+        return BlockMatrix(self.dims, out)
 
     def __sub__(self, other: "BlockMatrix") -> "BlockMatrix":
-        return BlockMatrix({lam: a - other.blocks[lam]
-                            for lam, a in self.blocks.items()})
+        return self + -other
 
     def __neg__(self) -> "BlockMatrix":
-        return BlockMatrix({lam: -a for lam, a in self.blocks.items()})
+        return BlockMatrix(self.dims, {
+            lam: {i: {j: -x for j, x in row.items()} for i, row in blk.items()}
+            for lam, blk in self.sparse.items()})
 
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
-        return BlockMatrix({lam: a * other.blocks[lam]
-                            for lam, a in self.blocks.items()})
+        out = {}
+        for lam, a in self.sparse.items():
+            b = other.sparse.get(lam)
+            if b:
+                blk = _block_product(a, b)
+                if blk:
+                    out[lam] = blk
+        return BlockMatrix(self.dims, out)
 
     def scale(self, c: FieldValue) -> "BlockMatrix":
-        return BlockMatrix({lam: a.scale(c) for lam, a in self.blocks.items()})
+        if not c:
+            return BlockMatrix(self.dims, {})
+        return BlockMatrix(self.dims, {
+            lam: {i: {j: x * c for j, x in row.items()}
+                  for i, row in blk.items()}
+            for lam, blk in self.sparse.items()})
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.blocks.values())
+        return not self.sparse
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BlockMatrix):
             return NotImplemented
-        return all(a == other.blocks[lam] for lam, a in self.blocks.items())
+        return self.sparse == other.sparse
+
+
+def _accumulate(out: dict, sparse: dict, c: FieldValue) -> None:
+    """out += c * sparse for nonzero c, in place on sparse blocks; entries,
+    rows and blocks that cancel go."""
+    for lam, blk in sparse.items():
+        oblk = out.setdefault(lam, {})
+        for i, row in blk.items():
+            orow = oblk.setdefault(i, {})
+            add_scaled(orow, c, row)
+            if not orow:
+                del oblk[i]
+        if not oblk:
+            del out[lam]
+
+
+def _block_product(a: dict, b: dict) -> dict:
+    """Product of two sparse blocks; a nonzero of a meets only the
+    nonzeros of the matching row of b."""
+    out = {}
+    for i, arow in a.items():
+        row: dict = {}
+        for k, x in arow.items():
+            brow = b.get(k)
+            if brow:
+                add_scaled(row, x, brow)
+        if row:
+            out[i] = row
+    return out
+
+
+def _transpose(blk: dict) -> dict:
+    out: dict = {}
+    for i, row in blk.items():
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
+    return out
+
+
+def _sparse_block(m: FieldMatrix) -> dict:
+    return {i: row for i, row in enumerate(_sparse_rows(m)) if row}
 
 
 @dataclass
@@ -106,8 +184,9 @@ class SchurAlgebra:
         self.modules = modules  # lambda -> CellModule, in flag order
         self._orbit = pi.orbit_weights()
         self.orbit_weights = tuple(sorted(self._orbit))
-        self.dim = sum(cm.dim * cm.dim for cm in modules.values())
-        self.total_size = sum(cm.dim for cm in modules.values())
+        self.dims = {lam: cm.dim for lam, cm in modules.items()}
+        self.dim = sum(n * n for n in self.dims.values())
+        self.total_size = sum(self.dims.values())
         self._gen_cache: dict = {}
         self._word_cache: dict = {}
         self._gram_cache: dict = {}
@@ -123,8 +202,10 @@ class SchurAlgebra:
                 return self._off_orbit_zero
         cached = self._gen_cache.get(symbol)
         if cached is None:
-            cached = BlockMatrix({lam: cm.action_matrix(symbol)
-                                  for lam, cm in self.modules.items()})
+            blocks = ((lam, _sparse_block(cm.action_matrix(symbol)))
+                      for lam, cm in self.modules.items())
+            cached = BlockMatrix(self.dims,
+                                 {lam: blk for lam, blk in blocks if blk})
             self._gen_cache[symbol] = cached
         return cached
 
@@ -133,20 +214,20 @@ class SchurAlgebra:
         return self.zero()
 
     def identity(self) -> BlockMatrix:
-        return BlockMatrix({lam: FieldMatrix.identity(GENERIC, cm.dim)
-                            for lam, cm in self.modules.items()})
+        one = GENERIC.one()
+        return BlockMatrix(self.dims, {lam: {i: {i: one} for i in range(n)}
+                                       for lam, n in self.dims.items() if n})
 
     def zero(self) -> BlockMatrix:
-        return BlockMatrix({lam: FieldMatrix.zero(GENERIC, cm.dim, cm.dim)
-                            for lam, cm in self.modules.items()})
+        return BlockMatrix(self.dims, {})
 
     def combination(self, terms) -> BlockMatrix:
         """The sum of c x over (Laurent c, block matrix x), skipping zero c."""
-        out = self.zero()
+        out: dict = {}
         for c, x in terms:
             if c:
-                out = out + x.scale(GENERIC.from_laurent(c))
-        return out
+                _accumulate(out, x.sparse, GENERIC.from_laurent(c))
+        return BlockMatrix(self.dims, out)
 
     def k_element(self, h) -> BlockMatrix:
         """K_h = sum over mu in W pi of v^{<h, mu>} 1_mu."""
@@ -162,22 +243,22 @@ class SchurAlgebra:
     # -- star and word images ---------------------------------------------------
 
     def full_gram(self, lam: Weight) -> tuple:
-        """(G, G^-1) for Delta(lambda) in the generic basis, assembled from
-        the weight-space blocks (the form pairs only equal weights)."""
+        """(G, G^-1) for Delta(lambda) in the generic basis, as sparse
+        blocks assembled from the weight-space blocks (the form pairs only
+        equal weights)."""
         lam = tuple(lam)
         cached = self._gram_cache.get(lam)
         if cached is None:
             cm = self.modules[lam]
-            g = FieldMatrix.zero(GENERIC, cm.dim, cm.dim)
-            ginv = FieldMatrix.zero(GENERIC, cm.dim, cm.dim)
+            g: dict = {}
+            ginv: dict = {}
             for mu in cm.weights:
                 basis = cm.basis(mu)
-                block, inv = basis.gram.to_field(GENERIC), basis.inverse()
                 off = cm.offset(mu)
-                for r in range(block.rows):
-                    for c in range(block.cols):
-                        g.entries[off + r][off + c] = block.entries[r][c]
-                        ginv.entries[off + r][off + c] = inv.entries[r][c]
+                for out, m in ((g, basis.gram.to_field(GENERIC)),
+                               (ginv, basis.inverse())):
+                    for r, row in _sparse_block(m).items():
+                        out[off + r] = {off + c: x for c, x in row.items()}
             cached = (g, ginv)
             self._gram_cache[lam] = cached
         return cached
@@ -185,10 +266,12 @@ class SchurAlgebra:
     def star(self, x: BlockMatrix) -> BlockMatrix:
         """The anti-involution: per block, G^-1 x^T G."""
         out = {}
-        for lam in self.modules:
+        for lam, blk in x.sparse.items():
             g, ginv = self.full_gram(lam)
-            out[lam] = ginv * x.blocks[lam].transpose() * g
-        return BlockMatrix(out)
+            blk = _block_product(_block_product(ginv, _transpose(blk)), g)
+            if blk:
+                out[lam] = blk
+        return BlockMatrix(self.dims, out)
 
     def rho_word(self, kind: str, word: Word) -> BlockMatrix:
         """Image of a divided F-word, or of its star (kind "E").
@@ -332,7 +415,7 @@ def verify_relations(s: SchurAlgebra, depth: int = 3, samples: int = 8,
              for mu in weights for nu in weights))
     total = s.combination((one, P(mu)) for mu in weights)
     _expect(rep, "idempotents.complete",
-            (({"lambda": lam}, total.blocks[lam], ident.blocks[lam])
+            (({"lambda": lam}, total.block(lam), ident.block(lam))
              for lam in s.modules))
 
     # (2) E_i F_j - F_j E_i = delta_ij sum_mu [<alpha_i^vee, mu>]_i 1_mu
@@ -457,13 +540,13 @@ def _flatten(s: SchurAlgebra, bm: BlockMatrix) -> dict:
     out = {}
     base = 0
     for lam in s.flag:
-        blk = bm.blocks[lam]
-        for i in range(blk.rows):
-            for j in range(blk.cols):
-                x = blk.entries[i][j]
-                if x:
-                    out[base + i * blk.cols + j] = x
-        base += blk.rows * blk.cols
+        n = s.dims[lam]
+        blk = bm.block(lam)
+        for i in sorted(blk):
+            row = blk[i]
+            for j in sorted(row):
+                out[base + i * n + j] = row[j]
+        base += n * n
     return out
 
 
@@ -500,35 +583,34 @@ def verify_cellularity(s: SchurAlgebra, elements: list = None,
         return dict({"lambda": el.lam, "left": el.left, "right": el.right},
                     **more)
 
-    zero = s.zero()
     _expect(rep, "cellular.triangular",
-            ((witness(el, mu=mu), el.matrix.blocks[mu], zero.blocks[mu])
+            ((witness(el, mu=mu), el.matrix.block(mu), {})
              for el in elements for mu in s.pi
              if not datum.dominance_leq(el.lam, mu)))
 
     # rank-one structure on the home block: rho_lam(C_{b',b}) = u' (G u)^T,
-    # u the global generic-basis coordinates of a one-weight word combo
+    # u the global generic-basis coordinates of a one-weight word combo,
+    # kept as a sparse one-column block {index: {0: nonzero coordinate}}
     coords: dict = {}
 
     def coordinates(lam, combo):
         if (lam, combo) not in coords:
             cm = s.modules[lam]
             mu = cm.ctx.weight_of(combo[0][0])
-            u = [GENERIC.zero()] * cm.dim
             off = cm.offset(mu)
-            for k, c in enumerate(cm.coordinates(mu, dict(combo))):
-                u[off + k] = c
-            coords[lam, combo] = u
+            coords[lam, combo] = {
+                off + k: {0: c}
+                for k, c in enumerate(cm.coordinates(mu, dict(combo))) if c}
         return coords[lam, combo]
 
     def rank_one(el):
-        paired = s.full_gram(el.lam)[0].apply(coordinates(el.lam, el.right))
-        return FieldMatrix(GENERIC, len(paired), len(paired),
-                           [[x * y for y in paired]
-                            for x in coordinates(el.lam, el.left)])
+        paired = _block_product(s.full_gram(el.lam)[0],
+                                coordinates(el.lam, el.right))
+        return _block_product(coordinates(el.lam, el.left),
+                              _transpose(paired))
 
     _expect(rep, "cellular.rank_one_blocks",
-            ((witness(el), el.matrix.blocks[el.lam], rank_one(el))
+            ((witness(el), el.matrix.block(el.lam), rank_one(el))
              for el in elements))
     by_pair = {(el.lam, el.left, el.right): el for el in elements}
     _expect(rep, "cellular.star_swaps",
@@ -542,8 +624,8 @@ def verify_cellularity(s: SchurAlgebra, elements: list = None,
                 _, word = datum.dominant_representative(nu)
                 w = idempotent_straighten(datum, word, lam).as_divided_word()
                 m = s.rho_word("F", w) * s.gen(("P", lam)) * s.rho_word("E", w)
-                yield ({"lambda": lam, "nu": nu}, m.blocks[lam],
-                       s.gen(("P", nu)).blocks[lam])
+                yield ({"lambda": lam, "nu": nu}, m.block(lam),
+                       s.gen(("P", nu)).block(lam))
 
     _expect(rep, "cellular.idempotent_straightening", straightened())
     return rep
@@ -566,6 +648,6 @@ def rank1_canonical_identity(s: SchurAlgebra, n: int) -> bool:
                  gen(("F", 0, b - t)))
                 for t in range(0, min(a, b) + 1)
                 if (c := quantum_binomial(a + b - n, t, 1)))
-            if lhs.blocks[lam] != rhs.blocks[lam]:
+            if lhs.block(lam) != rhs.block(lam):
                 return False
     return True

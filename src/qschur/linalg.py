@@ -140,18 +140,19 @@ def forward_eliminate(rows) -> list:
                 pivots[col] = row
                 out.append((index, row))
                 break
-            _subtract(row, row[col] / piv[col], piv)
+            add_scaled(row, -(row[col] / piv[col]), piv)
     return out
 
 
-def _subtract(row: dict, f, piv: dict) -> None:
-    """row -= f * piv on sparse rows, in place; cancelled entries go."""
-    for k, x in piv.items():
+def add_scaled(row: dict, f, other: dict) -> None:
+    """row += f * other on sparse rows {column: nonzero scalar}, in place;
+    cancelled entries go.  f is nonzero."""
+    for k, x in other.items():
         y = row.get(k)
         if y is None:
-            row[k] = -(f * x)
+            row[k] = f * x
         else:
-            y = y - f * x
+            y = y + f * x
             if y:
                 row[k] = y
             else:
@@ -169,7 +170,7 @@ def reduced_echelon(rows, one) -> list:
         for later, below in reduced[i + 1:]:
             f = row.get(later)
             if f:
-                _subtract(row, f, below)
+                add_scaled(row, -f, below)
         inv = one / row[col]
         for k in row:
             row[k] = row[k] * inv

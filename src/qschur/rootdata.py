@@ -112,7 +112,7 @@ class RootDatum:
         self.d = cartan.d
         self._char_cache: dict = {}
         self._orbit_cache: dict = {}
-        self._alpha_solver = _make_alpha_solver(self.alpha, n)
+        self._alpha_rows = _alpha_rows(self.alpha, n)
         self.positive_roots = self._find_positive_roots()
         self.weyl_order = _order_from_heights(
             coords for _, coords in self.positive_roots)
@@ -184,16 +184,27 @@ class RootDatum:
     def alpha_coords(self, nu: Weight):
         """Coefficients c with nu = sum c_j alpha_j, or None if outside the
         root space; exact rationals."""
-        return self._alpha_solver(nu)
+        sol = [Fraction(0)] * len(self.alpha)
+        for p, den, e in self._alpha_rows:
+            value = sum(x * nu[k] for k, x in e)
+            if p is not None:
+                sol[p] = Fraction(value, den)
+            elif value:
+                return None
+        return tuple(sol)
 
     def dominance_leq(self, mu: Weight, lam: Weight) -> bool:
         """mu <= lam in dominance: lam - mu is a nonnegative integral
-        combination of simple roots."""
+        combination of simple roots.  Integer arithmetic only."""
         diff = tuple(a - b for a, b in zip(lam, mu))
-        coords = self.alpha_coords(diff)
-        if coords is None:
-            return False
-        return all(c.denominator == 1 and c >= 0 for c in coords)
+        for p, den, e in self._alpha_rows:
+            value = sum(x * diff[k] for k, x in e)
+            if p is None:
+                if value:
+                    return False
+            elif value < 0 or value % den:
+                return False
+        return True
 
     # -- eager caches -------------------------------------------------------
 
@@ -299,31 +310,26 @@ def _dot(a, b) -> int:
     return sum(x * y for x, y in zip(a, b))
 
 
-def _make_alpha_solver(alpha: tuple, n: int):
-    """Precompute a solve for nu = sum c_j alpha_j over Q.
+def _alpha_rows(alpha: tuple, n: int) -> tuple:
+    """Precompute a solve for nu = sum c_j alpha_j over Q, in integers.
 
     The reduced echelon rows of [A | I], A with the alpha vectors as
     columns, are [U | E] with E A = U.  A row with its pivot p inside A
     gives c_p = E_row . nu (free coordinates are zero); a row with its
-    pivot past A states the consistency condition E_row . nu = 0.
+    pivot past A states the consistency condition E_row . nu = 0.  Each
+    row is kept as (p, den, ((k, num), ...)) with E_row = num / den, the
+    numerators integers and den > 0; p is None for a consistency row.
     """
     r = len(alpha)
     rows = ({**{j: Fraction(alpha[j][k]) for j in range(r) if alpha[j][k]},
              r + k: Fraction(1)} for k in range(n))
-    reduced = [(p, [(c - r, x) for c, x in row.items() if c >= r])
-               for p, row in reduced_echelon(rows, Fraction(1))]
-
-    def solver(nu):
-        sol = [Fraction(0)] * r
-        for p, e in reduced:
-            value = sum((x * nu[k] for k, x in e), Fraction(0))
-            if p < r:
-                sol[p] = value
-            elif value:
-                return None
-        return tuple(sol)
-
-    return solver
+    out = []
+    for p, row in reduced_echelon(rows, Fraction(1)):
+        e = [(c - r, x) for c, x in row.items() if c >= r]
+        den = lcm(*(x.denominator for _, x in e))
+        out.append((p if p < r else None, den,
+                    tuple((k, int(x * den)) for k, x in e)))
+    return tuple(out)
 
 
 # -- presets -----------------------------------------------------------------

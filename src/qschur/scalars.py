@@ -430,16 +430,57 @@ def quantum_binomial(a: int, t: int, d: int = 1) -> LaurentPoly:
 
 # -- cyclotomic polynomials --------------------------------------------------
 
+def prime_factors(n: int) -> list:
+    """The distinct primes dividing n >= 1, ascending, by trial division."""
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    if n > 1:
+        out.append(n)
+    return out
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(ell: int) -> LaurentPoly:
-    """The ell-th cyclotomic polynomial Phi_ell(v), exact over Z."""
+    """The ell-th cyclotomic polynomial Phi_ell(v), exact over Z; repeated
+    calls return the same (immutable) object.
+
+    No other Phi_d is divided out.  With r the product of the distinct
+    primes of ell, Phi_ell(v) = Phi_r(v^(ell/r)), and Phi_r is the Moebius
+    product of the binomials (v^d - 1)^mu(r/d) over d | r; multiplying or
+    exactly dividing by a binomial is one pass over the coefficients.
+    """
     if ell < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    p = LaurentPoly({ell: 1, 0: -1})  # v^ell - 1
-    for dd in range(1, ell):
-        if ell % dd == 0:
-            p = laurent_exact_div(p, cyclotomic_polynomial(dd))
-    return p
+    primes = prime_factors(ell)
+    r = 1
+    for p in primes:
+        r *= p
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        d = r
+        for k, p in enumerate(primes):
+            if mask >> k & 1:
+                d //= p
+        (down if bin(mask).count("1") % 2 else up).append(d)
+    coeffs = [1]  # dense, lowest degree first
+    for d in up:  # times v^d - 1
+        out = [0] * (len(coeffs) + d)
+        for k, c in enumerate(coeffs):
+            out[k + d] += c
+            out[k] -= c
+        coeffs = out
+    for d in down:  # q (v^d - 1) = coeffs gives q_k = q_{k-d} - coeffs_k
+        q = [0] * (len(coeffs) - d)
+        for k in range(len(q)):
+            q[k] = (q[k - d] if k >= d else 0) - coeffs[k]
+        coeffs = q
+    step = ell // r
+    return LaurentPoly({k * step: c for k, c in enumerate(coeffs)})
 
 
 # -- dense Q[x] helpers for the cyclotomic quotient field --------------------

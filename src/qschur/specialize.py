@@ -22,6 +22,7 @@ from .scalars import (
     LaurentPoly,
     cyclotomic_polynomial,
     laurent_divmod,
+    prime_factors,
 )
 
 
@@ -93,16 +94,10 @@ def _normalize_det(det: LaurentPoly) -> LaurentPoly:
 
 
 def _totient(n: int) -> int:
-    """Euler's phi(n), the degree of Phi_n, by trial division."""
-    out, p = n, 2
-    while p * p <= n:
-        if n % p == 0:
-            out -= out // p
-            while n % p == 0:
-                n //= p
-        p += 1
-    if n > 1:
-        out -= out // n
+    """Euler's phi(n), the degree of Phi_n."""
+    out = n
+    for p in prime_factors(n):
+        out -= out // p
     return out
 
 

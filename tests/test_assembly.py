@@ -1,6 +1,9 @@
 """Algebra assembly: block model, cellular basis, verification suites."""
 
+import random
+
 from qschur.assembly import (
+    BlockMatrix,
     assemble,
     matrix_span_rank,
     rank1_canonical_identity,
@@ -8,7 +11,8 @@ from qschur.assembly import (
     verify_relations,
 )
 from qschur.rootdata import CosaturatedFlag, build_flag, build_root_datum, saturate
-from qschur.scalars import FieldContext, LaurentPoly
+from qschur.linalg import FieldMatrix
+from qschur.scalars import FieldContext, LaurentPoly, RatFunc
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
@@ -55,6 +59,83 @@ def test_k_element():
     blk = k.blocks[(2,)]
     diag = [str(blk.entries[t][t]) for t in range(3)]
     assert diag == ["v^2", "1", "v^-2"]
+
+
+def _random_scalar(rng):
+    num = LaurentPoly({rng.randint(-2, 2): rng.choice([-2, -1, 1, 3])
+                       for _ in range(rng.randint(1, 2))})
+    if rng.random() < 0.3:
+        return RatFunc(num, LaurentPoly({0: 1, 1: rng.choice([1, 2])}))
+    return GEN.from_laurent(num)
+
+
+def _random_block_matrix(rng, dims, density):
+    return BlockMatrix(dims, {
+        lam: blk for lam, n in dims.items()
+        if (blk := {i: row for i in range(n)
+                    if (row := {j: _random_scalar(rng) for j in range(n)
+                                if rng.random() < density})})})
+
+
+def _partly_cancelling(rng, bm):
+    """-bm on a random part of its entries: bm + result cancels there."""
+    return BlockMatrix(bm.dims, {
+        lam: blk for lam, b in bm.sparse.items()
+        if (blk := {i: row for i, r in b.items()
+                    if (row := {j: -x for j, x in r.items()
+                                if rng.random() < 0.6})})})
+
+
+def _assert_canonical(bm):
+    """No stored zero, no empty row, no empty block."""
+    for blk in bm.sparse.values():
+        assert blk
+        for row in blk.values():
+            assert row and all(row.values())
+
+
+def test_block_matrix_agrees_with_dense_oracle():
+    rng = random.Random(8)
+    zero = GEN.zero()
+    for _ in range(60):
+        dims = {(k,): rng.randint(1, 6) for k in range(rng.randint(2, 4))}
+        x = _random_block_matrix(rng, dims, rng.choice([0.0, 0.1, 0.2]))
+        y = _random_block_matrix(rng, dims, rng.choice([0.1, 0.2]))
+        c = _random_scalar(rng)
+        dx, dy = x.blocks, y.blocks
+        assert list(dx) == list(dims)
+        assert all((m.rows, m.cols) == (n, n) for m, n in
+                   zip(dx.values(), dims.values()))
+        dense_zero = {lam: FieldMatrix.zero(GEN, n, n)
+                      for lam, n in dims.items()}
+        part = _partly_cancelling(rng, x)
+        dpart = part.blocks
+        cases = [
+            (x + y, {lam: dx[lam] + dy[lam] for lam in dims}),
+            (x - y, {lam: dx[lam] - dy[lam] for lam in dims}),
+            (-x, {lam: -dx[lam] for lam in dims}),
+            (x * y, {lam: dx[lam] * dy[lam] for lam in dims}),
+            (y * x, {lam: dy[lam] * dx[lam] for lam in dims}),
+            (x.scale(c), {lam: dx[lam].scale(c) for lam in dims}),
+            (x.scale(zero), dense_zero),
+            (x - x, dense_zero),
+            (x + part, {lam: dx[lam] + dpart[lam] for lam in dims}),
+            ((x + part) * y, {lam: (dx[lam] + dpart[lam]) * dy[lam]
+                              for lam in dims}),
+        ]
+        for bm, dense in cases:
+            _assert_canonical(bm)
+            assert bm.blocks == dense
+            assert bm.is_zero() == all(m.is_zero() for m in dense.values())
+        assert (x == y) == (dx == dy)
+        assert (x + part == x) == (dpart == dense_zero)
+        rebuilt = BlockMatrix(dims, {
+            lam: {i: {j: m.entries[i][j] for j in reversed(range(n))
+                      if m.entries[i][j]}
+                  for i in reversed(range(n)) if any(m.entries[i])}
+            for (lam, m), n in zip(dx.items(), dims.values())
+            if not m.is_zero()})
+        assert rebuilt == x
 
 
 def test_cellular_basis_counts():
@@ -129,11 +210,16 @@ def test_verify_cellularity_integral_basis():
     assert rep.ok, [c.name for c in rep.failures()]
 
 
+def bump(bm, lam, i, j):
+    """Add 1 to entry [i][j] of block lam, in the sparse store itself."""
+    row = bm.sparse.setdefault(lam, {}).setdefault(i, {})
+    row[j] = row.get(j, GEN.zero()) + GEN.one()
+    assert row[j]
+
+
 def test_negative_control_corrupted_generator():
     s = build(A1, [(2,)])
-    bad = s.gen(("E", 0, 1))
-    blk = bad.blocks[(2,)]
-    blk.entries[0][1] = blk.entries[0][1] + GEN.one()
+    bump(s.gen(("E", 0, 1)), (2,), 0, 1)
     rep = verify_relations(s, depth=1, samples=1)
     assert not rep.ok
     failures = {c.name: c.detail for c in rep.failures()}
@@ -149,8 +235,7 @@ def test_negative_control_corrupted_cell_element():
     el = next(el for el in elements if el.lam == (2,)
               and el.left != el.right)
     for lam in ((1,), (2,)):  # (1,) is not above (2,): it must vanish
-        blk = el.matrix.blocks[lam]
-        blk.entries[0][0] = blk.entries[0][0] + GEN.one()
+        bump(el.matrix, lam, 0, 0)
     rep = verify_cellularity(s, elements)
     failures = {c.name: c.detail for c in rep.failures()}
     assert set(failures) == {"cellular.triangular", "cellular.rank_one_blocks",

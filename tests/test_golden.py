@@ -39,7 +39,7 @@ SUBSET = (
     + [JOBS.Job("decomp", "A1-12", (), ell) for ell in JOBS.ELLS]
     + [JOBS.Job("decomp", "A2-31", (), ell) for ell in JOBS.ELLS]
     + [JOBS.Job("specialize", "A1-16", (), ell) for ell in JOBS.ELLS]
-    + [JOBS.Job("cellbasis", "B2-11", ("--integral",))]
+    + JOBS.all_jobs("algebra")
 )
 
 

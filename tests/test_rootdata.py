@@ -1,6 +1,8 @@
 """Root data: presets, Weyl combinatorics, saturation, character oracles."""
 
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +12,7 @@ from qschur.errors import (
     NotFiniteTypeError,
     PairingMismatchError,
 )
+from qschur.linalg import reduced_echelon
 from qschur.rootdata import (
     CartanDatum,
     build_flag,
@@ -142,11 +145,60 @@ def test_dominant_representative():
             assert cur == mu
 
 
+def _gl2():
+    return build_root_datum(cartan=[[2]], alpha=[[1, -1]], alphav=[[1, -1]])
+
+
 def test_dominance():
     assert A2.dominance_leq((0, 0), (1, 1))  # (1,1) = alpha1 + alpha2
     assert A2.dominance_leq((1, 1), (1, 1))
     assert not A1.dominance_leq((1,), (2,))  # difference odd
     assert not A2.dominance_leq((0, 0), (1, 0))  # not in the root lattice cone
+
+
+def _fraction_alpha_coords(datum, nu):
+    """Reference solve of nu = sum c_j alpha_j over Q: the reduced echelon
+    rows of [A | I] read in Fraction arithmetic, None off the root space."""
+    r = len(datum.alpha)
+    rows = ({**{j: Fraction(datum.alpha[j][k]) for j in range(r)
+                if datum.alpha[j][k]}, r + k: Fraction(1)}
+            for k in range(datum.n))
+    sol = [Fraction(0)] * r
+    for p, row in reduced_echelon(rows, Fraction(1)):
+        value = sum((x * nu[c - r] for c, x in row.items() if c >= r),
+                    Fraction(0))
+        if p < r:
+            sol[p] = value
+        elif value:
+            return None
+    return tuple(sol)
+
+
+@pytest.mark.parametrize("datum", [
+    A2, B2, G2, build_root_datum("D4"), build_root_datum("A1xA1"), _gl2(),
+], ids=["A2", "B2", "G2", "D4", "A1xA1", "GL2"])
+def test_integer_alpha_solver_matches_fraction_oracle(datum):
+    rng = random.Random(datum.n)
+    seen = set()
+    for _ in range(400):
+        mu = tuple(rng.randint(-6, 6) for _ in range(datum.n))
+        if rng.random() < 0.5:  # land in the root lattice, often in the cone
+            lam = tuple(m + sum(rng.randint(-1, 3) * a[k] for a in datum.alpha)
+                        for k, m in enumerate(mu))
+        else:
+            lam = tuple(rng.randint(-6, 6) for _ in range(datum.n))
+        diff = tuple(a - b for a, b in zip(lam, mu))
+        coords = _fraction_alpha_coords(datum, diff)
+        assert datum.alpha_coords(diff) == coords
+        expect = coords is not None and all(
+            c.denominator == 1 and c >= 0 for c in coords)
+        assert datum.dominance_leq(mu, lam) == expect
+        seen.add("none" if coords is None else
+                 "fraction" if any(c.denominator > 1 for c in coords) else
+                 "leq" if expect else "negative")
+    # inconsistent queries only arise off a full-rank root space (GL2)
+    assert seen >= {"leq", "negative"}
+    assert ("none" in seen) == (len(datum.alpha) < datum.n)
 
 
 def test_saturate():
@@ -209,10 +261,6 @@ def _naive_flag(pi):
         ordering.append(pick)
         remaining.remove(pick)
     return tuple(ordering)
-
-
-def _gl2():
-    return build_root_datum(cartan=[[2]], alpha=[[1, -1]], alphav=[[1, -1]])
 
 
 @pytest.mark.parametrize("datum, seeds", [

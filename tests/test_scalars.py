@@ -166,12 +166,17 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(6) == lp({2: 1, 1: -1, 0: 1})
     assert cyclotomic_polynomial(12) == lp({4: 1, 2: -1, 0: 1})
     # product over divisors recovers v^n - 1
-    for n in (6, 12):
+    for n in range(1, 61):
         prod = L.one()
         for d in range(1, n + 1):
             if n % d == 0:
                 prod = prod * cyclotomic_polynomial(d)
-        assert prod == lp({n: 1, 0: -1})
+        assert prod == lp({n: 1, 0: -1}), n
+
+
+def test_cyclotomic_polynomial_is_memoized():
+    for ell in (1, 7, 12, 30, 97, 210):
+        assert cyclotomic_polynomial(ell) is cyclotomic_polynomial(ell)
 
 
 # -- specialization ----------------------------------------------------------
