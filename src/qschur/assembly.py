@@ -322,12 +322,15 @@ class SchurAlgebra:
         return elements
 
 
-def assemble(pi: SaturatedSet, flag: CosaturatedFlag = None) -> SchurAlgebra:
-    """Build all cell modules of S(pi), in flag order, and the block
-    generator model."""
+def assemble(pi: SaturatedSet, flag: CosaturatedFlag = None,
+             built: dict = None) -> SchurAlgebra:
+    """Build the cell modules of S(pi) not already in built (lambda ->
+    CellModule), in flag order, and the block generator model."""
     if flag is None:
         flag = build_flag(pi)
-    modules = {lam: CellModule(pi.datum, lam) for lam in flag}
+    built = built or {}
+    modules = {lam: built[lam] if lam in built else CellModule(pi.datum, lam)
+               for lam in flag}
     return SchurAlgebra(pi, flag, modules)
 
 

@@ -1,14 +1,17 @@
 """Cell modules Delta(lambda): word enumeration, Gram matrices, bases,
 and exact generator action matrices.
 
-Each weight space carries the overcomplete list of alive divided words,
-its Gram matrix under the contravariant form, and a Basis: the generic
-one (greedy word selection over Q(v)) and, on demand, an integral basis
-of the Q[v,v^-1]-lattice extracted by Hermite column reduction of the
-Gram matrix.  A Basis is a list of word combinations with its Gram
-matrix; coordinates and generator actions are computed the same way in
-either basis, through Gram solves.  The ambient algebra is never
-materialized.
+Each weight space keeps the overcomplete list of alive divided words and a
+Basis: the generic one and, on demand, an integral basis of the
+Q[v,v^-1]-lattice extracted by Hermite column reduction of the Gram matrix
+of all the words.  The generic basis is picked greedily over Q(v) from a
+few candidate words, the extensions of the picks one factor shorter, so
+only the candidates' Gram matrix is built with it; the Gram matrix of all
+the words is built when a report or the integral basis first reads it.  A
+Basis is a list of word combinations with its Gram matrix; coordinates and
+generator actions are computed the same way in either basis, through Gram
+solves against pairings phi(b_j, w) cached per word.  The ambient algebra
+is never materialized.
 """
 
 from __future__ import annotations
@@ -68,16 +71,17 @@ def enumerate_words(ctx: ModuleContext) -> dict:
 class Basis:
     """A basis b_1..b_r of one weight space, as combinations of its words.
 
-    combos[j] lists the (word, coefficient) terms of b_j; pairing[j][k] is
-    phi(b_j, word_k) under the contravariant form and gram[j][l] is
-    phi(b_j, b_l).  An integral basis also keeps its Hermite certificate
-    hnf_basis = word_gram * transform, whose column j holds the word
-    coefficients of b_j.
+    combos[j] lists the (word, coefficient) terms of b_j and gram[j][l] is
+    phi(b_j, b_l) under the contravariant form.  columns maps a word w to
+    the column (phi(b_j, w))_j; CellModule fills it on first use.  An
+    integral basis also keeps its Hermite certificate hnf_basis =
+    word_gram * transform, whose column j holds the word coefficients of
+    b_j.
     """
 
     combos: tuple
-    pairing: LaurentMatrix
     gram: LaurentMatrix
+    columns: dict = field(repr=False, compare=False)
     hnf_basis: Optional[LaurentMatrix] = None
     transform: Optional[LaurentMatrix] = None
     _inverse: Optional[FieldMatrix] = field(default=None, repr=False,
@@ -92,15 +96,47 @@ class Basis:
 
 @dataclass
 class WeightSpaceData:
-    """One weight space of Delta(lambda): its words, their Gram matrix, the
-    generic basis and, once ensure_integral has run, the integral one."""
+    """One weight space of Delta(lambda): all its alive words, the candidate
+    words the generic basis was picked from with their Gram matrix, the
+    generic basis and, once ensure_integral has run, the integral one.
+    The Gram matrix of all the words is built on first read."""
 
     mu: Weight
     words: tuple
-    gram: LaurentMatrix
+    candidates: tuple
+    candidate_gram: LaurentMatrix
     generic: Basis
     rank: int
+    ctx: ModuleContext = field(repr=False, compare=False)
     integral: Optional[Basis] = None
+    _gram: Optional[LaurentMatrix] = field(default=None, repr=False,
+                                           compare=False)
+
+    @property
+    def gram(self) -> LaurentMatrix:
+        """The Gram matrix of all the words, reusing the candidate entries."""
+        if self._gram is None:
+            if len(self.candidates) == len(self.words):
+                self._gram = self.candidate_gram
+            else:
+                self._gram = self._fill_gram()
+        return self._gram
+
+    def _fill_gram(self) -> LaurentMatrix:
+        known = self.candidate_gram.entries
+        at = {w: k for k, w in enumerate(self.candidates)}
+        words = self.words
+        n = len(words)
+        entries = [[None] * n for _ in range(n)]
+        for i in range(n):
+            ci = at.get(words[i])
+            for j in range(i, n):
+                cj = None if ci is None else at.get(words[j])
+                e = (gram_entry(self.ctx, words[i], words[j]) if cj is None
+                     else known[ci][cj])
+                entries[i][j] = e
+                entries[j][i] = e
+        return LaurentMatrix(n, n, entries)
 
 
 class CellModule:
@@ -123,7 +159,7 @@ class CellModule:
             raise RankMismatchError(
                 "word support does not match the character oracle at %r" % (lam,))
         # weights sorted by depth below lambda, then lexicographically,
-        # so the x0 space comes first
+        # so the x0 space comes first and every space above mu precedes it
         self.weights = tuple(sorted(
             by_weight,
             key=lambda mu: (self._height(mu), mu)))
@@ -132,7 +168,8 @@ class CellModule:
         off = 0
         for mu in self.weights:
             words = tuple(by_weight[mu])
-            gram = self._build_gram(words)
+            candidates = self._candidates(mu, {w: w for w in words})
+            gram = self._build_gram(candidates)
             picked = self._greedy_basis_words(gram)
             if len(picked) != char[mu]:
                 raise RankMismatchError(
@@ -140,12 +177,13 @@ class CellModule:
                     % (len(picked), char[mu], mu, lam))
             rows = [gram.entries[k] for k in picked]
             generic = Basis(
-                tuple(((words[k], LaurentPoly.one()),) for k in picked),
-                LaurentMatrix(len(picked), len(words), rows),
+                tuple(((candidates[k], LaurentPoly.one()),) for k in picked),
                 LaurentMatrix.from_rows([[row[k] for k in picked]
-                                         for row in rows]))
-            self.spaces[mu] = WeightSpaceData(mu, words, gram, generic,
-                                              len(picked))
+                                         for row in rows]),
+                {w: [row[m] for row in rows]
+                 for m, w in enumerate(candidates)})
+            self.spaces[mu] = WeightSpaceData(mu, words, candidates, gram,
+                                              generic, len(picked), self.ctx)
             self._offsets[mu] = off
             off += len(picked)
         self.dim = off
@@ -158,6 +196,38 @@ class CellModule:
         coords = self.datum.alpha_coords(
             tuple(a - b for a, b in zip(self.lam, mu)))
         return int(sum(coords))
+
+    def _candidates(self, mu: Weight, alive: dict) -> tuple:
+        """The words the generic basis at mu is picked from, sorted by
+        (length, factor sequence).
+
+        The greedy basis is prefix-closed: if the prefix p of a word
+        w = p + ((i, a),) were a combination of earlier words, F_i^(a)
+        would make w a combination of earlier or shorter merged words.  So
+        every pick at mu extends, without merging, a pick at
+        mu + a alpha_i, a space of smaller height already built.  The
+        greedy result over this sorted superset of the picks equals the
+        one over all the words.  alive maps each alive word at mu to
+        itself, so the candidates share the word objects.
+        """
+        if mu == self.lam:
+            return (EMPTY_WORD,)
+        out = []
+        for i in range(self.datum.rank):
+            for a in range(1, self.ctx.max_depth + 1):
+                sp = self.spaces.get(tuple(
+                    m + a * x for m, x in zip(mu, self.datum.alpha[i])))
+                if sp is None:
+                    continue
+                for combo in sp.generic.combos:
+                    b = combo[0][0]
+                    if b and b[-1][0] == i:
+                        continue
+                    w = alive.get(b + ((i, a),))
+                    if w is not None:
+                        out.append(w)
+        out.sort(key=lambda w: (len(w), w))
+        return tuple(out)
 
     def _build_gram(self, words: tuple) -> LaurentMatrix:
         n = len(words)
@@ -210,8 +280,20 @@ class CellModule:
                       if not transform.entries[k][j].is_zero())
                 for j in range(transform.cols))
             pairing = transform.transpose() * sp.gram
-            sp.integral = Basis(combos, pairing, pairing * transform,
+            columns = {w: [row[k] for row in pairing.entries]
+                       for k, w in enumerate(sp.words)}
+            sp.integral = Basis(combos, pairing * transform, columns,
                                 basis_mat, transform)
+
+    def _pairings(self, basis: Basis, word: Word) -> list:
+        """(phi(b_j, word))_j, from gram_entry on the first request."""
+        col = basis.columns.get(word)
+        if col is None:
+            col = [sum((c * gram_entry(self.ctx, w, word) for w, c in combo),
+                       LaurentPoly.zero())
+                   for combo in basis.combos]
+            basis.columns[word] = col
+        return col
 
     def coordinates(self, mu: Weight, vec: dict,
                     integral: bool = False) -> list:
@@ -223,14 +305,11 @@ class CellModule:
                 raise CoordinateFailureError("vector at absent weight %r" % (mu,))
             return []
         basis = self.basis(mu, integral)
-        index = {w: k for k, w in enumerate(sp.words)}
-        rhs = []
-        for row in basis.pairing.entries:
-            acc = LaurentPoly.zero()
-            for w, coeff in vec.items():
-                acc = acc + row[index[w]] * coeff
-            rhs.append(GENERIC.from_laurent(acc))
-        return basis.inverse().apply(rhs)
+        rhs = [LaurentPoly.zero()] * sp.rank
+        for w, coeff in vec.items():
+            rhs = [acc + x * coeff
+                   for acc, x in zip(rhs, self._pairings(basis, w))]
+        return basis.inverse().apply([GENERIC.from_laurent(x) for x in rhs])
 
     # -- generator action ----------------------------------------------------
 

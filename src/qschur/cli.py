@@ -17,6 +17,7 @@ from fractions import Fraction
 
 from . import __version__
 from .assembly import assemble, rank1_canonical_identity, verify_cellularity, verify_relations
+from .cellmod import CellModule
 from .errors import CapExceededError, ConfigError, EngineError, UnsupportedCharacteristicError
 from .rootdata import RootDatum, build_flag, build_root_datum, parse_preset, saturate
 from .scalars import FieldContext
@@ -217,15 +218,24 @@ class Pipeline:
         self.pi = saturate(self.datum, config.seeds,
                            orbit_cap=config.caps["orbit"])
         self.flag = build_flag(self.pi)
+        self._modules: dict = {}
         self._algebra = None
 
     def algebra(self):
         if self._algebra is None:
-            self._algebra = assemble(self.pi, self.flag)
+            self._algebra = assemble(self.pi, self.flag, self._modules)
+            self._modules = self._algebra.modules
         return self._algebra
 
     def modules(self) -> dict:
         return self.algebra().modules
+
+    def module(self, lam):
+        """The cell module Delta(lambda) alone, built on first use."""
+        cm = self._modules.get(lam)
+        if cm is None:
+            cm = self._modules[lam] = CellModule(self.datum, lam)
+        return cm
 
     def lambdas(self, lam):
         if lam is None:
@@ -264,7 +274,7 @@ def cmd_saturate(p: Pipeline, args) -> dict:
 def cmd_module(p: Pipeline, args) -> dict:
     out = []
     for lam in p.lambdas(args.lam):
-        cm = p.modules()[lam]
+        cm = p.module(lam)
         out.append({
             "lambda": weight_json(lam),
             "dim": cm.dim,
@@ -282,7 +292,7 @@ def cmd_gram(p: Pipeline, args) -> dict:
     scan = p.config.caps["cyclotomic_scan"]
     out = []
     for lam in p.lambdas(args.lam):
-        cm = p.modules()[lam]
+        cm = p.module(lam)
         spaces = []
         for mu in cm.weights:
             sp = cm.spaces[mu]
@@ -326,7 +336,7 @@ def cmd_specialize(p: Pipeline, args) -> dict:
     ctx = p.config.field_context()
     out = []
     for lam in p.lambdas(args.lam):
-        cm = p.modules()[lam]
+        cm = p.module(lam)
         spec = specialize_module(cm, ctx)
         out.append({
             "lambda": weight_json(lam),
@@ -447,10 +457,14 @@ def main(argv=None) -> int:
         "payload": payload,
     }
     text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    sys.stdout.write(text)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print("error: %s" % exc, file=sys.stderr)
+            return 2
+    sys.stdout.write(text)
     elapsed = time.monotonic() - start
     print("%s finished in %.3f s" % (args.command, elapsed), file=sys.stderr)
     if args.command == "verify" and not payload["passed"]:

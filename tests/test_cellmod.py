@@ -1,7 +1,10 @@
 """Cell modules: enumeration, Gram ranks vs the character oracle, actions."""
 
+import pytest
+
+from qschur import cellmod
 from qschur.cellmod import CellModule, enumerate_words
-from qschur.linalg import FieldMatrix, rank
+from qschur.linalg import FieldMatrix, LaurentMatrix, forward_eliminate, rank
 from qschur.rootdata import build_root_datum
 from qschur.scalars import (
     FieldContext,
@@ -10,7 +13,7 @@ from qschur.scalars import (
     quantum_factorial,
     quantum_integer,
 )
-from qschur.straighten import EMPTY_WORD, ModuleContext
+from qschur.straighten import EMPTY_WORD, ModuleContext, gram_entry
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
@@ -273,3 +276,70 @@ def test_generic_and_integral_actions_agree():
                     sym = (kind, i, a)
                     integral = cm.integral_action_matrix(sym).to_field(GEN)
                     assert cm.action_matrix(sym) * c == c * integral, (lam, sym)
+
+
+PICK_CONFIGS = [
+    ("A2", (2, 1)), ("A2", (2, 2)), ("A3", (1, 0, 1)), ("A3", (1, 1, 0)),
+    ("A1xA1", (3, 3)), ("B2", (1, 1)), ("B2", (2, 1)), ("G2", (2, 0)),
+    ("G2", (0, 1)), ("GL2", (2, 0)),
+]
+
+
+def _datum(name):
+    if name == "GL2":
+        return build_root_datum(cartan=[[2]], alpha=[[1, -1]],
+                                alphav=[[1, -1]])
+    return build_root_datum(name)
+
+
+def _word_grams(cm):
+    """The Gram matrix of every alive word, weight by weight, built
+    directly with gram_entry."""
+    out = {}
+    for mu, words in enumerate_words(cm.ctx).items():
+        n = len(words)
+        gram = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                gram[i][j] = gram[j][i] = gram_entry(cm.ctx, words[i], words[j])
+        out[mu] = (tuple(words), gram)
+    return out
+
+
+@pytest.mark.parametrize("name,lam", PICK_CONFIGS,
+                         ids=["%s-%s" % (n, "".join(map(str, l)))
+                              for n, l in PICK_CONFIGS])
+def test_generic_picks_match_greedy_over_all_words(name, lam):
+    # oracle: the greedy over the Gram matrix of every alive word
+    cm = CellModule(_datum(name), lam)
+    for mu, (words, gram) in _word_grams(cm).items():
+        rows = ({j: gval(x) for j, x in enumerate(row) if x} for row in gram)
+        picks = [words[k] for k, _ in forward_eliminate(rows)]
+        sp = cm.spaces[mu]
+        assert [combo[0][0] for combo in sp.generic.combos] == picks, mu
+        assert set(sp.candidates) <= set(words) == set(sp.words)
+
+
+@pytest.mark.parametrize("datum,lam", [(A2, (2, 2)), (B2, (1, 1)),
+                                       (build_root_datum("G2"), (2, 0))])
+def test_word_gram_built_on_read_matches_direct_build(datum, lam):
+    cm = CellModule(datum, lam)
+    for mu, (words, gram) in _word_grams(cm).items():
+        sp = cm.spaces[mu]
+        assert sp.words == words
+        assert sp.gram == LaurentMatrix(len(words), len(words), gram), mu
+
+
+def test_candidate_pruning_bounds_gram_entries(monkeypatch):
+    # every alive word of B2 (2,1) would take 24,249 gram_entry calls
+    calls = []
+    original = cellmod.gram_entry
+
+    def counting(ctx, b, d):
+        calls.append(1)
+        return original(ctx, b, d)
+
+    monkeypatch.setattr(cellmod, "gram_entry", counting)
+    cm = CellModule(B2, (2, 1))
+    assert cm.dim == 40
+    assert len(calls) <= 1000

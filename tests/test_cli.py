@@ -8,6 +8,7 @@ import sys
 import pytest
 
 import qschur
+from qschur import cellmod
 from qschur.cli import main, parse_field
 from qschur.errors import ConfigError, UnsupportedCharacteristicError
 
@@ -153,6 +154,37 @@ def test_out_file(capsys, tmp_path, cfg_a1):
                      "--out", str(target))
     assert rc == 0
     assert target.read_text() == out
+
+
+def test_out_to_unwritable_path_exits_2(capsys, tmp_path, cfg_a1):
+    target = tmp_path / "missing" / "report.json"
+    rc, out, err = run(capsys, "datum", "--config", cfg_a1,
+                       "--out", str(target))
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not target.exists()
+
+
+def test_lambda_builds_only_its_module(capsys, tmp_path, monkeypatch):
+    cfg = tmp_path / "a2.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "A2"},
+                               "pi": {"seeds": [[2, 2]]}}))
+    _, full, _ = run(capsys, "module", "--config", str(cfg))
+    built = []
+    original = cellmod.CellModule.__init__
+
+    def counting(self, datum, lam):
+        built.append(tuple(lam))
+        original(self, datum, lam)
+
+    monkeypatch.setattr(cellmod.CellModule, "__init__", counting)
+    rc, out, _ = run(capsys, "module", "--config", str(cfg),
+                     "--lambda", "0,0")
+    assert rc == 0 and built == [(0, 0)]
+    entries = json.loads(out)["payload"]["modules"]
+    full_entries = json.loads(full)["payload"]["modules"]
+    assert len(full_entries) == 5
+    assert entries == [e for e in full_entries if e["lambda"] == [0, 0]]
 
 
 @pytest.mark.parametrize("seed", [2, 4])

@@ -1,0 +1,45 @@
+"""Byte-identity anchors for `qschur module` on cell modules larger than the
+benchmark's.
+
+Each report runs as a fresh ``python -m qschur.cli`` process and its sha256
+must equal the digest recorded before the generic bases were picked from
+prefix-closed candidates, when these builds took from about 7 s (B2 (2,1),
+A2 (3,2)) to about 4 minutes (G2 (1,1)).
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import qschur
+
+ANCHORS = [
+    ("B2", [2, 1],
+     "c38028cd56707f07acb132a85711ee607e23cbd762c85d503da479bb98199a09"),
+    ("A2", [3, 2],
+     "9574472c4daa2ba4f0b3c79d137016b431a6b13e49e076732488d10f1eae699d"),
+    ("A3", [1, 1, 1],
+     "1f36ba9b30a485250fb319954083d887e476053385adef4610c5836d6d1d6887"),
+    ("G2", [1, 1],
+     "364567f1bbc1447b62eecf990d18bb678e21929d8b6d3f7c40e7e23fa22659d8"),
+]
+
+
+@pytest.mark.parametrize("preset,seed,digest", ANCHORS,
+                         ids=["%s-%s" % (p, "".join(map(str, s)))
+                              for p, s, _ in ANCHORS])
+def test_module_report_matches_anchor(tmp_path, preset, seed, digest):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"datum": {"preset": preset},
+                               "pi": {"seeds": [seed]}}))
+    src = os.path.dirname(os.path.dirname(qschur.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qschur.cli", "module", "--config", str(cfg)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert hashlib.sha256(proc.stdout).hexdigest() == digest
