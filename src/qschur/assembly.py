@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cellmod import CellModule
-from .linalg import FieldMatrix, _sparse_rows, add_scaled, forward_eliminate
+from .linalg import (FieldMatrix, add_scaled, dense_rows, forward_eliminate,
+                     sparse_form, sparse_product, sparse_transpose)
 from .rootdata import CosaturatedFlag, SaturatedSet, Weight, build_flag
 from .scalars import (
     FieldContext,
@@ -47,14 +48,10 @@ class BlockMatrix:
     @property
     def blocks(self) -> dict:
         """Read-only dense export: lambda -> FieldMatrix, in flag order."""
-        out = {}
-        for lam, n in self.dims.items():
-            m = FieldMatrix.zero(GENERIC, n, n)
-            for i, row in self.sparse.get(lam, {}).items():
-                for j, x in row.items():
-                    m.entries[i][j] = x
-            out[lam] = m
-        return out
+        zero = GENERIC.zero()
+        return {lam: FieldMatrix(GENERIC, n, n,
+                                 dense_rows(self.block(lam), n, n, zero))
+                for lam, n in self.dims.items()}
 
     def block(self, lam: Weight) -> dict:
         """The sparse block at lambda ({} when it is zero)."""
@@ -75,14 +72,9 @@ class BlockMatrix:
             for lam, blk in self.sparse.items()})
 
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
-        out = {}
-        for lam, a in self.sparse.items():
-            b = other.sparse.get(lam)
-            if b:
-                blk = _block_product(a, b)
-                if blk:
-                    out[lam] = blk
-        return BlockMatrix(self.dims, out)
+        blocks = ((lam, sparse_product(a, other.block(lam)))
+                  for lam, a in self.sparse.items())
+        return BlockMatrix(self.dims, {lam: b for lam, b in blocks if b})
 
     def scale(self, c: FieldValue) -> "BlockMatrix":
         if not c:
@@ -113,33 +105,6 @@ def _accumulate(out: dict, sparse: dict, c: FieldValue) -> None:
                 del oblk[i]
         if not oblk:
             del out[lam]
-
-
-def _block_product(a: dict, b: dict) -> dict:
-    """Product of two sparse blocks; a nonzero of a meets only the
-    nonzeros of the matching row of b."""
-    out = {}
-    for i, arow in a.items():
-        row: dict = {}
-        for k, x in arow.items():
-            brow = b.get(k)
-            if brow:
-                add_scaled(row, x, brow)
-        if row:
-            out[i] = row
-    return out
-
-
-def _transpose(blk: dict) -> dict:
-    out: dict = {}
-    for i, row in blk.items():
-        for j, x in row.items():
-            out.setdefault(j, {})[i] = x
-    return out
-
-
-def _sparse_block(m: FieldMatrix) -> dict:
-    return {i: row for i, row in enumerate(_sparse_rows(m)) if row}
 
 
 @dataclass
@@ -195,14 +160,15 @@ class SchurAlgebra:
 
     def gen(self, symbol: tuple) -> BlockMatrix:
         """Block matrix of E_i^{(a)}, F_i^{(a)} or 1_mu (symbol ("P", mu)).
-        Every 1_mu with mu outside W pi is one shared, uncached zero."""
+        Every 1_mu with mu outside W pi is one shared, uncached zero.  The
+        blocks are the modules' cached action rows, shared without a copy."""
         if symbol[0] == "P":
             symbol = ("P", tuple(symbol[1]))
             if symbol[1] not in self._orbit:
                 return self._off_orbit_zero
         cached = self._gen_cache.get(symbol)
         if cached is None:
-            blocks = ((lam, _sparse_block(cm.action_matrix(symbol)))
+            blocks = ((lam, cm.action_matrix(symbol))
                       for lam, cm in self.modules.items())
             cached = BlockMatrix(self.dims,
                                  {lam: blk for lam, blk in blocks if blk})
@@ -250,14 +216,13 @@ class SchurAlgebra:
         cached = self._gram_cache.get(lam)
         if cached is None:
             cm = self.modules[lam]
-            g: dict = {}
-            ginv: dict = {}
+            g, ginv = {}, {}
             for mu in cm.weights:
                 basis = cm.basis(mu)
                 off = cm.offset(mu)
                 for out, m in ((g, basis.gram.to_field(GENERIC)),
                                (ginv, basis.inverse())):
-                    for r, row in _sparse_block(m).items():
+                    for r, row in sparse_form(m.entries).items():
                         out[off + r] = {off + c: x for c, x in row.items()}
             cached = (g, ginv)
             self._gram_cache[lam] = cached
@@ -267,10 +232,9 @@ class SchurAlgebra:
         """The anti-involution: per block, G^-1 x^T G."""
         out = {}
         for lam, blk in x.sparse.items():
-            g, ginv = self.full_gram(lam)
-            blk = _block_product(_block_product(ginv, _transpose(blk)), g)
-            if blk:
-                out[lam] = blk
+            g, ginv = self.full_gram(lam)  # invertible: a nonzero image
+            out[lam] = sparse_product(
+                sparse_product(ginv, sparse_transpose(blk)), g)
         return BlockMatrix(self.dims, out)
 
     def rho_word(self, kind: str, word: Word) -> BlockMatrix:
@@ -607,19 +571,28 @@ def verify_cellularity(s: SchurAlgebra, elements: list = None,
         return coords[lam, combo]
 
     def rank_one(el):
-        paired = _block_product(s.full_gram(el.lam)[0],
+        paired = sparse_product(s.full_gram(el.lam)[0],
                                 coordinates(el.lam, el.right))
-        return _block_product(coordinates(el.lam, el.left),
-                              _transpose(paired))
+        return sparse_product(coordinates(el.lam, el.left),
+                              sparse_transpose(paired))
 
     _expect(rep, "cellular.rank_one_blocks",
             ((witness(el), el.matrix.block(el.lam), rank_one(el))
              for el in elements))
+    # star(x) = G^-1 x^T G equals y iff x^T G == G y on every block, as G
+    # is invertible; this skips G^-1, whose entries are not Laurent
     by_pair = {(el.lam, el.left, el.right): el for el in elements}
-    _expect(rep, "cellular.star_swaps",
-            ((witness(el), s.star(el.matrix),
-              by_pair[(el.lam, el.right, el.left)].matrix)
-             for el in elements))
+
+    def star_swaps():
+        for el in elements:
+            x, y = el.matrix, by_pair[(el.lam, el.right, el.left)].matrix
+            for lam in x.sparse.keys() | y.sparse.keys():
+                g = s.full_gram(lam)[0]
+                yield (witness(el),
+                       sparse_product(sparse_transpose(x.block(lam)), g),
+                       sparse_product(g, y.block(lam)))
+
+    _expect(rep, "cellular.star_swaps", star_swaps())
 
     def straightened():
         for lam in s.flag:

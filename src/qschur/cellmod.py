@@ -313,24 +313,24 @@ class CellModule:
 
     # -- generator action ----------------------------------------------------
 
-    def _action(self, symbol: tuple, integral: bool) -> FieldMatrix:
-        """Matrix over Q(v) of a generator in the chosen basis; symbol is
-        ("F", i, a), ("E", i, a) or ("P", mu) for the weight projector."""
+    def _action(self, symbol: tuple, integral: bool) -> dict:
+        """Sparse rows {row: {col: nonzero}} over Q(v) of a generator in the
+        chosen basis; symbol is ("F", i, a), ("E", i, a) or ("P", mu) for
+        the weight projector.  The cached rows are shared, never mutated."""
         key = (symbol, integral)
         cached = self._action_cache.get(key)
         if cached is not None:
             return cached
-        m = FieldMatrix.zero(GENERIC, self.dim, self.dim)
+        one = GENERIC.one()
+        m: dict = {}
         if symbol[0] == "P":
             mu = tuple(symbol[1])
             sp = self.spaces.get(mu)
             if sp is not None:
                 off = self._offsets[mu]
-                one = GENERIC.one()
-                for k in range(sp.rank):
-                    m.entries[off + k][off + k] = one
+                m = {off + k: {off + k: one} for k in range(sp.rank)}
         elif symbol[2] == 0:
-            m = FieldMatrix.identity(GENERIC, self.dim)  # F^{(0)} = E^{(0)} = 1
+            m = {k: {k: one} for k in range(self.dim)}  # F^(0) = E^(0) = 1
         else:
             kind, i, a = symbol
             push = concat_divided_vector if kind == "F" else push_E_through_vector
@@ -345,24 +345,24 @@ class CellModule:
                         coords = self.coordinates(target, vec, integral)
                         toff = self._offsets[target]
                         for r, c in enumerate(coords):
-                            m.entries[toff + r][col] = c
+                            if c:
+                                m.setdefault(toff + r, {})[col] = c
                     col += 1
         self._action_cache[key] = m
         return m
 
-    def action_matrix(self, symbol: tuple) -> FieldMatrix:
-        """Matrix of a generator over Q(v) in the generic basis."""
+    def action_matrix(self, symbol: tuple) -> dict:
+        """Sparse rows of a generator over Q(v) in the generic basis."""
         return self._action(symbol, False)
 
-    def integral_action_matrix(self, symbol: tuple) -> LaurentMatrix:
-        """Matrix of a generator in the integral basis; entries lie in
+    def integral_action_matrix(self, symbol: tuple) -> dict:
+        """Sparse rows of a generator in the integral basis; entries lie in
         Q[v,v^-1] because generators preserve the lattice."""
-        m = self._action(symbol, True)
-        rows = []
-        for row in m.entries:
-            for c in row:
+        out = {}
+        for i, row in self._action(symbol, True).items():
+            for c in row.values():
                 if not c.is_laurent():
                     raise CoordinateFailureError(
                         "lattice coordinate %s is not integral" % c)
-            rows.append([c.to_laurent() for c in row])
-        return LaurentMatrix(m.rows, m.cols, rows)
+            out[i] = {j: c.to_laurent() for j, c in row.items()}
+        return out

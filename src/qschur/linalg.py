@@ -1,10 +1,10 @@
-"""Exact dense linear algebra.
+"""Exact linear algebra on sparse rows {row: {col: nonzero}}.
 
-Two layers: over a field, one sparse elimination loop, forward_eliminate
-(rank, determinant, every greedy independence test), and the reduced
-echelon form read from it (solve, nullspace, inverse); over the Euclidean
-domain Q[v,v^-1], Hermite-style column reduction of LaurentMatrix, used
-to extract bases of integral lattices.
+One sparse product loop, sparse_product, behind every matrix product; over
+a field, one sparse elimination loop, forward_eliminate (rank, determinant,
+every greedy independence test), and the reduced echelon form read from it
+(solve, nullspace, inverse); over Q[v,v^-1], Hermite-style column
+reduction of LaurentMatrix, used to extract bases of integral lattices.
 Pivoting is always "first nonzero in index order" -- the arithmetic is
 exact, so determinism beats conditioning.
 """
@@ -104,24 +104,48 @@ class FieldMatrix:
 
 
 def _product(left_rows: list, right_rows: list, cols: int, zero) -> list:
-    """Rows of the product of two dense matrices given by their rows; the
-    right factor has cols columns.  A zero left entry is skipped before its
-    right row is read, and a right row is read once, for its nonzeros, so
-    the cost follows the nonzeros rather than rows x inner x cols."""
-    sparse: dict = {}
-    out = []
-    for lrow in left_rows:
-        acc = [zero] * cols
-        for k, a in enumerate(lrow):
-            if not a:
-                continue
-            rrow = sparse.get(k)
-            if rrow is None:
-                rrow = sparse[k] = [(j, b) for j, b in
-                                    enumerate(right_rows[k]) if b]
-            for j, b in rrow:
-                acc[j] = acc[j] + a * b
-        out.append(acc)
+    """Rows of the product of two dense matrices given by their rows (the
+    right factor has cols columns), through sparse_product."""
+    return dense_rows(sparse_product(sparse_form(left_rows),
+                                     sparse_form(right_rows)),
+                      len(left_rows), cols, zero)
+
+
+def sparse_product(a: dict, b: dict) -> dict:
+    """Product of two sparse matrices; a nonzero of a meets only the
+    nonzeros of the matching row of b, and cancelled entries go."""
+    out = {}
+    for i, arow in a.items():
+        row: dict = {}
+        for k, x in arow.items():
+            brow = b.get(k)
+            if brow:
+                add_scaled(row, x, brow)
+        if row:
+            out[i] = row
+    return out
+
+
+def sparse_transpose(a: dict) -> dict:
+    out: dict = {}
+    for i, row in a.items():
+        for j, x in row.items():
+            out.setdefault(j, {})[i] = x
+    return out
+
+
+def sparse_form(entries: list) -> dict:
+    """The sparse matrix of dense rows."""
+    return {i: r for i, row in enumerate(entries)
+            if (r := {j: x for j, x in enumerate(row) if x})}
+
+
+def dense_rows(a: dict, rows: int, cols: int, zero) -> list:
+    """The dense rows of a rows x cols sparse matrix."""
+    out = [[zero] * cols for _ in range(rows)]
+    for i, row in a.items():
+        for j, x in row.items():
+            out[i][j] = x
     return out
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .cellmod import CellModule
 from .errors import InconsistentCharactersError
-from .linalg import laurent_determinant, nullspace
+from .linalg import laurent_determinant, nullspace, sparse_form, sparse_product
 from .rootdata import CosaturatedFlag, Weight
 from .scalars import (
     FieldContext,
@@ -233,32 +233,34 @@ def semisimplicity_report(modules: dict, flag: CosaturatedFlag,
 
 def radical_is_submodule(cm: CellModule, ctx: FieldContext,
                          depth: int = 3) -> bool:
-    """Check that every specialized divided-power generator matrix maps
+    """Check that every specialized divided-power generator matrix X maps
     rad_q into rad_q (exact membership: rad_q is the nullspace of the
-    specialized integral Gram, weight by weight)."""
+    specialized integral Gram G, block-diagonal by weight), that is
+    G X R == 0 with the radical vectors as the columns of R."""
     spec = specialize_module(cm, ctx)
-    grams = {mu: cm.basis(mu, integral=True).gram.to_field(ctx)
-             for mu in cm.weights}
-    symbols = []
+    gram, rad = {}, {}
+    col = 0
+    for mu in cm.weights:
+        off = cm.offset(mu)
+        g = cm.basis(mu, integral=True).gram.to_field(ctx)
+        gram.update((off + r, {off + c: x for c, x in row.items()})
+                    for r, row in sparse_form(g.entries).items())
+        for vec in spec.radicals[mu]:
+            for k, x in enumerate(vec):
+                if x:
+                    rad.setdefault(off + k, {})[col] = x
+            col += 1
     for i in range(cm.datum.rank):
         for a in range(1, depth + 1):
-            symbols.append(("E", i, a))
-            symbols.append(("F", i, a))
-    for sym in symbols:
-        m = cm.integral_action_matrix(sym).to_field(ctx)
-        for mu in cm.weights:
-            for vec in spec.radicals[mu]:
-                full = [ctx.zero()] * cm.dim
-                off = cm.offset(mu)
-                for k, x in enumerate(vec):
-                    full[off + k] = x
-                image = m.apply(full)
-                # image must pair to zero against every weight block
-                for nu in cm.weights:
-                    noff = cm.offset(nu)
-                    comp = [image[noff + k] for k in range(cm.spaces[nu].rank)]
-                    if not any(comp):
-                        continue
-                    if any(grams[nu].apply(comp)):
-                        return False
+            for kind in ("E", "F"):
+                m = _specialized(cm.integral_action_matrix((kind, i, a)), ctx)
+                if sparse_product(gram, sparse_product(m, rad)):
+                    return False
     return True
+
+
+def _specialized(m: dict, ctx: FieldContext) -> dict:
+    """A sparse Laurent matrix at the point of ctx; vanishing entries go."""
+    rows = ((i, {j: y for j, x in row.items() if (y := ctx.from_laurent(x))})
+            for i, row in m.items())
+    return {i: row for i, row in rows if row}

@@ -1,5 +1,6 @@
 """Algebra assembly: block model, cellular basis, verification suites."""
 
+import copy
 import random
 
 from qschur.assembly import (
@@ -189,6 +190,35 @@ def test_projectors_off_orbit_share_one_zero():
     assert all(mu not in weights for mu in off)
     zeros = [s.gen(("P", mu)) for mu in off]
     assert all(z.is_zero() and z is zeros[0] for z in zeros)
+
+
+def test_shared_action_blocks_stay_canonical_and_unmutated():
+    # gen's blocks are the modules' cached action rows, shared without a
+    # copy, so no block-matrix operation may write into them
+    s = build(A2, [(1, 1)])
+    for cm in s.modules.values():
+        for i in range(2):
+            for a in range(4):
+                for kind in ("E", "F"):
+                    cm.action_matrix((kind, i, a))
+                    cm.integral_action_matrix((kind, i, a))
+        for mu in s.orbit_weights:
+            cm.action_matrix(("P", mu))
+    for lam, cm in s.modules.items():
+        shared = s.gen(("E", 0, 1)).block(lam)
+        assert not shared or shared is cm._action_cache[(("E", 0, 1), False)]
+    snapshot = {(lam, key): copy.deepcopy(rows)
+                for lam, cm in s.modules.items()
+                for key, rows in cm._action_cache.items()}
+    elements = s.cellular_basis()
+    assert verify_relations(s, depth=3, samples=4).ok
+    assert verify_cellularity(s, elements).ok
+    assert verify_cellularity(s, integral=True).ok
+    for (lam, key), rows in snapshot.items():
+        assert s.modules[lam]._action_cache[key] == rows, (lam, key)
+    for cm in s.modules.values():
+        for key, rows in cm._action_cache.items():
+            assert all(row and all(row.values()) for row in rows.values()), key
 
 
 def test_serre_checked_only_in_higher_rank():

@@ -1,15 +1,18 @@
 """CLI: config parsing, exit codes, report determinism."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import qschur
 from qschur import cellmod
-from qschur.cli import main, parse_field
+from qschur.cli import COMMANDS, main, parse_field
 from qschur.errors import ConfigError, UnsupportedCharacteristicError
 
 
@@ -353,3 +356,100 @@ def test_e8_saturation_walks_only_dominant_weights(tmp_path):
     payload = json.loads(proc.stdout)["payload"]
     assert len(payload["pi"]) == 4
     assert payload["orbit_weight_count"] == 9121
+
+
+# -- fuzzing the CLI with small documents and argv ----------------------------
+
+# (datum, lattice rank, bound on the sum of a seed's entries): the bound
+# keeps every well-formed job small (verify on G2 (1,1) alone takes over 20 s)
+DATA = [
+    ({"preset": "A1"}, 1, 2),
+    ({"preset": "A1xA1"}, 2, 4),
+    ({"preset": "A2"}, 2, 4),
+    ({"preset": "B2"}, 2, 2),
+    ({"preset": "G2"}, 2, 1),
+    ({"cartan": [[2]], "alpha": [[2]], "alphav": [[1]]}, 1, 2),
+]
+FIELDS = ["generic", "q=2", "q=1", "q=-1", "q=1/2", "cyclotomic=2",
+          "cyclotomic=3", "cyclotomic=4", {"cyclotomic": 5},
+          {"q": "3", "char": 0}]
+BAD_FIELDS = ["q=0", "q=x", "cyclotomic=1", "cyclotomic=x", "galois", 7,
+              None, {}, {"cyclotomic": "x"}, {"q": 1, "char": 2}]
+CAPS = st.fixed_dictionaries({}, optional={
+    "depth": st.integers(0, 2), "samples": st.integers(0, 3),
+    "cyclotomic_scan": st.integers(0, 60), "rank": st.integers(0, 4),
+    "orbit": st.integers(0, 100)})
+BAD_CAPS = [{"depth": -1}, {"depth": "2"}, {"depth": 1.5}, {"nope": 1}, [],
+            "caps"]
+BAD_DOCS = [
+    ("datum", {"preset": 3}), ("datum", {"preset": "Q3"}),
+    ("datum", {"cartan": [[2]]}), ("datum", "A1"), ("datum", {}),
+    ("pi", {"seeds": 5}), ("pi", {"bad": []}), ("pi", []), ("extra", 1),
+    (None, []), (None, 3)]
+BAD_ARGV = [["--lambda", "1,x"], ["--lambda", ""], ["--lambda", "9"],
+            ["--lambda", "1,1,1"], ["--field", "q=0"], ["--field", "galois"],
+            ["--depth", "-1"], ["--depth", "x"], ["--threads=x"], ["--nope"]]
+
+
+@st.composite
+def _jobs(draw):
+    """A config document and argv: well-formed in four draws of nine,
+    otherwise with one malformed part."""
+    fault = draw(st.sampled_from(
+        [None] * 4 + ["seeds", "field", "caps", "doc", "argv"]))
+    datum, n, bound = draw(st.sampled_from(DATA))
+    entry = st.integers(-1, 2)
+    seeds = draw(st.lists(st.lists(entry, min_size=n, max_size=n).filter(
+        lambda s: min(s) >= 0 and sum(s) <= bound), min_size=1, max_size=2))
+    if fault == "seeds":  # not dominant, of the wrong length, or not integers
+        seeds.append(draw(st.one_of(
+            st.lists(entry, min_size=n, max_size=n).filter(
+                lambda s: min(s) < 0),
+            st.lists(entry, max_size=3).filter(lambda s: len(s) != n),
+            st.lists(st.sampled_from([0.5, "1", None, True]),
+                     min_size=n, max_size=n))))
+    doc = {"datum": datum, "pi": {"seeds": seeds}}
+    if fault == "field" or draw(st.booleans()):
+        doc["field"] = draw(st.sampled_from(
+            BAD_FIELDS if fault == "field" else FIELDS))
+    if fault == "caps" or draw(st.booleans()):
+        doc["caps"] = draw(st.sampled_from(BAD_CAPS) if fault == "caps"
+                           else CAPS)
+    if fault == "doc":
+        key, value = draw(st.sampled_from(BAD_DOCS))
+        doc = value if key is None else dict(doc, **{key: value})
+    argv = [draw(st.sampled_from(sorted(COMMANDS)))]
+    if draw(st.booleans()):
+        argv += ["--lambda", ",".join(map(str, draw(st.sampled_from(seeds))))]
+    if draw(st.booleans()):
+        argv += ["--field", draw(st.sampled_from(
+            [f for f in FIELDS if isinstance(f, str)]))]
+    if draw(st.booleans()):
+        argv += ["--depth", str(draw(st.integers(0, 2)))]
+    argv += draw(st.lists(st.sampled_from(
+        ["--integral", "--matrices", "--threads=2"]), max_size=2, unique=True))
+    if fault == "argv":
+        argv += draw(st.sampled_from(BAD_ARGV))
+    return doc, argv
+
+
+@pytest.fixture(scope="module")
+def fuzz_config(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "job.json"
+
+
+@settings(max_examples=50, deadline=None)
+@given(job=_jobs())
+def test_cli_fuzz_exit_codes(fuzz_config, job):
+    # any document and argv end in a report or a clean exit; exit 1 is
+    # reserved for a failed verification
+    doc, argv = job
+    fuzz_config.write_text(json.dumps(doc))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main([*argv, "--config", str(fuzz_config)])
+        except SystemExit as exc:  # argparse rejecting argv
+            rc = exc.code
+    assert rc in (0, 1, 2), (doc, argv, err.getvalue())
+    assert rc != 1 or argv[0] == "verify", (doc, argv, err.getvalue())

@@ -1,9 +1,9 @@
 """Byte-identity of CLI reports against the benchmark's golden digests.
 
-A fast subset of the jobs in ``qbench/golden.json`` runs as fresh
-``python -m qschur.cli`` processes; each report's sha256 must equal the
-recorded one.  Configs and job keys come from ``qbench/jobs.py``, which is
-only read.
+Every job in ``qbench/golden.json`` (the datum jobs and every job any seed
+of any workload can generate) runs as a fresh ``python -m qschur.cli``
+process; each report's sha256 must equal the recorded one.  Configs and
+job keys come from ``qbench/jobs.py``, which is only read.
 """
 
 import hashlib
@@ -35,11 +35,7 @@ GOLDEN = json.loads((BENCH_DIR / "golden.json").read_text(encoding="utf-8"))
 
 SUBSET = (
     [JOBS.Job("datum", name) for name in JOBS.CONFIGS]
-    + JOBS.all_jobs("smoke")
-    + [JOBS.Job("decomp", "A1-12", (), ell) for ell in JOBS.ELLS]
-    + [JOBS.Job("decomp", "A2-31", (), ell) for ell in JOBS.ELLS]
-    + [JOBS.Job("specialize", "A1-16", (), ell) for ell in JOBS.ELLS]
-    + JOBS.all_jobs("algebra")
+    + [job for workload in JOBS.WORKLOADS for job in JOBS.all_jobs(workload)]
 )
 
 

@@ -18,6 +18,7 @@ from qschur.linalg import (
     nullspace,
     rank,
     solve,
+    sparse_product,
 )
 from qschur.scalars import FieldContext, LaurentPoly, quantum_integer
 
@@ -208,6 +209,12 @@ def _plain_product(left, right, inner, cols, zero):
              for j in range(cols)] for row in left]
 
 
+def _sparse(rows):
+    """{row: {col: nonzero}} of dense rows, without empty rows."""
+    return {i: {j: x for j, x in enumerate(row) if x}
+            for i, row in enumerate(rows) if any(row)}
+
+
 PRODUCT_SHAPES = [(0, 3, 2), (2, 0, 3), (3, 2, 0), (1, 1, 1)] + [
     (r, k, c) for r in (2, 5) for k in (3, 7) for c in (1, 6)]
 
@@ -235,7 +242,11 @@ def test_field_product_oracle(ctx):
             b = _mostly_zero_rows(rng, k, c, z, nonzero)
             prod = FieldMatrix(ctx, r, k, a) * FieldMatrix(ctx, k, c, b)
             assert (prod.rows, prod.cols) == (r, c)
-            assert prod.entries == _plain_product(a, b, k, c, z)
+            plain = _plain_product(a, b, k, c, z)
+            assert prod.entries == plain
+            sparse = sparse_product(_sparse(a), _sparse(b))
+            assert sparse == _sparse(plain)
+            assert all(row and all(row.values()) for row in sparse.values())
             vec = [row[0] for row in _mostly_zero_rows(rng, k, 1, z, nonzero)]
             assert FieldMatrix(ctx, r, k, a).apply(vec) == [
                 row[0] for row in _plain_product(a, [[x] for x in vec], k, 1, z)]

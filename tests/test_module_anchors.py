@@ -1,10 +1,10 @@
 """Byte-identity anchors for `qschur module` on cell modules larger than the
-benchmark's.
+benchmark's, and for `qschur verify` on A2 (2,2) at depth 2.
 
 Each report runs as a fresh ``python -m qschur.cli`` process and its sha256
-must equal the digest recorded before the generic bases were picked from
-prefix-closed candidates, when these builds took from about 7 s (B2 (2,1),
-A2 (3,2)) to about 4 minutes (G2 (1,1)).
+must equal a recorded digest.  The module digests were recorded before the
+generic bases were picked from prefix-closed candidates, when these builds
+took from about 7 s (B2 (2,1), A2 (3,2)) to about 4 minutes (G2 (1,1)).
 """
 
 import hashlib
@@ -28,18 +28,33 @@ ANCHORS = [
      "364567f1bbc1447b62eecf990d18bb678e21929d8b6d3f7c40e7e23fa22659d8"),
 ]
 
+VERIFY_A2_22_DEPTH_2 = \
+    "2f6b47115a79f670c82325d66603e16b11814844e08c47ceb4d3d79df396d847"
+
+
+def _report_digest(tmp_path, command, doc):
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps(doc))
+    src = os.path.dirname(os.path.dirname(qschur.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qschur.cli", command, "--config", str(cfg)],
+        capture_output=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=60)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    return hashlib.sha256(proc.stdout).hexdigest()
+
 
 @pytest.mark.parametrize("preset,seed,digest", ANCHORS,
                          ids=["%s-%s" % (p, "".join(map(str, s)))
                               for p, s, _ in ANCHORS])
 def test_module_report_matches_anchor(tmp_path, preset, seed, digest):
-    cfg = tmp_path / "job.json"
-    cfg.write_text(json.dumps({"datum": {"preset": preset},
-                               "pi": {"seeds": [seed]}}))
-    src = os.path.dirname(os.path.dirname(qschur.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "qschur.cli", "module", "--config", str(cfg)],
-        capture_output=True, env=dict(os.environ, PYTHONPATH=src),
-        timeout=60)
-    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    assert hashlib.sha256(proc.stdout).hexdigest() == digest
+    assert _report_digest(tmp_path, "module", {
+        "datum": {"preset": preset}, "pi": {"seeds": [seed]}}) == digest
+
+
+def test_verify_report_matches_anchor(tmp_path):
+    # S(pi) of dimension 994; the digest was recorded while
+    # cellular.star_swaps still compared star(x) with y, through G^-1
+    assert _report_digest(tmp_path, "verify", {
+        "datum": {"preset": "A2"}, "pi": {"seeds": [[2, 2]]},
+        "caps": {"depth": 2}}) == VERIFY_A2_22_DEPTH_2
