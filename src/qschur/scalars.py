@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
+from operator import sub
 from typing import Iterable, Optional, Union
 
 from .errors import DenominatorVanishes, ExactDivisionError
@@ -414,18 +416,26 @@ def quantum_binomial(a: int, t: int, d: int = 1) -> LaurentPoly:
 
     Defined for any integer a and t >= 0 as the product over s = 1..t of
     (v_d^{a-s+1} - v_d^{-a+s-1})/(v_d^s - v_d^{-s}); the denominator always
-    clears.  Empty product (t = 0) is 1.
+    clears.  Empty product (t = 0) is 1.  For a >= t this is
+    v^(-d t (a-t)) G(v^(2d)) with G(w) the Gaussian binomial, the product of
+    (w^(a-s+1) - 1)/(w^s - 1); after step s the running product is the
+    Gaussian binomial [a; s], so every division by a binomial is exact.
+    For a < 0, [a; t] = (-1)^t [t-a-1; t]; for 0 <= a < t it is 0.
     """
     if t < 0:
         raise ValueError("binomial with negative t")
-    if t == 0:
-        return _ONE
-    num = _ONE
+    if a < 0:
+        b = quantum_binomial(t - a - 1, t, d)
+        return -b if t & 1 else b
+    if a < t:
+        return _ZERO
+    g = [1]  # dense in w = v^(2d), lowest degree first
     for s in range(1, t + 1):
-        num = num * quantum_integer(a - s + 1, d)
-        if num.is_zero():
-            return _ZERO
-    return laurent_exact_div(num, quantum_factorial(t, d))
+        g = _over_binomial(_times_binomial(g, a - s + 1), s)
+        if g is None:
+            raise ExactDivisionError("[%d; %d] is not a Laurent polynomial" % (a, s))
+    lo = -d * t * (a - t)
+    return LaurentPoly({lo + 2 * d * k: c for k, c in enumerate(g)})
 
 
 # -- cyclotomic polynomials --------------------------------------------------
@@ -444,43 +454,68 @@ def prime_factors(n: int) -> list:
     return out
 
 
+def _times_binomial(c: list, d: int) -> list:
+    """c * (w^d - 1) on dense coefficient lists, lowest degree first."""
+    pad = [0] * d
+    return list(map(sub, pad + c, c + pad))
+
+
+def _over_binomial(c: list, d: int) -> Optional[list]:
+    """The exact quotient c / (w^d - 1) on dense coefficient lists, lowest
+    degree first, or None when the division leaves a remainder.
+
+    q (w^d - 1) = c gives q_k = q_{k-d} - c_k: minus the running sum of c
+    along each residue class mod d.  Run over all of c, the last d sums
+    are the remainder."""
+    n = len(c)
+    q = [0] * n
+    for r in range(min(d, n)):
+        q[r::d] = accumulate(c[r::d])
+    m = max(n - d, 0)
+    if any(q[m:]):
+        return None
+    return [-x for x in q[:m]]
+
+
+@lru_cache(maxsize=None)
+def _phi_binomials(ell: int) -> tuple:
+    """(up, down): Phi_ell(v) is the product of v^D - 1 over D in up divided
+    by the product over D in down.
+
+    With r the product of the distinct primes of ell, Phi_ell(v) =
+    Phi_r(v^(ell/r)), and Phi_r is the Moebius product of the binomials
+    (v^d - 1)^mu(r/d) over d | r.  So D = ell/s for the divisors s of r,
+    in up when s has an even number of primes, in down otherwise.
+    """
+    primes = prime_factors(ell)
+    up, down = [], []
+    for mask in range(1 << len(primes)):
+        d = ell
+        for k, p in enumerate(primes):
+            if mask >> k & 1:
+                d //= p
+        (down if bin(mask).count("1") % 2 else up).append(d)
+    return tuple(up), tuple(down)
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(ell: int) -> LaurentPoly:
     """The ell-th cyclotomic polynomial Phi_ell(v), exact over Z; repeated
     calls return the same (immutable) object.
 
-    No other Phi_d is divided out.  With r the product of the distinct
-    primes of ell, Phi_ell(v) = Phi_r(v^(ell/r)), and Phi_r is the Moebius
-    product of the binomials (v^d - 1)^mu(r/d) over d | r; multiplying or
-    exactly dividing by a binomial is one pass over the coefficients.
+    No other Phi_d is divided out: Phi_ell is the quotient of binomials
+    v^D - 1 given by _phi_binomials, and multiplying or exactly dividing
+    by a binomial is one pass over the coefficients.
     """
     if ell < 1:
         raise ValueError("cyclotomic index must be >= 1")
-    primes = prime_factors(ell)
-    r = 1
-    for p in primes:
-        r *= p
-    up, down = [], []
-    for mask in range(1 << len(primes)):
-        d = r
-        for k, p in enumerate(primes):
-            if mask >> k & 1:
-                d //= p
-        (down if bin(mask).count("1") % 2 else up).append(d)
+    up, down = _phi_binomials(ell)
     coeffs = [1]  # dense, lowest degree first
-    for d in up:  # times v^d - 1
-        out = [0] * (len(coeffs) + d)
-        for k, c in enumerate(coeffs):
-            out[k + d] += c
-            out[k] -= c
-        coeffs = out
-    for d in down:  # q (v^d - 1) = coeffs gives q_k = q_{k-d} - coeffs_k
-        q = [0] * (len(coeffs) - d)
-        for k in range(len(q)):
-            q[k] = (q[k - d] if k >= d else 0) - coeffs[k]
-        coeffs = q
-    step = ell // r
-    return LaurentPoly({k * step: c for k, c in enumerate(coeffs)})
+    for d in up:
+        coeffs = _times_binomial(coeffs, d)
+    for d in down:
+        coeffs = _over_binomial(coeffs, d)
+    return LaurentPoly.from_dense(0, coeffs)
 
 
 # -- dense Q[x] helpers for the cyclotomic quotient field --------------------
@@ -675,16 +710,10 @@ class FieldContext:
         if self.kind == RATIONAL:
             return p.evaluate(self.q)
         ell = self.ell
-        mod = _modulus(ell)
-        deg = len(mod) - 1
-        acc = [0] * deg
+        acc = [0] * ell
         for e, c in p.coeffs.items():
-            k = e % ell  # v^ell = 1 in Q[v]/Phi_ell
-            dense = [0] * k + [c]
-            _, rem = _dense_divmod(dense, mod) if k >= deg else (None, dense)
-            for j, x in enumerate(rem):
-                acc[j] += x
-        return Residue(ell, tuple(_dense_trim(acc)))
+            acc[e % ell] += c  # v^ell = 1 in Q[v]/Phi_ell
+        return Residue(ell, tuple(_dense_divmod(acc, _modulus(ell))[1]))
 
     def from_ratfunc(self, r: RatFunc) -> FieldValue:
         num = self.from_laurent(r.num)

@@ -12,6 +12,8 @@ commutes with the determinant.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import Optional
 
 from .cellmod import CellModule
 from .errors import InconsistentCharactersError
@@ -20,8 +22,9 @@ from .rootdata import CosaturatedFlag, Weight
 from .scalars import (
     FieldContext,
     LaurentPoly,
-    cyclotomic_polynomial,
-    laurent_divmod,
+    _over_binomial,
+    _phi_binomials,
+    _times_binomial,
     prime_factors,
 )
 
@@ -73,8 +76,9 @@ class GramDeterminantRecord:
     """Unit-normalized Gram determinant with its cyclotomic factorization.
 
     det has lowest exponent 0 and positive leading coefficient; factors
-    maps ell to the multiplicity of Phi_ell found by trial division up to
-    the scan bound; cofactor is the unfactored residual.
+    maps ell to the multiplicity of Phi_ell, for ell up to the scan bound
+    (found by exact division through the binomials v^D - 1 whose quotient
+    Phi_ell is); cofactor is the unfactored residual.
     """
 
     lam: Weight
@@ -102,27 +106,53 @@ def _totient(n: int) -> int:
 
 
 def _cyclotomic_scan(det: LaurentPoly, bound: int) -> tuple:
-    """Trial division by Phi_1 .. Phi_bound.  Phi_ell is built only when
-    its degree phi(ell) fits in what is left.  For ell of bit length b,
-    phi(ell) >= ell/b >= 2^(b-1)/b: ell has k <= b - 1 distinct primes,
-    and their factors (1 - 1/p) multiply to at least 1/(k+1).  So the scan
-    ends once 2^(b-1) > span b, whatever the bound."""
-    factors = {}
-    rest = det
+    """Divide det by Phi_1 .. Phi_bound as often as each divides it.
+    Returns (factors, cofactor) with a fresh factors dict on every call.
+
+    Phi_ell is tried only when its degree phi(ell) fits in what is left.
+    For ell of bit length b, phi(ell) >= ell/b >= 2^(b-1)/b: ell has
+    k <= b - 1 distinct primes, and their factors (1 - 1/p) multiply to at
+    least 1/(k+1).  So the scan ends once 2^(b-1) > span b, whatever the
+    bound."""
+    factors, cofactor = _scan(det, bound)
+    return dict(factors), cofactor
+
+
+@lru_cache(maxsize=None)
+def _scan(det: LaurentPoly, bound: int) -> tuple:
+    factors = []
+    rest = det.to_dense()[1]
     for ell in range(1, bound + 1):
         b = ell.bit_length()
-        if 1 << (b - 1) > rest.span * b:
+        span = len(rest) - 1
+        if 1 << (b - 1) > span * b:
             break
-        if _totient(ell) > rest.span:
-            continue
-        phi = cyclotomic_polynomial(ell)
-        while rest.span >= phi.span:
-            q, r = laurent_divmod(rest, phi)
-            if not r.is_zero():
+        deg = _totient(ell)
+        m = 0
+        while deg <= len(rest) - 1:
+            q = _over_phi(rest, ell)
+            if q is None:
                 break
-            factors[ell] = factors.get(ell, 0) + 1
+            m += 1
             rest = q
-    return factors, _normalize_det(rest)
+        if m:
+            factors.append((ell, m))
+    return tuple(factors), _normalize_det(LaurentPoly.from_dense(0, rest))
+
+
+def _over_phi(c: list, ell: int) -> Optional[list]:
+    """c / Phi_ell on a dense coefficient list, or None when Phi_ell does
+    not divide c: Phi_ell times the binomials v^D - 1 of down is the
+    product of those of up, so multiply by the down binomials and divide
+    exactly by each one of up."""
+    up, down = _phi_binomials(ell)
+    for d in down:
+        c = _times_binomial(c, d)
+    for d in up:
+        c = _over_binomial(c, d)
+        if c is None:
+            return None
+    return c
 
 
 def gram_determinant(cm: CellModule, mu: Weight, scan_bound: int = 50,

@@ -12,6 +12,10 @@ from qschur.scalars import (
     FieldContext,
     LaurentPoly,
     RatFunc,
+    _dense_divmod,
+    _dense_mul,
+    _over_binomial,
+    _times_binomial,
     cyclotomic_polynomial,
     laurent_divmod,
     laurent_exact_div,
@@ -81,11 +85,47 @@ def test_quantum_binomial_factorial_identity(d):
             assert quantum_binomial(a, t, d) == expected
 
 
+def _product_and_divide_binomials(a, d, tmax):
+    """[a; t]_d for t = 0..tmax as the product of [a-s+1]_d over s = 1..t,
+    long-divided by [t]!_d: the reference for quantum_binomial."""
+    num = L.one()
+    for t in range(tmax + 1):
+        if t:
+            num = num * quantum_integer(a - t + 1, d)
+        yield laurent_exact_div(num, quantum_factorial(t, d)) if num else num
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quantum_binomial_matches_product_and_divide(d):
+    for a in range(-12, 41):
+        for t, expected in enumerate(_product_and_divide_binomials(a, d, 20)):
+            assert quantum_binomial(a, t, d) == expected, (a, t, d)
+
+
 def test_quantum_binomial_bar_symmetry():
     for a in range(0, 11):
         for t in range(0, a + 1):
             b = quantum_binomial(a, t, 1)
             assert b.bar() == b
+    b = quantum_binomial(200, 100)
+    assert b.bar() == b and _int_coeffs(b)
+    assert b.span == 2 * 100 * 100
+
+
+def test_binomial_kernels():
+    # c (w^d - 1) / (w^d - 1) == c; a remainder gives None, as long division says
+    rng = random.Random(11)
+    for _ in range(200):
+        c = [rng.randint(-5, 5) for _ in range(rng.randint(1, 12))]
+        c[-1] = c[-1] or 1
+        d = rng.randint(1, 14)
+        prod = _times_binomial(c, d)
+        assert prod == _dense_mul(c, [-1] + [0] * (d - 1) + [1])
+        assert _over_binomial(prod, d) == c
+        q, r = _dense_divmod(c, [-1] + [0] * (d - 1) + [1])
+        assert _over_binomial(c, d) == (None if r else q)
+    half = [Fraction(1, 2), 0, Fraction(-3, 2)]
+    assert _over_binomial(_times_binomial(half, 2), 2) == half
 
 
 def test_quantum_binomial_pascal():
@@ -232,6 +272,25 @@ def test_specialize_is_ring_homomorphism(ctx):
         b = _random_laurent(rng)
         assert specialize(a + b, ctx) == specialize(a, ctx) + specialize(b, ctx)
         assert specialize(a * b, ctx) == specialize(a, ctx) * specialize(b, ctx)
+
+
+def test_cyclotomic_from_laurent_matches_reduction_per_coefficient():
+    # reduction mod Phi_ell is linear: folding exponents mod ell first and
+    # reducing once gives the residue of reducing each term on its own
+    rng = random.Random(3)
+    for ell in range(2, 13):
+        ctx = FieldContext.cyclotomic_point(ell)
+        mod = list(cyclotomic_polynomial(ell).to_dense()[1])
+        for _ in range(20):
+            p = _random_laurent(rng, max_terms=6, max_exp=3 * ell)
+            acc = [0] * (len(mod) - 1)
+            for e, c in p.coeffs.items():
+                rem = _dense_divmod([0] * (e % ell) + [c], mod)[1]
+                for j, x in enumerate(rem):
+                    acc[j] += x
+            while acc and not acc[-1]:
+                acc.pop()
+            assert ctx.from_laurent(p).coeffs == tuple(acc), (ell, p)
 
 
 @pytest.mark.parametrize("ctx", [

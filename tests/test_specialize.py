@@ -1,7 +1,12 @@
 """Specialization: radicals, decomposition matrices, Gram determinants."""
 
+import random
+import sys
+from fractions import Fraction
+
 import pytest
 
+from qschur import scalars, specialize
 from qschur.cellmod import CellModule
 from qschur.linalg import laurent_determinant
 from qschur.rootdata import build_flag, build_root_datum, saturate
@@ -9,10 +14,12 @@ from qschur.scalars import (
     FieldContext,
     LaurentPoly,
     cyclotomic_polynomial,
+    laurent_divmod,
     quantum_binomial,
 )
 from qschur.specialize import (
     _cyclotomic_scan,
+    _normalize_det,
     _totient,
     decomposition_matrix,
     gram_determinant,
@@ -184,3 +191,82 @@ def test_cyclotomic_scan_ends_early_with_the_same_answer():
     factors, cofactor = _cyclotomic_scan(det, 10 ** 9)
     assert factors == {3: 2, 7: 1, 30: 1}
     assert (factors, cofactor) == _cyclotomic_scan(det, 50)
+
+
+def _trial_division_scan(det, bound):
+    """Phi_1 .. Phi_bound tried by long division: the reference for
+    _cyclotomic_scan."""
+    factors = {}
+    rest = det
+    for ell in range(1, bound + 1):
+        b = ell.bit_length()
+        if 1 << (b - 1) > rest.span * b:
+            break
+        if _totient(ell) > rest.span:
+            continue
+        phi = cyclotomic_polynomial(ell)
+        while rest.span >= phi.span:
+            q, r = laurent_divmod(rest, phi)
+            if not r.is_zero():
+                break
+            factors[ell] = factors.get(ell, 0) + 1
+            rest = q
+    return factors, _normalize_det(rest)
+
+
+def _generic_gram_determinants(name, seeds):
+    datum = build_root_datum(name)
+    for lam in build_flag(saturate(datum, seeds)):
+        cm = CellModule(datum, lam)
+        for mu in cm.weights:
+            yield _normalize_det(laurent_determinant(cm.basis(mu).gram))
+
+
+def _cyclotomic_products(rng, count):
+    cofactors = [LaurentPoly({0: 1}), LaurentPoly({5: 1, 1: -2, 0: 7}),
+                 LaurentPoly({3: Fraction(2, 3), 0: 1})]
+    for k in range(count):
+        det = cofactors[k % len(cofactors)]
+        for _ in range(rng.randint(1, 5)):
+            det = det * cyclotomic_polynomial(rng.randint(1, 60)) ** rng.randint(1, 2)
+        yield _normalize_det(det)
+
+
+def test_cyclotomic_scan_matches_trial_division():
+    dets = [det for name, seeds in [("A1", [(16,)]), ("A2", [(2, 2)]),
+                                    ("B2", [(1, 1)]), ("G2", [(2, 0)])]
+            for det in _generic_gram_determinants(name, seeds)]
+    dets.extend(_cyclotomic_products(random.Random(60), 40))
+    assert any(isinstance(c, Fraction) for det in dets for c in det.coeffs.values())
+    for det in dets:
+        for bound in (0, 1, 7, 50, 10 ** 9):
+            assert _cyclotomic_scan(det, bound) == _trial_division_scan(det, bound), (det, bound)
+
+
+def test_cyclotomic_scan_returns_a_fresh_factors_dict():
+    det = _normalize_det(quantum_binomial(16, 8))
+    factors, _ = _cyclotomic_scan(det, 50)
+    expected = dict(factors)
+    factors[99] = 1
+    factors.clear()
+    assert _cyclotomic_scan(det, 50)[0] == expected
+
+
+def test_binomial_and_scan_make_no_long_division(monkeypatch):
+    calls = []
+    original = scalars.laurent_divmod
+
+    def counted(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "qschur" and getattr(module, "laurent_divmod", None) is original:
+            monkeypatch.setattr(module, "laurent_divmod", counted)
+    for cached in (scalars.quantum_integer, scalars.quantum_factorial,
+                   scalars.quantum_binomial, scalars.cyclotomic_polynomial,
+                   scalars._phi_binomials, specialize._scan):
+        cached.cache_clear()
+    det = _normalize_det(quantum_binomial(16, 8))
+    _cyclotomic_scan(det, 50)
+    assert not calls
