@@ -97,14 +97,13 @@ class Basis:
 @dataclass
 class WeightSpaceData:
     """One weight space of Delta(lambda): all its alive words, the candidate
-    words the generic basis was picked from with their Gram matrix, the
-    generic basis and, once ensure_integral has run, the integral one.
-    The Gram matrix of all the words is built on first read."""
+    words the generic basis was picked from, the generic basis and, once
+    ensure_integral has run, the integral one.  The Gram matrix of all the
+    words is built on first read; the candidates' entries are memo hits."""
 
     mu: Weight
     words: tuple
     candidates: tuple
-    candidate_gram: LaurentMatrix
     generic: Basis
     rank: int
     ctx: ModuleContext = field(repr=False, compare=False)
@@ -114,29 +113,22 @@ class WeightSpaceData:
 
     @property
     def gram(self) -> LaurentMatrix:
-        """The Gram matrix of all the words, reusing the candidate entries."""
+        """The Gram matrix of all the words."""
         if self._gram is None:
-            if len(self.candidates) == len(self.words):
-                self._gram = self.candidate_gram
-            else:
-                self._gram = self._fill_gram()
+            self._gram = gram_matrix(self.ctx, self.words)
         return self._gram
 
-    def _fill_gram(self) -> LaurentMatrix:
-        known = self.candidate_gram.entries
-        at = {w: k for k, w in enumerate(self.candidates)}
-        words = self.words
-        n = len(words)
-        entries = [[None] * n for _ in range(n)]
-        for i in range(n):
-            ci = at.get(words[i])
-            for j in range(i, n):
-                cj = None if ci is None else at.get(words[j])
-                e = (gram_entry(self.ctx, words[i], words[j]) if cj is None
-                     else known[ci][cj])
-                entries[i][j] = e
-                entries[j][i] = e
-        return LaurentMatrix(n, n, entries)
+
+def gram_matrix(ctx: ModuleContext, words: tuple) -> LaurentMatrix:
+    """The symmetric matrix of gram_entry over a list of words."""
+    n = len(words)
+    entries = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            e = gram_entry(ctx, words[i], words[j])
+            entries[i][j] = e
+            entries[j][i] = e
+    return LaurentMatrix(n, n, entries)
 
 
 class CellModule:
@@ -169,7 +161,7 @@ class CellModule:
         for mu in self.weights:
             words = tuple(by_weight[mu])
             candidates = self._candidates(mu, {w: w for w in words})
-            gram = self._build_gram(candidates)
+            gram = gram_matrix(self.ctx, candidates)
             picked = self._greedy_basis_words(gram)
             if len(picked) != char[mu]:
                 raise RankMismatchError(
@@ -182,8 +174,8 @@ class CellModule:
                                          for row in rows]),
                 {w: [row[m] for row in rows]
                  for m, w in enumerate(candidates)})
-            self.spaces[mu] = WeightSpaceData(mu, words, candidates, gram,
-                                              generic, len(picked), self.ctx)
+            self.spaces[mu] = WeightSpaceData(mu, words, candidates, generic,
+                                              len(picked), self.ctx)
             self._offsets[mu] = off
             off += len(picked)
         self.dim = off
@@ -228,16 +220,6 @@ class CellModule:
                         out.append(w)
         out.sort(key=lambda w: (len(w), w))
         return tuple(out)
-
-    def _build_gram(self, words: tuple) -> LaurentMatrix:
-        n = len(words)
-        entries = [[None] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i, n):
-                e = gram_entry(self.ctx, words[i], words[j])
-                entries[i][j] = e
-                entries[j][i] = e
-        return LaurentMatrix(n, n, entries)
 
     def _greedy_basis_words(self, gram: LaurentMatrix) -> tuple:
         """Greedy: keep a word when its Gram column grows the column rank

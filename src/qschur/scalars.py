@@ -88,6 +88,10 @@ class LaurentPoly:
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return other
         d = dict(self.coeffs)
         for e, c in other.coeffs.items():
             s = d.get(e, 0) + c
@@ -107,7 +111,21 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
+        if not other.coeffs:
+            return self
+        if not self.coeffs:
+            return -other
+        d = dict(self.coeffs)
+        for e, c in other.coeffs.items():
+            s = d.get(e, 0) - c
+            if s:
+                d[e] = s
+            elif e in d:
+                del d[e]
+        out = LaurentPoly.__new__(LaurentPoly)
+        out.coeffs = d
+        out._hash = None
+        return out
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not self.coeffs or not other.coeffs:
@@ -234,6 +252,8 @@ def _quo(x: Rat, y: Rat) -> Rat:
 
 
 def _coeff_str(c: Rat) -> str:
+    if type(c) is int:
+        return str(c)
     f = Fraction(c)
     return str(f.numerator) if f.denominator == 1 else "%d/%d" % (f.numerator, f.denominator)
 

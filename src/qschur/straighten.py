@@ -9,9 +9,11 @@ algebra; everything reduces to three exact operations on words:
   * push_E_through  -- expand E_j^{(a)} applied to a word, by commuting
     the divided E past each F factor with the binomial commutation
     identity, dropping terms that die against the 1_mu = 0 convention,
-  * gram_entry      -- the contravariant form c_{B,D}, read off as the
-    coefficient of the empty word after pushing all E factors of D
-    through B.
+  * gram_entry      -- the contravariant form c_{B,D}, by the recursion
+    phi(B, D + F_j^{(a)}) = phi(E_j^{(a)} B, D) = sum_w c_w phi(w, D),
+    with {w: c_w} = push_E_through(j, a, B), down to phi(B, ()) = [B == ()].
+    It always peels the outer factor of the shorter word, and each pair is
+    memoized once per module, the form being symmetric.
 
 Words whose prefix weights leave W pi_lambda are identically zero in
 Delta(lambda); they are discarded eagerly at every step.
@@ -32,7 +34,8 @@ EMPTY_WORD: Word = ()
 
 class ModuleContext:
     """Ambient data for Delta(lambda): the saturated hull pi_lambda, the
-    weight set W pi_lambda, and the straightening memo cache."""
+    weight set W pi_lambda, and the memo caches of straightening and of
+    the contravariant form."""
 
     def __init__(self, datum: RootDatum, lam: Weight):
         lam = tuple(lam)
@@ -45,6 +48,7 @@ class ModuleContext:
         assert all(c.denominator == 1 and c >= 0 for c in depth)
         self.max_depth = int(sum(depth))
         self._push_memo: dict = {}
+        self._gram_memo: dict = {}
 
     def weight_of(self, word: Word) -> Weight:
         wt = word_weight(self.datum, word)
@@ -175,18 +179,54 @@ def concat_divided_vector(ctx: ModuleContext, i: int, a: int, vec: dict) -> dict
 def gram_entry(ctx: ModuleContext, b: Word, d: Word) -> LaurentPoly:
     """c_{B,D}: the scalar with 1_mu (F_D)* F_B 1_mu = c_{B,D} 1_mu.
 
-    Zero unless wt(B) = wt(D).  Computed by pushing the E factors of D,
-    innermost first (the factor adjacent to F_B), through B; the entry is
-    the coefficient of the empty word.
+    Zero unless wt(B) = wt(D), that is, unless both words have the same
+    exponent sum at every index (the simple roots are independent).  By
+    contravariance, phi(B, D' + ((j, a),)) = phi(E_j^{(a)} B, D'), so the
+    outer factor of the shorter word is peeled off and E_j^{(a)} pushed
+    through the other: the entry is one memoized push and a dot product
+    with entries one weight higher, down to phi(B, ()) = [B == ()].
     """
-    if word_weight(ctx.datum, b) != word_weight(ctx.datum, d):
+    key = _pair_key(b, d)
+    hit = ctx._gram_memo.get(key)
+    if hit is not None:
+        return hit
+    rank = ctx.datum.rank
+    if _exponent_sums(rank, b) != _exponent_sums(rank, d):
         return LaurentPoly.zero()
-    vec = {b: LaurentPoly.one()}
-    for (j, a) in reversed(d):
-        vec = push_E_through_vector(ctx, j, a, vec)
-        if not vec:
-            return LaurentPoly.zero()
-    return vec.get(EMPTY_WORD, LaurentPoly.zero())
+    return _pairing(ctx, key)
+
+
+def _exponent_sums(rank: int, word: Word) -> list:
+    sums = [0] * rank
+    for i, a in word:
+        sums[i] += a
+    return sums
+
+
+def _pair_key(b: Word, d: Word) -> tuple:
+    """The two words, shorter first, ties broken by the factor sequence."""
+    return (b, d) if (len(b), b) <= (len(d), d) else (d, b)
+
+
+def _pairing(ctx: ModuleContext, key: tuple) -> LaurentPoly:
+    """phi(s, t) for a _pair_key (s, t) of two words of one weight,
+    memoized under that key."""
+    memo = ctx._gram_memo
+    hit = memo.get(key)
+    if hit is not None:
+        return hit
+    s, t = key
+    if not s:
+        out = LaurentPoly.one() if not t else LaurentPoly.zero()
+    else:
+        (j, a), rest = s[-1], s[:-1]
+        out = LaurentPoly.zero()
+        for w, c in push_E_through(ctx, j, a, t).items():
+            p = _pairing(ctx, _pair_key(rest, w))
+            if p:
+                out = out + c * p
+    memo[key] = out
+    return out
 
 
 @dataclass(frozen=True)

@@ -364,3 +364,21 @@ def test_candidate_pruning_bounds_gram_entries(monkeypatch):
     cm = CellModule(B2, (2, 1))
     assert cm.dim == 40
     assert len(calls) <= 1000
+
+
+def test_cell_modules_never_share_gram_memo():
+    # F x0 pairs with itself to [2] in A1 (2) and to [4] in A1 (4), so a
+    # memo keyed by words alone would hand one module the other's entries
+    small = CellModule(A1, (2,))
+    for mu in small.weights:
+        small.spaces[mu].gram
+    before = dict(small.ctx._gram_memo)
+    large = CellModule(A1, (4,))
+    for mu in large.weights:
+        large.spaces[mu].gram
+    assert small.ctx._gram_memo is not large.ctx._gram_memo
+    assert small.ctx._gram_memo == before
+    word = ((0, 1),)
+    assert gram_entry(small.ctx, word, word) == quantum_integer(2)
+    assert gram_entry(large.ctx, word, word) == quantum_integer(4)
+    assert small.spaces[(0,)].gram.entries == [[quantum_integer(2)]]

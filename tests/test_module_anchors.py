@@ -1,5 +1,6 @@
 """Byte-identity anchors for `qschur module` on cell modules larger than the
-benchmark's, and for `qschur verify` on A2 (2,2) at depth 2.
+benchmark's, for `qschur verify` on A2 (2,2) at depth 2, and for `qschur
+gram` and `qschur decomp` (at cyclotomic=4) on B2 (2,1).
 
 Each report runs as a fresh ``python -m qschur.cli`` process and its sha256
 must equal a recorded digest.  The module digests were recorded before the
@@ -31,6 +32,16 @@ ANCHORS = [
 VERIFY_A2_22_DEPTH_2 = \
     "2f6b47115a79f670c82325d66603e16b11814844e08c47ceb4d3d79df396d847"
 
+# recorded while every Gram entry was read off a chain of vector pushes,
+# when each of these jobs took about 5 s
+B2_21 = {"datum": {"preset": "B2"}, "pi": {"seeds": [[2, 1]]}}
+WORD_GRAM_ANCHORS = [
+    ("gram", B2_21,
+     "996cf2312eec5913fc07545d778b1de25f5ad2d1f76279232e88c98c8464c3bd"),
+    ("decomp", dict(B2_21, field="cyclotomic=4"),
+     "e5b426b9a39e99444fd98786c4e8efb895f515cb1bbeefd9050bdc34d0c01d51"),
+]
+
 
 def _report_digest(tmp_path, command, doc):
     cfg = tmp_path / "job.json"
@@ -58,3 +69,9 @@ def test_verify_report_matches_anchor(tmp_path):
     assert _report_digest(tmp_path, "verify", {
         "datum": {"preset": "A2"}, "pi": {"seeds": [[2, 2]]},
         "caps": {"depth": 2}}) == VERIFY_A2_22_DEPTH_2
+
+
+@pytest.mark.parametrize("command,doc,digest", WORD_GRAM_ANCHORS,
+                         ids=[c for c, _, _ in WORD_GRAM_ANCHORS])
+def test_word_gram_report_matches_anchor(tmp_path, command, doc, digest):
+    assert _report_digest(tmp_path, command, doc) == digest

@@ -34,6 +34,33 @@ def test_laurent_ring_axioms(a, b, c):
     assert (a - a).is_zero()
 
 
+def _add_by_copy(a, b):
+    """The reference sum: copy a's terms, then add b's and drop zeros."""
+    d = dict(a.coeffs)
+    for e, c in b.coeffs.items():
+        d[e] = d.get(e, 0) + c
+    return LaurentPoly(d)
+
+
+fractions = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+mixed_laurents = st.dictionaries(exps, st.one_of(coeffs, fractions),
+                                 max_size=5).map(LaurentPoly)
+
+
+@given(st.one_of(laurents, mixed_laurents), st.one_of(laurents, mixed_laurents))
+def test_add_and_sub_match_reference(a, b):
+    assert a + b == _add_by_copy(a, b)
+    assert a - b == _add_by_copy(a, -b)
+    assert all(c for c in (a - b).coeffs.values())
+    assert [type(c) for c in (a - b).coeffs.values()] == \
+        [type(c) for c in _add_by_copy(a, -b).coeffs.values()]
+    zero = LaurentPoly.zero()
+    assert a + zero is a and a - zero is a
+    assert zero + a == a and zero - a == -a
+    if a:
+        assert zero + a is a
+
+
 @given(laurents, laurents)
 def test_bar_is_a_ring_involution(a, b):
     assert (a * b).bar() == a.bar() * b.bar()

@@ -12,6 +12,7 @@ from qschur.scalars import (
     FieldContext,
     LaurentPoly,
     RatFunc,
+    _coeff_str,
     _dense_divmod,
     _dense_mul,
     _over_binomial,
@@ -153,6 +154,15 @@ def test_laurent_strings():
     assert str(lp({1: -1, -1: -1})) == "-v - v^-1"
     assert str(lp({0: Fraction(3, 2)})) == "3/2"
     assert str(L.zero()) == "0"
+
+
+def test_coeff_strings_of_int_and_fraction():
+    assert [_coeff_str(c) for c in (0, 7, -7, 10 ** 30)] == \
+        ["0", "7", "-7", str(10 ** 30)]
+    assert [_coeff_str(c) for c in (Fraction(6, 3), Fraction(-3, 2),
+                                    Fraction(5, 10))] == ["2", "-3/2", "1/2"]
+    assert str(lp({1: 3, 0: Fraction(-4, 2), -1: Fraction(1, 3)})) == \
+        "3*v - 2 + 1/3*v^-1"
 
 
 @pytest.mark.parametrize("q", [2, Fraction(2)])

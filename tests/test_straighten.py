@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from qschur.cellmod import enumerate_words
 from qschur.errors import NonReducedWordError
 from qschur.rootdata import build_root_datum
 from qschur.scalars import LaurentPoly, quantum_binomial, quantum_factorial, quantum_integer
@@ -92,6 +93,50 @@ def test_gram_basics():
         assert gram_entry(ctx, word, word) == quantum_binomial(4, t)
     # weight mismatch is zero
     assert gram_entry(ctx, ((0, 1),), ((0, 2),)).is_zero()
+
+
+def _gram_by_push_chain(ctx, b, d):
+    """The reference form: push every E factor of d, the outer one first,
+    through the vector b, and read off the coefficient of the empty word."""
+    if word_weight(ctx.datum, b) != word_weight(ctx.datum, d):
+        return LaurentPoly.zero()
+    vec = {b: ONE}
+    for (j, a) in reversed(d):
+        vec = push_E_through_vector(ctx, j, a, vec)
+        if not vec:
+            return LaurentPoly.zero()
+    return vec.get(EMPTY_WORD, LaurentPoly.zero())
+
+
+ORACLE_CONFIGS = [("A2", (2, 2)), ("B2", (1, 1)), ("G2", (2, 0)),
+                  ("A1xA1", (3, 3)), ("GL2", (2, 0))]
+
+
+@pytest.mark.parametrize("name,lam", ORACLE_CONFIGS,
+                         ids=["%s-%s" % (n, "".join(map(str, l)))
+                              for n, l in ORACLE_CONFIGS])
+def test_gram_recursion_matches_push_chain(name, lam):
+    datum = (build_root_datum(cartan=[[2]], alpha=[[1, -1]],
+                              alphav=[[1, -1]])
+             if name == "GL2" else build_root_datum(name))
+    ref_ctx = ModuleContext(datum, lam)
+    words = [w for group in enumerate_words(ref_ctx).values() for w in group]
+    ref = {(b, d): _gram_by_push_chain(ref_ctx, b, d)
+           for b in words for d in words}
+    assert any(p.is_zero() for p in ref.values())
+    # each order on a fresh context, so neither reads the other's memo
+    forward, backward = ModuleContext(datum, lam), ModuleContext(datum, lam)
+    for i, b in enumerate(words):
+        for d in words[i:]:
+            assert gram_entry(forward, b, d) == ref[b, d], (b, d)
+    for i in reversed(range(len(words))):
+        for b in words[:i + 1]:
+            d = words[i]
+            assert gram_entry(backward, d, b) == ref[d, b], (d, b)
+    for (b, d), p in ref.items():
+        assert gram_entry(forward, b, d) == p == gram_entry(backward, b, d)
+        if word_weight(datum, b) != word_weight(datum, d):
+            assert p.is_zero()
 
 
 def test_gram_symmetry_a2():
