@@ -11,7 +11,6 @@ check every defining identity exactly; there are no tolerances.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import cached_property
 
 from .cellmod import CellModule
@@ -107,26 +106,33 @@ def _accumulate(out: dict, sparse: dict, c: FieldValue) -> None:
             del out[lam]
 
 
-@dataclass
 class CellBasisElement:
     """One glued cellular basis element b' 1_lambda b^*."""
 
-    lam: Weight
-    left: tuple   # combo: tuple of (word, LaurentPoly)
-    right: tuple
-    matrix: BlockMatrix
+    __slots__ = ("lam", "left", "right", "matrix")
+
+    def __init__(self, lam: Weight, left: tuple, right: tuple,
+                 matrix: BlockMatrix):
+        self.lam = lam
+        self.left = left  # combo: tuple of (word, LaurentPoly)
+        self.right = right
+        self.matrix = matrix
 
 
-@dataclass
 class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+    __slots__ = ("name", "passed", "detail")
+
+    def __init__(self, name: str, passed: bool, detail: str = ""):
+        self.name = name
+        self.passed = passed
+        self.detail = detail
 
 
-@dataclass
 class VerificationReport:
-    checks: list = field(default_factory=list)
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: list | None = None):
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, passed: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(name, passed, detail))

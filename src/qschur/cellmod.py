@@ -16,9 +16,6 @@ is never materialized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 from .errors import CoordinateFailureError, RankMismatchError
 from .linalg import (
     FieldMatrix,
@@ -67,7 +64,6 @@ def enumerate_words(ctx: ModuleContext) -> dict:
     return by_weight
 
 
-@dataclass
 class Basis:
     """A basis b_1..b_r of one weight space, as combinations of its words.
 
@@ -79,13 +75,19 @@ class Basis:
     b_j.
     """
 
-    combos: tuple
-    gram: LaurentMatrix
-    columns: dict = field(repr=False, compare=False)
-    hnf_basis: Optional[LaurentMatrix] = None
-    transform: Optional[LaurentMatrix] = None
-    _inverse: Optional[FieldMatrix] = field(default=None, repr=False,
-                                            compare=False)
+    __slots__ = ("combos", "gram", "columns", "hnf_basis", "transform",
+                 "_inverse")
+
+    def __init__(self, combos: tuple, gram: LaurentMatrix, columns: dict,
+                 hnf_basis: LaurentMatrix | None = None,
+                 transform: LaurentMatrix | None = None,
+                 _inverse: FieldMatrix | None = None):
+        self.combos = combos
+        self.gram = gram
+        self.columns = columns
+        self.hnf_basis = hnf_basis
+        self.transform = transform
+        self._inverse = _inverse
 
     def inverse(self) -> FieldMatrix:
         """The Gram inverse over Q(v), computed on first use."""
@@ -94,22 +96,27 @@ class Basis:
         return self._inverse
 
 
-@dataclass
 class WeightSpaceData:
     """One weight space of Delta(lambda): all its alive words, the candidate
     words the generic basis was picked from, the generic basis and, once
     ensure_integral has run, the integral one.  The Gram matrix of all the
     words is built on first read; the candidates' entries are memo hits."""
 
-    mu: Weight
-    words: tuple
-    candidates: tuple
-    generic: Basis
-    rank: int
-    ctx: ModuleContext = field(repr=False, compare=False)
-    integral: Optional[Basis] = None
-    _gram: Optional[LaurentMatrix] = field(default=None, repr=False,
-                                           compare=False)
+    __slots__ = ("mu", "words", "candidates", "generic", "rank", "ctx",
+                 "integral", "_gram")
+
+    def __init__(self, mu: Weight, words: tuple, candidates: tuple,
+                 generic: Basis, rank: int, ctx: ModuleContext,
+                 integral: Basis | None = None,
+                 _gram: LaurentMatrix | None = None):
+        self.mu = mu
+        self.words = words
+        self.candidates = candidates
+        self.generic = generic
+        self.rank = rank
+        self.ctx = ctx
+        self.integral = integral
+        self._gram = _gram
 
     @property
     def gram(self) -> LaurentMatrix:

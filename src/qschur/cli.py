@@ -194,7 +194,19 @@ def char_json(char: dict) -> list:
 
 
 def matrix_json(m) -> list:
-    return [[str(x) for x in row] for row in m.entries]
+    """The entries as strings.  A Gram matrix holds one object at [i][j]
+    and [j][i], so each distinct entry object is rendered once."""
+    text: dict = {}
+    out = []
+    for row in m.entries:
+        line = []
+        for x in row:
+            s = text.get(id(x))
+            if s is None:
+                s = text[id(x)] = str(x)
+            line.append(s)
+        out.append(line)
+    return out
 
 
 def _check_json(rep) -> list:
@@ -430,6 +442,10 @@ def main(argv=None) -> int:
             except json.JSONDecodeError as exc:
                 raise ConfigError("config parse error at line %d column %d: %s"
                                   % (exc.lineno, exc.colno, exc.msg))
+            except (ValueError, RecursionError) as exc:
+                # not UTF-8, an integer past the digit limit, or nested
+                # deeper than the recursion limit
+                raise ConfigError("config parse error: %s" % exc)
         config = JobConfig(doc)
         if args.field is not None:
             parse_field(args.field)  # validate before overriding

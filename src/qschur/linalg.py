@@ -11,8 +11,6 @@ exact, so determinism beats conditioning.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ExactDivisionError, NoSolutionError
 from .scalars import (
     FieldContext,
@@ -24,58 +22,20 @@ from .scalars import (
 )
 
 
-@dataclass
 class FieldMatrix:
     """A dense matrix whose entries are scalars of one context."""
 
-    ctx: FieldContext
-    rows: int
-    cols: int
-    entries: list  # list of lists of context scalars
+    __slots__ = ("ctx", "rows", "cols", "entries")
 
-    @staticmethod
-    def from_rows(ctx: FieldContext, rows: list) -> "FieldMatrix":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        assert all(len(row) == c for row in rows)
-        return FieldMatrix(ctx, r, c, [list(row) for row in rows])
-
-    @staticmethod
-    def zero(ctx: FieldContext, rows: int, cols: int) -> "FieldMatrix":
-        z = ctx.zero()
-        return FieldMatrix(ctx, rows, cols, [[z] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(ctx: FieldContext, n: int) -> "FieldMatrix":
-        m = FieldMatrix.zero(ctx, n, n)
-        one = ctx.one()
-        for i in range(n):
-            m.entries[i][i] = one
-        return m
+    def __init__(self, ctx: FieldContext, rows: int, cols: int,
+                 entries: list):
+        self.ctx = ctx
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries  # list of lists of context scalars
 
     def __getitem__(self, ij):
         return self.entries[ij[0]][ij[1]]
-
-    def transpose(self) -> "FieldMatrix":
-        return FieldMatrix(self.ctx, self.cols, self.rows,
-                           [[self.entries[i][j] for i in range(self.rows)]
-                            for j in range(self.cols)])
-
-    def __add__(self, other: "FieldMatrix") -> "FieldMatrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return FieldMatrix(self.ctx, self.rows, self.cols,
-                           [[a + b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.entries, other.entries)])
-
-    def __sub__(self, other: "FieldMatrix") -> "FieldMatrix":
-        assert (self.rows, self.cols) == (other.rows, other.cols)
-        return FieldMatrix(self.ctx, self.rows, self.cols,
-                           [[a - b for a, b in zip(r1, r2)]
-                            for r1, r2 in zip(self.entries, other.entries)])
-
-    def __neg__(self) -> "FieldMatrix":
-        return FieldMatrix(self.ctx, self.rows, self.cols,
-                           [[-a for a in r] for r in self.entries])
 
     def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
         assert self.cols == other.rows
@@ -83,17 +43,10 @@ class FieldMatrix:
                            _product(self.entries, other.entries, other.cols,
                                     self.ctx.zero()))
 
-    def scale(self, c: FieldValue) -> "FieldMatrix":
-        return FieldMatrix(self.ctx, self.rows, self.cols,
-                           [[a * c for a in r] for r in self.entries])
-
     def apply(self, vec: list) -> list:
         assert len(vec) == self.cols
         return [row[0] for row in _product(self.entries, [[x] for x in vec],
                                            1, self.ctx.zero())]
-
-    def is_zero(self) -> bool:
-        return not any(a for r in self.entries for a in r)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldMatrix):
@@ -288,31 +241,21 @@ def invert(m: FieldMatrix) -> FieldMatrix:
 
 # -- Laurent matrices and Hermite column reduction ---------------------------
 
-@dataclass
 class LaurentMatrix:
     """A dense matrix with LaurentPoly entries (coefficients in Q)."""
 
-    rows: int
-    cols: int
-    entries: list  # list of lists of LaurentPoly
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: list):
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries  # list of lists of LaurentPoly
 
     @staticmethod
     def from_rows(rows: list) -> "LaurentMatrix":
         r = len(rows)
         c = len(rows[0]) if rows else 0
         return LaurentMatrix(r, c, [list(row) for row in rows])
-
-    @staticmethod
-    def zero(rows: int, cols: int) -> "LaurentMatrix":
-        z = LaurentPoly.zero()
-        return LaurentMatrix(rows, cols, [[z] * cols for _ in range(rows)])
-
-    @staticmethod
-    def identity(n: int) -> "LaurentMatrix":
-        m = LaurentMatrix.zero(n, n)
-        for i in range(n):
-            m.entries[i][i] = LaurentPoly.one()
-        return m
 
     def column(self, j: int) -> list:
         return [self.entries[i][j] for i in range(self.rows)]

@@ -13,11 +13,9 @@ agreement is one of the engine's standing cross-checks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from typing import Optional
 
 from .errors import (
     CapExceededError,
@@ -30,7 +28,6 @@ from .linalg import forward_eliminate, reduced_echelon
 Weight = tuple  # tuple[int, ...] in X coordinates
 
 
-@dataclass(frozen=True)
 class CartanDatum:
     """A finite-type Cartan datum (I, .) with I = range(r).
 
@@ -38,9 +35,10 @@ class CartanDatum:
     and a_ij = (i.j)/d_i is the Cartan matrix.
     """
 
-    dot: tuple  # tuple of tuples of ints
+    __slots__ = ("dot",)
 
-    def __post_init__(self):
+    def __init__(self, dot: tuple):
+        self.dot = dot  # tuple of tuples of ints
         r = len(self.dot)
         for i in range(r):
             if len(self.dot[i]) != r:
@@ -387,7 +385,7 @@ def _preset_cartan(series: str, r: int) -> tuple:
     raise ValueError("unknown series %r" % series)
 
 
-def parse_preset(preset: str, rank: Optional[int] = None) -> tuple:
+def parse_preset(preset: str, rank: int | None = None) -> tuple:
     """Parse e.g. 'A2', 'B3', 'A1xA1', or a series letter plus a separate
     rank, into (name, [(series, rank), ...]).  A separate rank must equal
     the preset's own.  Builds no matrix, so a caller can check the rank
@@ -405,7 +403,7 @@ def parse_preset(preset: str, rank: Optional[int] = None) -> tuple:
     return preset, factors
 
 
-def build_root_datum(preset: Optional[str] = None, rank: Optional[int] = None,
+def build_root_datum(preset: str | None = None, rank: int | None = None,
                      cartan=None, alpha=None, alphav=None) -> RootDatum:
     """Construct a root datum from a preset name or explicit matrices.
 
@@ -486,12 +484,14 @@ def _order_from_heights(positive_root_coords) -> int:
 
 # -- saturated sets and flags ------------------------------------------------
 
-@dataclass(frozen=True)
 class SaturatedSet:
     """A finite saturated set of dominant weights, sorted lexicographically."""
 
-    datum: RootDatum
-    elements: tuple
+    __slots__ = ("datum", "elements")
+
+    def __init__(self, datum: RootDatum, elements: tuple):
+        self.datum = datum
+        self.elements = elements
 
     def __contains__(self, mu) -> bool:
         return tuple(mu) in set(self.elements)
@@ -511,7 +511,7 @@ class SaturatedSet:
 
 
 def saturate(datum: RootDatum, seeds,
-             orbit_cap: Optional[int] = None) -> SaturatedSet:
+             orbit_cap: int | None = None) -> SaturatedSet:
     """Smallest saturated set containing the given dominant seeds.
 
     Descends from each seed over dominant weights by positive roots: every
@@ -545,13 +545,15 @@ def saturate(datum: RootDatum, seeds,
     return SaturatedSet(datum, tuple(sorted(found)))
 
 
-@dataclass(frozen=True)
 class CosaturatedFlag:
     """A total order lam_1, ..., lam_m of a saturated set such that every
     prefix is successor-closed (lam_i > lam_j in dominance forces i < j)."""
 
-    datum: RootDatum
-    ordering: tuple
+    __slots__ = ("datum", "ordering")
+
+    def __init__(self, datum: RootDatum, ordering: tuple):
+        self.datum = datum
+        self.ordering = ordering
 
     def __iter__(self):
         return iter(self.ordering)

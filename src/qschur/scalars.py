@@ -9,16 +9,15 @@ point anywhere in this module or its consumers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
 from operator import sub
-from typing import Iterable, Optional, Union
 
 from .errors import DenominatorVanishes, ExactDivisionError
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 class LaurentPoly:
@@ -32,7 +31,7 @@ class LaurentPoly:
 
     __slots__ = ("coeffs", "_hash")
 
-    def __init__(self, coeffs: Optional[dict] = None):
+    def __init__(self, coeffs: dict | None = None):
         d = {}
         if coeffs:
             for e, c in coeffs.items():
@@ -480,7 +479,7 @@ def _times_binomial(c: list, d: int) -> list:
     return list(map(sub, pad + c, c + pad))
 
 
-def _over_binomial(c: list, d: int) -> Optional[list]:
+def _over_binomial(c: list, d: int) -> list | None:
     """The exact quotient c / (w^d - 1) on dense coefficient lists, lowest
     degree first, or None when the division leaves a remainder.
 
@@ -663,26 +662,41 @@ class Residue:
 # Each field uses its own scalar type; all three support + - * /, unary -,
 # == and bool() (false exactly at zero).
 
-FieldValue = Union[RatFunc, Fraction, Residue]
+FieldValue = RatFunc | Fraction | Residue
 
 GENERIC = "generic"
 RATIONAL = "rational"
 CYCLOTOMIC = "cyclotomic"
 
 
-@dataclass(frozen=True)
 class FieldContext:
     """A characteristic-zero field receiving v.
 
     kind "generic": Q(v) itself (identity embedding), scalars RatFunc.
     kind "rational": Q with v |-> q, q a nonzero rational; scalars Fraction.
     kind "cyclotomic": Q[v]/Phi_ell(v) with v |-> the residue class,
-    ell >= 2; scalars Residue.
+    ell >= 2; scalars Residue.  Instances are treated as immutable and
+    compare and hash by (kind, q, ell).
     """
 
-    kind: str
-    q: Optional[Fraction] = None
-    ell: Optional[int] = None
+    __slots__ = ("kind", "q", "ell")
+
+    def __init__(self, kind: str, q: Fraction | None = None,
+                 ell: int | None = None):
+        self.kind = kind
+        self.q = q
+        self.ell = ell
+
+    def _key(self) -> tuple:
+        return (self.kind, self.q, self.ell)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FieldContext):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @staticmethod
     def generic() -> "FieldContext":

@@ -11,9 +11,7 @@ commutes with the determinant.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Optional
 
 from .cellmod import CellModule
 from .errors import InconsistentCharactersError
@@ -29,7 +27,6 @@ from .scalars import (
 )
 
 
-@dataclass
 class SpecializedModule:
     """Delta_q(lambda) with its radical data at a specialization point.
 
@@ -38,12 +35,17 @@ class SpecializedModule:
     the radical's mu-component.  charDelta is unchanged by specialization.
     """
 
-    lam: Weight
-    ctx: FieldContext
-    weight_ranks: dict
-    radicals: dict
-    char_delta: dict
-    dim_delta: int
+    __slots__ = ("lam", "ctx", "weight_ranks", "radicals", "char_delta",
+                 "dim_delta")
+
+    def __init__(self, lam: Weight, ctx: FieldContext, weight_ranks: dict,
+                 radicals: dict, char_delta: dict, dim_delta: int):
+        self.lam = lam
+        self.ctx = ctx
+        self.weight_ranks = weight_ranks
+        self.radicals = radicals
+        self.char_delta = char_delta
+        self.dim_delta = dim_delta
 
     @property
     def dim_simple(self) -> int:
@@ -71,7 +73,6 @@ def specialize_module(cm: CellModule, ctx: FieldContext) -> SpecializedModule:
         char_delta=cm.character(), dim_delta=cm.dim)
 
 
-@dataclass
 class GramDeterminantRecord:
     """Unit-normalized Gram determinant with its cyclotomic factorization.
 
@@ -81,11 +82,15 @@ class GramDeterminantRecord:
     Phi_ell is); cofactor is the unfactored residual.
     """
 
-    lam: Weight
-    mu: Weight
-    det: LaurentPoly
-    factors: dict
-    cofactor: LaurentPoly
+    __slots__ = ("lam", "mu", "det", "factors", "cofactor")
+
+    def __init__(self, lam: Weight, mu: Weight, det: LaurentPoly,
+                 factors: dict, cofactor: LaurentPoly):
+        self.lam = lam
+        self.mu = mu
+        self.det = det
+        self.factors = factors
+        self.cofactor = cofactor
 
 
 def _normalize_det(det: LaurentPoly) -> LaurentPoly:
@@ -140,7 +145,7 @@ def _scan(det: LaurentPoly, bound: int) -> tuple:
     return tuple(factors), _normalize_det(LaurentPoly.from_dense(0, rest))
 
 
-def _over_phi(c: list, ell: int) -> Optional[list]:
+def _over_phi(c: list, ell: int) -> list | None:
     """c / Phi_ell on a dense coefficient list, or None when Phi_ell does
     not divide c: Phi_ell times the binomials v^D - 1 of down is the
     product of those of up, so multiply by the down binomials and divide
@@ -171,14 +176,16 @@ def gram_determinant(cm: CellModule, mu: Weight, scan_bound: int = 50,
     return GramDeterminantRecord(cm.lam, mu, det, factors, cofactor)
 
 
-@dataclass
 class DecompositionMatrix:
     """d[lam][mu] = multiplicity of L_q(mu) in Delta_q(lam), indexed in
     flag order; unitriangular with respect to dominance."""
 
-    ctx: FieldContext
-    order: tuple
-    entries: dict  # (lam, mu) -> int
+    __slots__ = ("ctx", "order", "entries")
+
+    def __init__(self, ctx: FieldContext, order: tuple, entries: dict):
+        self.ctx = ctx
+        self.order = order
+        self.entries = entries  # (lam, mu) -> int
 
     def row(self, lam: Weight) -> list:
         return [self.entries.get((tuple(lam), mu), 0) for mu in self.order]
@@ -236,7 +243,6 @@ def decomposition_matrix(modules: dict, flag: CosaturatedFlag,
     return dm
 
 
-@dataclass
 class SemisimplicityReport:
     """Nonvanishing certificates for a specialization point.
 
@@ -246,10 +252,14 @@ class SemisimplicityReport:
     quasihereditary witness phi^q(x0, x0) = 1 holds identically.
     """
 
-    ctx: FieldContext
-    semisimple: bool
-    witnesses: tuple
-    quasihereditary_witness: bool = True
+    __slots__ = ("ctx", "semisimple", "witnesses", "quasihereditary_witness")
+
+    def __init__(self, ctx: FieldContext, semisimple: bool, witnesses: tuple,
+                 quasihereditary_witness: bool = True):
+        self.ctx = ctx
+        self.semisimple = semisimple
+        self.witnesses = witnesses
+        self.quasihereditary_witness = quasihereditary_witness
 
 
 def semisimplicity_report(modules: dict, flag: CosaturatedFlag,

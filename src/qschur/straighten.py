@@ -21,8 +21,6 @@ Delta(lambda); they are discarded eagerly at every step.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import NonReducedWordError
 from .rootdata import RootDatum, SaturatedSet, Weight, saturate
 from .scalars import LaurentPoly, quantum_binomial
@@ -229,14 +227,16 @@ def _pairing(ctx: ModuleContext, key: tuple) -> LaurentPoly:
     return out
 
 
-@dataclass(frozen=True)
 class IdempotentSandwich:
     """The data of 1_{w(lam)} = F_{i_r}^{(a_r)}...F_{i_1}^{(a_1)} 1_lam
     E_{i_1}^{(a_1)}...E_{i_r}^{(a_r)} (modulo the ideal above lam)."""
 
-    word: tuple       # (i_1, ..., i_r), first reflection applied first
-    exponents: tuple  # (a_1, ..., a_r)
-    end_weight: Weight
+    __slots__ = ("word", "exponents", "end_weight")
+
+    def __init__(self, word: tuple, exponents: tuple, end_weight: Weight):
+        self.word = word  # (i_1, ..., i_r), first reflection applied first
+        self.exponents = exponents  # (a_1, ..., a_r)
+        self.end_weight = end_weight
 
     def as_divided_word(self) -> Word:
         """The F side as a divided word, exponent-zero steps dropped."""

@@ -5,6 +5,7 @@ import random
 
 from qschur.assembly import (
     BlockMatrix,
+    VerificationReport,
     assemble,
     matrix_span_rank,
     rank1_canonical_identity,
@@ -12,8 +13,9 @@ from qschur.assembly import (
     verify_relations,
 )
 from qschur.rootdata import CosaturatedFlag, build_flag, build_root_datum, saturate
-from qschur.linalg import FieldMatrix
 from qschur.scalars import FieldContext, LaurentPoly, RatFunc
+
+import dense
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
@@ -107,27 +109,28 @@ def test_block_matrix_agrees_with_dense_oracle():
         assert list(dx) == list(dims)
         assert all((m.rows, m.cols) == (n, n) for m, n in
                    zip(dx.values(), dims.values()))
-        dense_zero = {lam: FieldMatrix.zero(GEN, n, n)
+        dense_zero = {lam: dense.zero(GEN, n, n)
                       for lam, n in dims.items()}
         part = _partly_cancelling(rng, x)
         dpart = part.blocks
         cases = [
-            (x + y, {lam: dx[lam] + dy[lam] for lam in dims}),
-            (x - y, {lam: dx[lam] - dy[lam] for lam in dims}),
-            (-x, {lam: -dx[lam] for lam in dims}),
+            (x + y, {lam: dense.add(dx[lam], dy[lam]) for lam in dims}),
+            (x - y, {lam: dense.sub(dx[lam], dy[lam]) for lam in dims}),
+            (-x, {lam: dense.neg(dx[lam]) for lam in dims}),
             (x * y, {lam: dx[lam] * dy[lam] for lam in dims}),
             (y * x, {lam: dy[lam] * dx[lam] for lam in dims}),
-            (x.scale(c), {lam: dx[lam].scale(c) for lam in dims}),
+            (x.scale(c), {lam: dense.scale(dx[lam], c) for lam in dims}),
             (x.scale(zero), dense_zero),
             (x - x, dense_zero),
-            (x + part, {lam: dx[lam] + dpart[lam] for lam in dims}),
-            ((x + part) * y, {lam: (dx[lam] + dpart[lam]) * dy[lam]
+            (x + part, {lam: dense.add(dx[lam], dpart[lam]) for lam in dims}),
+            ((x + part) * y, {lam: dense.add(dx[lam], dpart[lam]) * dy[lam]
                               for lam in dims}),
         ]
-        for bm, dense in cases:
+        for bm, expected in cases:
             _assert_canonical(bm)
-            assert bm.blocks == dense
-            assert bm.is_zero() == all(m.is_zero() for m in dense.values())
+            assert bm.blocks == expected
+            assert bm.is_zero() == all(dense.is_zero(m)
+                                       for m in expected.values())
         assert (x == y) == (dx == dy)
         assert (x + part == x) == (dpart == dense_zero)
         rebuilt = BlockMatrix(dims, {
@@ -135,7 +138,7 @@ def test_block_matrix_agrees_with_dense_oracle():
                       if m.entries[i][j]}
                   for i in reversed(range(n)) if any(m.entries[i])}
             for (lam, m), n in zip(dx.items(), dims.values())
-            if not m.is_zero()})
+            if not dense.is_zero(m)})
         assert rebuilt == x
 
 
@@ -168,8 +171,17 @@ def test_cellular_triangularity_example():
     s = build(A1, [(2,), (1,)])
     for el in s.cellular_basis():
         if el.lam == (2,):
-            assert el.matrix.blocks[(1,)].is_zero()
-            assert el.matrix.blocks[(0,)].is_zero()
+            assert dense.is_zero(el.matrix.blocks[(1,)])
+            assert dense.is_zero(el.matrix.blocks[(0,)])
+
+
+def test_verification_reports_do_not_share_checks():
+    a, b = VerificationReport(), VerificationReport()
+    a.add("first", True)
+    assert b.checks == [] and b.ok
+    b.add("second", False, "detail")
+    assert [c.name for c in a.checks] == ["first"]
+    assert [c.name for c in b.failures()] == ["second"]
 
 
 def test_verify_relations_pass():

@@ -21,6 +21,8 @@ from qschur.scalars import (
 )
 from qschur.straighten import EMPTY_WORD, ModuleContext, gram_entry
 
+import dense
+
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
 B2 = build_root_datum("B2")
@@ -131,13 +133,13 @@ def _commutator_check(cm):
         for j in range(datum.rank):
             e = action(cm, ("E", i, 1))
             f = action(cm, ("F", j, 1))
-            lhs = e * f - f * e
-            rhs = FieldMatrix.zero(GEN, dim, dim)
+            lhs = dense.sub(e * f, f * e)
+            rhs = dense.zero(GEN, dim, dim)
             if i == j:
                 for mu in cm.weights:
                     coeff = gval(quantum_integer(datum.pairing(i, mu), datum.d[i]))
                     p = action(cm, ("P", mu))
-                    rhs = rhs + p.scale(coeff)
+                    rhs = dense.add(rhs, dense.scale(p, coeff))
             assert lhs == rhs, (cm.lam, i, j)
 
 
@@ -157,13 +159,13 @@ def test_divided_power_vs_plain_power():
                 power = f1
                 for _ in range(a - 1):
                     power = power * f1
-                assert power == fa.scale(fact)
+                assert power == dense.scale(fa, fact)
                 e1 = action(cm, ("E", i, 1))
                 ea = action(cm, ("E", i, a))
                 power = e1
                 for _ in range(a - 1):
                     power = power * e1
-                assert power == ea.scale(fact)
+                assert power == dense.scale(ea, fact)
 
 
 def test_commutation_lemma_matrices():
@@ -181,23 +183,23 @@ def test_commutation_lemma_matrices():
                         p = action(cm, ("P", mu))
                         lhs_b = action(cm, ("E", i, a)) * \
                             action(cm, ("F", i, b)) * p
-                        rhs_b = FieldMatrix.zero(GEN, dim, dim)
+                        rhs_b = dense.zero(GEN, dim, dim)
                         lhs_c = action(cm, ("F", i, b)) * \
                             action(cm, ("E", i, a)) * p
-                        rhs_c = FieldMatrix.zero(GEN, dim, dim)
+                        rhs_c = dense.zero(GEN, dim, dim)
                         for t in range(0, min(a, b) + 1):
                             qb = quantum_binomial(a - b + pairing, t, di)
                             if not qb.is_zero():
-                                rhs_b = rhs_b + (
+                                rhs_b = dense.add(rhs_b, dense.scale(
                                     action(cm, ("F", i, b - t)) *
-                                    action(cm, ("E", i, a - t)) * p
-                                ).scale(gval(qb))
+                                    action(cm, ("E", i, a - t)) * p,
+                                    gval(qb)))
                             qc = quantum_binomial(b - a - pairing, t, di)
                             if not qc.is_zero():
-                                rhs_c = rhs_c + (
+                                rhs_c = dense.add(rhs_c, dense.scale(
                                     action(cm, ("E", i, a - t)) *
-                                    action(cm, ("F", i, b - t)) * p
-                                ).scale(gval(qc))
+                                    action(cm, ("F", i, b - t)) * p,
+                                    gval(qc)))
                         assert lhs_b == rhs_b, ("(b)", lam, i, a, b, mu)
                         assert lhs_c == rhs_c, ("(c)", lam, i, a, b, mu)
 
@@ -284,7 +286,7 @@ def test_generic_and_integral_actions_agree():
     # action_matrix(s) * C == C * integral_action_matrix(s) over Q(v)
     for datum, lam in [(A1, (4,)), (A2, (1, 1)), (B2, (1, 1))]:
         cm = CellModule(datum, lam)
-        c = FieldMatrix.zero(GEN, cm.dim, cm.dim)
+        c = dense.zero(GEN, cm.dim, cm.dim)
         for mu in cm.weights:
             off = cm.offset(mu)
             for j, combo in enumerate(cm.basis(mu, integral=True).combos):

@@ -12,8 +12,12 @@ from hypothesis import given, settings, strategies as st
 
 import qschur
 from qschur import cellmod
-from qschur.cli import COMMANDS, main, parse_field
+from qschur.cellmod import CellModule
+from qschur.cli import COMMANDS, main, matrix_json, parse_field
 from qschur.errors import ConfigError, UnsupportedCharacteristicError
+from qschur.linalg import LaurentMatrix
+from qschur.rootdata import build_root_datum
+from qschur.scalars import LaurentPoly
 
 
 @pytest.fixture
@@ -231,6 +235,35 @@ def test_bad_configs(tmp_path, capsys):
     assert rc == 2 and "cap" in err
     missing = run(capsys, "datum", "--config", str(tmp_path / "nope.json"))
     assert missing[0] == 2
+
+
+@pytest.mark.parametrize("raw", [
+    b"\xff\xfe{}",
+    b"[" * 100000,
+    b'{"pi": {"seeds": [[' + b"9" * 5000 + b"]]}}",
+], ids=["not-utf8", "nested-too-deep", "integer-too-long"])
+def test_undecodable_config_exits_2(tmp_path, capsys, raw):
+    cfg = tmp_path / "raw.json"
+    cfg.write_bytes(raw)
+    rc, out, err = run(capsys, "datum", "--config", str(cfg))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_matrix_json_renders_each_entry_as_str():
+    L = LaurentPoly
+    a, b = L.var(1) + L.one(), L.var(-2)
+    gram = CellModule(build_root_datum("A2"), (1, 1)).spaces[(0, 0)].gram
+    matrices = [
+        gram,  # symmetric: one object at [i][j] and [j][i]
+        LaurentMatrix(2, 2, [[a, b], [b, L.zero()]]),
+        # not symmetric; equal entries held by distinct objects
+        LaurentMatrix(2, 3, [[a, L.var(1) + L.one(), b],
+                             [L.zero(), L.var(-2), L.var(2)]]),
+    ]
+    for m in matrices:
+        assert matrix_json(m) == [[str(x) for x in row] for row in m.entries]
 
 
 def test_parse_field():

@@ -120,6 +120,10 @@ def test_not_finite_type():
         CartanDatum(((2, -2), (-2, 2)))  # affine A1~
     with pytest.raises(NotFiniteTypeError):
         CartanDatum(((2, 1), (1, 2)))  # positive off-diagonal
+    with pytest.raises(NotFiniteTypeError, match="not symmetric"):
+        CartanDatum(((2, -1), (-2, 4)))
+    with pytest.raises(NotFiniteTypeError, match="not positive definite"):
+        CartanDatum(((2, -3), (-3, 2)))  # eigenvalues 5 and -1
 
 
 def test_reflect():

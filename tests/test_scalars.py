@@ -1,5 +1,6 @@
 """Exact scalar layer: quantum numbers, canonical forms, specialization."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -259,6 +260,25 @@ def test_context_validation():
         FieldContext.rational_point(0)
     with pytest.raises(ValueError):
         FieldContext.cyclotomic_point(1)
+
+
+def test_context_equality_and_hash():
+    pairs = [
+        (FieldContext.generic(), FieldContext("generic")),
+        (FieldContext.rational_point(Fraction(1, 2)),
+         FieldContext.rational_point("1/2")),
+        (FieldContext.cyclotomic_point(5), FieldContext("cyclotomic", ell=5)),
+    ]
+    for a, b in pairs:
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+    kinds = [a for a, _ in pairs]
+    for a, b in itertools.combinations(kinds, 2):
+        assert a != b
+    assert len(set(kinds + [b for _, b in pairs])) == 3
+    assert FieldContext.rational_point(2) != FieldContext.rational_point(3)
+    assert FieldContext.cyclotomic_point(5) != FieldContext.cyclotomic_point(6)
+    assert FieldContext.generic() != "generic"
 
 
 def _random_laurent(rng, max_terms=4, max_exp=5):
