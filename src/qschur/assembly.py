@@ -15,7 +15,7 @@ from functools import cached_property
 
 from .cellmod import CellModule
 from .linalg import (FieldMatrix, add_scaled, dense_rows, forward_eliminate,
-                     sparse_form, sparse_product, sparse_transpose)
+                     sparse_product, sparse_transpose, to_field)
 from .rootdata import CosaturatedFlag, SaturatedSet, Weight, build_flag
 from .scalars import (
     FieldContext,
@@ -226,9 +226,9 @@ class SchurAlgebra:
             for mu in cm.weights:
                 basis = cm.basis(mu)
                 off = cm.offset(mu)
-                for out, m in ((g, basis.gram.to_field(GENERIC)),
+                for out, m in ((g, to_field(basis.gram, GENERIC)),
                                (ginv, basis.inverse())):
-                    for r, row in sparse_form(m.entries).items():
+                    for r, row in m.items():
                         out[off + r] = {off + c: x for c, x in row.items()}
             cached = (g, ginv)
             self._gram_cache[lam] = cached
@@ -573,7 +573,7 @@ def verify_cellularity(s: SchurAlgebra, elements: list = None,
             off = cm.offset(mu)
             coords[lam, combo] = {
                 off + k: {0: c}
-                for k, c in enumerate(cm.coordinates(mu, dict(combo))) if c}
+                for k, c in cm.coordinates(mu, dict(combo)).items()}
         return coords[lam, combo]
 
     def rank_one(el):

@@ -9,20 +9,25 @@ few candidate words, the extensions of the picks one factor shorter, so
 only the candidates' Gram matrix is built with it; the Gram matrix of all
 the words is built when a report or the integral basis first reads it.  A
 Basis is a list of word combinations with its Gram matrix; coordinates and
-generator actions are computed the same way in either basis, through Gram
-solves against pairings phi(b_j, w) cached per word.  The ambient algebra
-is never materialized.
+generator actions are computed the same way in either basis, through the
+Gram inverse applied to pairings phi(b_j, w) cached per word.  Every matrix
+here is sparse rows {row: {col: nonzero}} (the Gram matrices, the Gram
+inverse, the actions; the Hermite basis and transform hold one sparse
+column per key), and pairings and coordinates are sparse columns
+{index: nonzero}.  The ambient algebra is never materialized.
 """
 
 from __future__ import annotations
 
 from .errors import CoordinateFailureError, RankMismatchError
 from .linalg import (
-    FieldMatrix,
-    LaurentMatrix,
+    add_scaled,
     forward_eliminate,
     hnf_column_basis,
     invert,
+    sparse_product,
+    sparse_transpose,
+    to_field,
 )
 from .rootdata import RootDatum, Weight
 from .scalars import FieldContext, LaurentPoly
@@ -67,21 +72,20 @@ def enumerate_words(ctx: ModuleContext) -> dict:
 class Basis:
     """A basis b_1..b_r of one weight space, as combinations of its words.
 
-    combos[j] lists the (word, coefficient) terms of b_j and gram[j][l] is
-    phi(b_j, b_l) under the contravariant form.  columns maps a word w to
-    the column (phi(b_j, w))_j; CellModule fills it on first use.  An
-    integral basis also keeps its Hermite certificate hnf_basis =
-    word_gram * transform, whose column j holds the word coefficients of
-    b_j.
+    combos[j] lists the (word, coefficient) terms of b_j and the sparse
+    rows gram hold phi(b_j, b_l) under the contravariant form.  columns
+    maps a word w to the sparse column {j: phi(b_j, w)}; CellModule fills
+    it on first use.  An integral basis also keeps its Hermite certificate
+    hnf_basis = word_gram * transform, both one sparse column per key;
+    column j of transform holds the word coefficients of b_j.
     """
 
     __slots__ = ("combos", "gram", "columns", "hnf_basis", "transform",
                  "_inverse")
 
-    def __init__(self, combos: tuple, gram: LaurentMatrix, columns: dict,
-                 hnf_basis: LaurentMatrix | None = None,
-                 transform: LaurentMatrix | None = None,
-                 _inverse: FieldMatrix | None = None):
+    def __init__(self, combos: tuple, gram: dict, columns: dict,
+                 hnf_basis: dict | None = None, transform: dict | None = None,
+                 _inverse: dict | None = None):
         self.combos = combos
         self.gram = gram
         self.columns = columns
@@ -89,10 +93,12 @@ class Basis:
         self.transform = transform
         self._inverse = _inverse
 
-    def inverse(self) -> FieldMatrix:
-        """The Gram inverse over Q(v), computed on first use."""
+    def inverse(self) -> dict:
+        """The sparse rows of the Gram inverse over Q(v), computed on first
+        use."""
         if self._inverse is None:
-            self._inverse = invert(self.gram.to_field(GENERIC))
+            self._inverse = invert(to_field(self.gram, GENERIC),
+                                   len(self.combos), GENERIC)
         return self._inverse
 
 
@@ -108,7 +114,7 @@ class WeightSpaceData:
     def __init__(self, mu: Weight, words: tuple, candidates: tuple,
                  generic: Basis, rank: int, ctx: ModuleContext,
                  integral: Basis | None = None,
-                 _gram: LaurentMatrix | None = None):
+                 _gram: dict | None = None):
         self.mu = mu
         self.words = words
         self.candidates = candidates
@@ -119,23 +125,24 @@ class WeightSpaceData:
         self._gram = _gram
 
     @property
-    def gram(self) -> LaurentMatrix:
-        """The Gram matrix of all the words."""
+    def gram(self) -> dict:
+        """The sparse Gram matrix of all the words."""
         if self._gram is None:
             self._gram = gram_matrix(self.ctx, self.words)
         return self._gram
 
 
-def gram_matrix(ctx: ModuleContext, words: tuple) -> LaurentMatrix:
-    """The symmetric matrix of gram_entry over a list of words."""
+def gram_matrix(ctx: ModuleContext, words: tuple) -> dict:
+    """The symmetric sparse rows of gram_entry over a list of words, one
+    entry object at (i, j) and (j, i)."""
     n = len(words)
-    entries = [[None] * n for _ in range(n)]
+    rows: dict = {i: {} for i in range(n)}
     for i in range(n):
         for j in range(i, n):
             e = gram_entry(ctx, words[i], words[j])
-            entries[i][j] = e
-            entries[j][i] = e
-    return LaurentMatrix(n, n, entries)
+            if e:
+                rows[i][j] = rows[j][i] = e
+    return {i: row for i, row in rows.items() if row}
 
 
 class CellModule:
@@ -169,17 +176,17 @@ class CellModule:
             words = tuple(by_weight[mu])
             candidates = self._candidates(mu, {w: w for w in words})
             gram = gram_matrix(self.ctx, candidates)
-            picked = self._greedy_basis_words(gram)
+            picked = self._greedy_basis_words(gram, len(candidates))
             if len(picked) != char[mu]:
                 raise RankMismatchError(
                     "Gram rank %d != multiplicity %d at weight %r of %r"
                     % (len(picked), char[mu], mu, lam))
-            rows = [gram.entries[k] for k in picked]
+            rows = [gram[k] for k in picked]
             generic = Basis(
                 tuple(((candidates[k], LaurentPoly.one()),) for k in picked),
-                LaurentMatrix.from_rows([[row[k] for k in picked]
-                                         for row in rows]),
-                {w: [row[m] for row in rows]
+                {a: {b: row[k] for b, k in enumerate(picked) if k in row}
+                 for a, row in enumerate(rows)},
+                {w: {a: row[m] for a, row in enumerate(rows) if m in row}
                  for m, w in enumerate(candidates)})
             self.spaces[mu] = WeightSpaceData(mu, words, candidates, generic,
                                               len(picked), self.ctx)
@@ -228,13 +235,14 @@ class CellModule:
         out.sort(key=lambda w: (len(w), w))
         return tuple(out)
 
-    def _greedy_basis_words(self, gram: LaurentMatrix) -> tuple:
-        """Greedy: keep a word when its Gram column grows the column rank
-        over Q(v).  The Gram matrix is symmetric, so its columns are its
-        rows."""
-        rows = ({j: GENERIC.from_laurent(x) for j, x in enumerate(row) if x}
-                for row in gram.entries)
-        return tuple(index for index, _ in forward_eliminate(rows))
+    def _greedy_basis_words(self, gram: dict, n: int) -> tuple:
+        """Greedy: keep a word of the n when its Gram column grows the
+        column rank over Q(v).  The Gram matrix is symmetric, so its
+        columns are its rows; a zero row is absent, and is walked as an
+        empty row so the later indices stay in place."""
+        rows = to_field(gram, GENERIC)
+        return tuple(index for index, _ in
+                     forward_eliminate(rows.get(i, {}) for i in range(n)))
 
     def character(self) -> dict:
         return {mu: self.spaces[mu].rank for mu in self.weights}
@@ -258,47 +266,48 @@ class CellModule:
             sp = self.spaces[mu]
             if sp.integral is not None:
                 continue
-            basis_mat, transform = hnf_column_basis(sp.gram)
-            if basis_mat.cols != sp.rank:
+            n = len(sp.words)
+            hnf_basis, transform = hnf_column_basis(sp.gram, n, n)
+            if len(hnf_basis) != sp.rank:
                 raise RankMismatchError(
                     "integral rank %d != generic rank %d at %r"
-                    % (basis_mat.cols, sp.rank, mu))
-            combos = tuple(
-                tuple((sp.words[k], transform.entries[k][j])
-                      for k in range(len(sp.words))
-                      if not transform.entries[k][j].is_zero())
-                for j in range(transform.cols))
-            pairing = transform.transpose() * sp.gram
-            columns = {w: [row[k] for row in pairing.entries]
-                       for k, w in enumerate(sp.words)}
-            sp.integral = Basis(combos, pairing * transform, columns,
-                                basis_mat, transform)
+                    % (len(hnf_basis), sp.rank, mu))
+            combos = tuple(tuple((sp.words[k], x) for k, x in col.items())
+                           for col in transform.values())
+            # the Gram matrix is symmetric, so phi(b_j, w_k) is entry k of
+            # column j of hnf_basis = word_gram * transform
+            by_word = sparse_transpose(hnf_basis)
+            columns = {w: by_word.get(k, {}) for k, w in enumerate(sp.words)}
+            gram = sparse_product(hnf_basis, sparse_transpose(transform))
+            sp.integral = Basis(combos, gram, columns, hnf_basis, transform)
 
-    def _pairings(self, basis: Basis, word: Word) -> list:
-        """(phi(b_j, word))_j, from gram_entry on the first request."""
+    def _pairings(self, basis: Basis, word: Word) -> dict:
+        """The sparse column {j: phi(b_j, word)}, from gram_entry on the
+        first request."""
         col = basis.columns.get(word)
         if col is None:
-            col = [sum((c * gram_entry(self.ctx, w, word) for w, c in combo),
-                       LaurentPoly.zero())
-                   for combo in basis.combos]
-            basis.columns[word] = col
+            sums = ((j, sum((c * gram_entry(self.ctx, w, word)
+                             for w, c in combo), LaurentPoly.zero()))
+                    for j, combo in enumerate(basis.combos))
+            col = basis.columns[word] = {j: x for j, x in sums if x}
         return col
 
     def coordinates(self, mu: Weight, vec: dict,
-                    integral: bool = False) -> list:
-        """Coordinates over Q(v) of a word vector of weight mu in the chosen
-        basis: solve gram * x = (phi(b_j, vec))_j."""
-        sp = self.spaces.get(mu)
-        if sp is None:
+                    integral: bool = False) -> dict:
+        """The sparse column {index: nonzero} of coordinates over Q(v) of a
+        word vector of weight mu in the chosen basis: solve
+        gram * x = (phi(b_j, vec))_j by the Gram inverse."""
+        if mu not in self.spaces:
             if vec:
                 raise CoordinateFailureError("vector at absent weight %r" % (mu,))
-            return []
+            return {}
         basis = self.basis(mu, integral)
-        rhs = [LaurentPoly.zero()] * sp.rank
+        rhs: dict = {}
         for w, coeff in vec.items():
-            rhs = [acc + x * coeff
-                   for acc, x in zip(rhs, self._pairings(basis, w))]
-        return basis.inverse().apply([GENERIC.from_laurent(x) for x in rhs])
+            add_scaled(rhs, coeff, self._pairings(basis, w))
+        x = sparse_product(basis.inverse(), {
+            j: {0: GENERIC.from_laurent(y)} for j, y in rhs.items()})
+        return {i: row[0] for i, row in x.items()}
 
     # -- generator action ----------------------------------------------------
 
@@ -333,9 +342,8 @@ class CellModule:
                     if vec:
                         coords = self.coordinates(target, vec, integral)
                         toff = self._offsets[target]
-                        for r, c in enumerate(coords):
-                            if c:
-                                m.setdefault(toff + r, {})[col] = c
+                        for r, c in coords.items():
+                            m.setdefault(toff + r, {})[col] = c
                     col += 1
         self._action_cache[key] = m
         return m

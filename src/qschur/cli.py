@@ -20,7 +20,8 @@ from .assembly import assemble, rank1_canonical_identity, verify_cellularity, ve
 from .cellmod import CellModule
 from .errors import CapExceededError, ConfigError, EngineError, UnsupportedCharacteristicError
 from .rootdata import RootDatum, build_flag, build_root_datum, parse_preset, saturate
-from .scalars import FieldContext
+from .linalg import dense_rows
+from .scalars import FieldContext, LaurentPoly
 from .specialize import (
     decomposition_matrix,
     gram_determinant,
@@ -193,12 +194,12 @@ def char_json(char: dict) -> list:
     return [[weight_json(mu), int(m)] for mu, m in sorted(char.items())]
 
 
-def matrix_json(m) -> list:
-    """The entries as strings.  A Gram matrix holds one object at [i][j]
-    and [j][i], so each distinct entry object is rendered once."""
+def matrix_json(rows: list) -> list:
+    """Dense rows of entries as strings.  A Gram matrix holds one object at
+    [i][j] and [j][i], so each distinct entry object is rendered once."""
     text: dict = {}
     out = []
-    for row in m.entries:
+    for row in rows:
         line = []
         for x in row:
             s = text.get(id(x))
@@ -312,7 +313,9 @@ def cmd_gram(p: Pipeline, args) -> dict:
             spaces.append({
                 "weight": weight_json(mu),
                 "words": [word_json(w) for w in sp.words],
-                "gram": matrix_json(sp.gram),
+                "gram": matrix_json(dense_rows(sp.gram, len(sp.words),
+                                               len(sp.words),
+                                               LaurentPoly.zero())),
                 "rank": sp.rank,
                 "determinant": str(rec.det),
                 "cyclotomic_factors": [[ell, m] for ell, m
@@ -337,10 +340,12 @@ def cmd_cellbasis(p: Pipeline, args) -> dict:
         } for el in elements],
     }
     if args.matrices:
+        zero = FieldContext.generic().zero()
         for entry, el in zip(payload["elements"], elements):
             entry["matrix"] = {
-                str(weight_json(lam)): matrix_json(blk)
-                for lam, blk in sorted(el.matrix.blocks.items())}
+                str(weight_json(lam)): matrix_json(
+                    dense_rows(el.matrix.block(lam), n, n, zero))
+                for lam, n in sorted(el.matrix.dims.items())}
     return payload
 
 
@@ -363,8 +368,10 @@ def cmd_specialize(p: Pipeline, args) -> dict:
 
 def cmd_decomp(p: Pipeline, args) -> dict:
     ctx = p.config.field_context()
-    dm = decomposition_matrix(p.modules(), p.flag, ctx)
-    ss = semisimplicity_report(p.modules(), p.flag, ctx)
+    modules = p.modules()
+    specs = {lam: specialize_module(modules[lam], ctx) for lam in p.flag}
+    dm = decomposition_matrix(specs, p.flag, ctx)
+    ss = semisimplicity_report(specs, p.flag, ctx)
     return {
         "field": ctx.label(),
         "order": [weight_json(mu) for mu in dm.order],

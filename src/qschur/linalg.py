@@ -1,12 +1,15 @@
 """Exact linear algebra on sparse rows {row: {col: nonzero}}.
 
-One sparse product loop, sparse_product, behind every matrix product; over
-a field, one sparse elimination loop, forward_eliminate (rank, determinant,
-every greedy independence test), and the reduced echelon form read from it
-(solve, nullspace, inverse); over Q[v,v^-1], Hermite-style column
-reduction of LaurentMatrix, used to extract bases of integral lattices.
-Pivoting is always "first nonzero in index order" -- the arithmetic is
-exact, so determinism beats conditioning.
+Every matrix the engine passes around is sparse rows: no stored zero entry
+and no empty row, so a zero row is an absent key and shapes travel as
+explicit arguments.  One sparse product loop, sparse_product, behind every
+matrix product; over a field, one sparse elimination loop,
+forward_eliminate (rank, determinant, every greedy independence test), and
+the reduced echelon form read from it (solve, nullspace, inverse); over
+Q[v,v^-1], Hermite-style column reduction, used to extract bases of
+integral lattices.  Pivoting is always "first nonzero in index order" --
+the arithmetic is exact, so determinism beats conditioning.  FieldMatrix
+and LaurentMatrix are dense views, built only to export a block.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .scalars import (
 
 
 class FieldMatrix:
-    """A dense matrix whose entries are scalars of one context."""
+    """A dense view of a matrix whose entries are scalars of one context."""
 
     __slots__ = ("ctx", "rows", "cols", "entries")
 
@@ -34,19 +37,11 @@ class FieldMatrix:
         self.cols = cols
         self.entries = entries  # list of lists of context scalars
 
-    def __getitem__(self, ij):
-        return self.entries[ij[0]][ij[1]]
-
     def __mul__(self, other: "FieldMatrix") -> "FieldMatrix":
         assert self.cols == other.rows
         return FieldMatrix(self.ctx, self.rows, other.cols,
                            _product(self.entries, other.entries, other.cols,
                                     self.ctx.zero()))
-
-    def apply(self, vec: list) -> list:
-        assert len(vec) == self.cols
-        return [row[0] for row in _product(self.entries, [[x] for x in vec],
-                                           1, self.ctx.zero())]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FieldMatrix):
@@ -56,8 +51,25 @@ class FieldMatrix:
                 for a, b in zip(r1, r2))
 
 
+class LaurentMatrix:
+    """A dense view of a matrix with LaurentPoly entries."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, cols: int, entries: list):
+        self.rows = rows
+        self.cols = cols
+        self.entries = entries  # list of lists of LaurentPoly
+
+    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
+        assert self.cols == other.rows
+        return LaurentMatrix(self.rows, other.cols,
+                             _product(self.entries, other.entries, other.cols,
+                                      LaurentPoly.zero()))
+
+
 def _product(left_rows: list, right_rows: list, cols: int, zero) -> list:
-    """Rows of the product of two dense matrices given by their rows (the
+    """Rows of the product of two dense views given by their rows (the
     right factor has cols columns), through sparse_product."""
     return dense_rows(sparse_product(sparse_form(left_rows),
                                      sparse_form(right_rows)),
@@ -100,6 +112,14 @@ def dense_rows(a: dict, rows: int, cols: int, zero) -> list:
         for j, x in row.items():
             out[i][j] = x
     return out
+
+
+def to_field(m: dict, ctx: FieldContext) -> dict:
+    """A sparse Laurent matrix at the point of ctx (fresh rows); entries
+    that vanish there go, and so do rows left empty."""
+    rows = ((i, {j: y for j, x in row.items() if (y := ctx.from_laurent(x))})
+            for i, row in m.items())
+    return {i: row for i, row in rows if row}
 
 
 def forward_eliminate(rows) -> list:
@@ -154,51 +174,40 @@ def reduced_echelon(rows, one) -> list:
     return reduced
 
 
-def _sparse_rows(m: FieldMatrix):
-    return ({j: x for j, x in enumerate(row) if x} for row in m.entries)
-
-
-def rank(m: FieldMatrix) -> int:
+def rank(m: dict) -> int:
     """Rank over the context field, by exact forward elimination."""
-    return len(forward_eliminate(_sparse_rows(m)))
+    return len(forward_eliminate(dict(row) for row in m.values()))
 
 
-def solve(m: FieldMatrix, b: list) -> list:
-    """Some x with m x = b (free coordinates set to zero).
-
-    Raises NoSolutionError when b is outside the column space; the Gram
-    matrices used by callers are invertible, making the solution unique
-    there.
-    """
-    assert len(b) == m.rows
-    n = m.cols
-    rows = ({**row, n: bv} if bv else row
-            for row, bv in zip(_sparse_rows(m), b))
-    zero = m.ctx.zero()
-    x = [zero] * n
-    for col, row in reduced_echelon(rows, m.ctx.one()):
+def solve(m: dict, b: dict, n: int, ctx: FieldContext) -> dict:
+    """Some x with m x = b, for a sparse column b {row: nonzero} and n the
+    columns of m; x is sparse, its free coordinates zero.  Raises
+    NoSolutionError when b is outside the column space."""
+    rows = ({**m.get(i, {}), n: b[i]} if i in b else dict(m[i])
+            for i in m.keys() | b.keys())
+    x = {}
+    for col, row in reduced_echelon(rows, ctx.one()):
         if col == n:
             raise NoSolutionError("right-hand side outside the column space")
-        x[col] = row.get(n, zero)
+        if n in row:
+            x[col] = row[n]
     return x
 
 
-def nullspace(m: FieldMatrix) -> list:
-    """A deterministic basis of {x : m x = 0}.
+def nullspace(m: dict, n: int, ctx: FieldContext) -> list:
+    """A deterministic basis of {x : m x = 0}, n the columns of m, as
+    sparse vectors {coordinate: nonzero}.
 
     Reduced-echelon parametrization: one vector per free column, taken in
     index order, with a 1 in the free coordinate.
     """
-    one = m.ctx.one()
-    zero = m.ctx.zero()
-    reduced = reduced_echelon(_sparse_rows(m), one)
+    reduced = reduced_echelon((dict(row) for row in m.values()), ctx.one())
     pivots = {col for col, _ in reduced}
     basis = []
-    for j in range(m.cols):
+    for j in range(n):
         if j in pivots:
             continue
-        vec = [zero] * m.cols
-        vec[j] = one
+        vec = {j: ctx.one()}
         for col, row in reduced:
             if j in row:
                 vec[col] = -row[j]
@@ -206,14 +215,14 @@ def nullspace(m: FieldMatrix) -> list:
     return basis
 
 
-def determinant(m: FieldMatrix) -> FieldValue:
-    """Sign of the pivot-column permutation times the product of pivots:
-    the reduced rows, sorted by pivot column, are triangular."""
-    assert m.rows == m.cols
-    reduced = forward_eliminate(_sparse_rows(m))
-    if len(reduced) < m.rows:
-        return m.ctx.zero()
-    det = m.ctx.one()
+def determinant(m: dict, n: int, ctx: FieldContext) -> FieldValue:
+    """Determinant of an n x n matrix: the sign of the pivot-column
+    permutation times the product of pivots, as the reduced rows, sorted
+    by pivot column, are triangular."""
+    reduced = forward_eliminate(dict(m.get(i, {})) for i in range(n))
+    if len(reduced) < n:
+        return ctx.zero()
+    det = ctx.one()
     cols = []
     for _, row in reduced:
         col = min(row)
@@ -224,81 +233,40 @@ def determinant(m: FieldMatrix) -> FieldValue:
     return -det if inversions % 2 else det
 
 
-def invert(m: FieldMatrix) -> FieldMatrix:
-    """The inverse, from the reduced echelon form of [m | I]; raises
-    NoSolutionError unless its pivots are exactly the columns of m."""
-    assert m.rows == m.cols
-    n = m.rows
-    one = m.ctx.one()
-    zero = m.ctx.zero()
-    rows = ({**row, n + i: one} for i, row in enumerate(_sparse_rows(m)))
+def invert(m: dict, n: int, ctx: FieldContext) -> dict:
+    """The inverse of an n x n matrix, read from the reduced echelon form
+    of [m | I]; raises NoSolutionError unless its pivots are exactly the
+    columns of m."""
+    one = ctx.one()
+    rows = ({**m.get(i, {}), n + i: one} for i in range(n))
     reduced = reduced_echelon(rows, one)
     if [col for col, _ in reduced] != list(range(n)):
         raise NoSolutionError("matrix not invertible")
-    return FieldMatrix(m.ctx, n, n, [[row.get(n + j, zero) for j in range(n)]
-                                     for _, row in reduced])
+    return {col: {j - n: x for j, x in row.items() if j >= n}
+            for col, row in reduced}
 
 
-# -- Laurent matrices and Hermite column reduction ---------------------------
+# -- Hermite column reduction over Q[v,v^-1] --------------------------------
 
-class LaurentMatrix:
-    """A dense matrix with LaurentPoly entries (coefficients in Q)."""
+def hnf_column_basis(g: dict, rows: int, cols: int) -> tuple[dict, dict]:
+    """Column basis of the Q[v,v^-1]-module generated by the columns of
+    the rows x cols sparse Laurent matrix g.
 
-    __slots__ = ("rows", "cols", "entries")
-
-    def __init__(self, rows: int, cols: int, entries: list):
-        self.rows = rows
-        self.cols = cols
-        self.entries = entries  # list of lists of LaurentPoly
-
-    @staticmethod
-    def from_rows(rows: list) -> "LaurentMatrix":
-        r = len(rows)
-        c = len(rows[0]) if rows else 0
-        return LaurentMatrix(r, c, [list(row) for row in rows])
-
-    def column(self, j: int) -> list:
-        return [self.entries[i][j] for i in range(self.rows)]
-
-    def transpose(self) -> "LaurentMatrix":
-        return LaurentMatrix(self.cols, self.rows,
-                             [[self.entries[i][j] for i in range(self.rows)]
-                              for j in range(self.cols)])
-
-    def __mul__(self, other: "LaurentMatrix") -> "LaurentMatrix":
-        assert self.cols == other.rows
-        return LaurentMatrix(self.rows, other.cols,
-                             _product(self.entries, other.entries, other.cols,
-                                      LaurentPoly.zero()))
-
-    def to_field(self, ctx: FieldContext) -> FieldMatrix:
-        return FieldMatrix(ctx, self.rows, self.cols,
-                           [[ctx.from_laurent(p) for p in row]
-                            for row in self.entries])
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, LaurentMatrix):
-            return NotImplemented
-        return (self.rows, self.cols) == (other.rows, other.cols) and \
-            all(a == b for r1, r2 in zip(self.entries, other.entries)
-                for a, b in zip(r1, r2))
-
-
-def hnf_column_basis(g: LaurentMatrix) -> tuple[LaurentMatrix, LaurentMatrix]:
-    """Column basis of the Q[v,v^-1]-module generated by the columns of g.
-
-    Returns (basis, transform): the basis columns are Q[v,v^-1]-linearly
-    independent, generate the same column module as g, and are in column
-    echelon form with pivot rows strictly increasing; transform satisfies
+    Returns (basis, transform), each one sparse column per key (key j
+    holds column j): the basis columns are Q[v,v^-1]-linearly independent,
+    generate the same column module as g, and are in column echelon form
+    with pivot rows strictly increasing; transform satisfies
     basis = g * transform exactly.  Pivot entries are unit-normalized
     (lowest exponent 0, leading coefficient 1) and entries to the left of
     each pivot are reduced modulo it, so the output is canonical.
     """
-    ncols = g.cols
-    work = [(g.column(j), _unit_column(ncols, j)) for j in range(ncols)]
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    work = [(col, [one if k == j else zero for k in range(cols)])
+            for j, col in enumerate(dense_rows(sparse_transpose(g), cols,
+                                               rows, zero))]
     basis_cols: list = []
     combo_cols: list = []
-    for row in range(g.rows):
+    for row in range(rows):
         live = [wc for wc in work if not wc[0][row].is_zero()]
         if not live:
             continue
@@ -337,46 +305,29 @@ def hnf_column_basis(g: LaurentMatrix) -> tuple[LaurentMatrix, LaurentMatrix]:
                              [a - q * b for a, b in zip(basis_cols[j][1], pcol)])
             combo_cols[j] = [a - q * b for a, b in
                              zip(combo_cols[j], combo_cols[k])]
-    basis = LaurentMatrix(g.rows, len(basis_cols),
-                          [[basis_cols[j][1][i] for j in range(len(basis_cols))]
-                           for i in range(g.rows)])
-    transform = LaurentMatrix(ncols, len(combo_cols),
-                              [[combo_cols[j][i] for j in range(len(combo_cols))]
-                               for i in range(ncols)])
-    return basis, transform
+    # no column is zero: each has its pivot
+    return sparse_form([col for _, col in basis_cols]), sparse_form(combo_cols)
 
 
-def _unit_column(n: int, j: int) -> list:
-    col = [LaurentPoly.zero()] * n
-    col[j] = LaurentPoly.one()
-    return col
-
-
-def express_in_column_basis(basis: LaurentMatrix, y: list) -> list:
-    """Coefficients of column y over an echelon column basis, by successive
-    Euclidean division; raises ExactDivisionError if y is outside the module.
-    """
-    y = list(y)
+def express_in_column_basis(basis: dict, y: dict) -> list:
+    """Coefficients of the sparse column y over an echelon column basis in
+    hnf_column_basis form, by successive Euclidean division; raises
+    ExactDivisionError if y is outside the module."""
+    y = dict(y)
     coeffs = []
-    pivot_rows = []
-    for j in range(basis.cols):
-        for i in range(basis.rows):
-            if not basis.entries[i][j].is_zero():
-                pivot_rows.append(i)
-                break
-        else:
-            raise ValueError("zero basis column")
-    for j in range(basis.cols):
-        r = pivot_rows[j]
-        c = laurent_exact_div(y[r], basis.entries[r][j])
+    for col in basis.values():
+        r = min(col)
+        c = laurent_exact_div(y.get(r, LaurentPoly.zero()), col[r])
         coeffs.append(c)
-        if not c.is_zero():
-            y = [a - c * b for a, b in zip(y, basis.column(j))]
-    if any(not a.is_zero() for a in y):
+        if c:
+            add_scaled(y, -c, col)
+    if y:
         raise ExactDivisionError("column outside the generated module")
     return coeffs
 
 
-def laurent_determinant(m: LaurentMatrix) -> LaurentPoly:
-    """Exact determinant of a square Laurent matrix (via Q(v) elimination)."""
-    return determinant(m.to_field(FieldContext.generic())).to_laurent()
+def laurent_determinant(m: dict, n: int) -> LaurentPoly:
+    """Exact determinant of an n x n sparse Laurent matrix (via Q(v)
+    elimination)."""
+    generic = FieldContext.generic()
+    return determinant(to_field(m, generic), n, generic).to_laurent()

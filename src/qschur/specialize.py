@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .cellmod import CellModule
 from .errors import InconsistentCharactersError
-from .linalg import laurent_determinant, nullspace, sparse_form, sparse_product
+from .linalg import laurent_determinant, nullspace, sparse_product, to_field
 from .rootdata import CosaturatedFlag, Weight
 from .scalars import (
     FieldContext,
@@ -31,8 +31,9 @@ class SpecializedModule:
     """Delta_q(lambda) with its radical data at a specialization point.
 
     weight_ranks[mu] is the mu-multiplicity of L_q(lambda); radicals[mu]
-    is a basis (integral-basis coordinates over the specialized field) of
-    the radical's mu-component.  charDelta is unchanged by specialization.
+    is a basis of the radical's mu-component, each vector the sparse
+    column {index: nonzero} of its integral-basis coordinates over the
+    specialized field.  charDelta is unchanged by specialization.
     """
 
     __slots__ = ("lam", "ctx", "weight_ranks", "radicals", "char_delta",
@@ -65,9 +66,10 @@ def specialize_module(cm: CellModule, ctx: FieldContext) -> SpecializedModule:
     weight_ranks = {}
     radicals = {}
     for mu in cm.weights:
-        g = cm.basis(mu, integral=True).gram.to_field(ctx)
-        radicals[mu] = nullspace(g)
-        weight_ranks[mu] = g.cols - len(radicals[mu])
+        basis = cm.basis(mu, integral=True)
+        n = len(basis.combos)
+        radicals[mu] = nullspace(to_field(basis.gram, ctx), n, ctx)
+        weight_ranks[mu] = n - len(radicals[mu])
     return SpecializedModule(
         lam=cm.lam, ctx=ctx, weight_ranks=weight_ranks, radicals=radicals,
         char_delta=cm.character(), dim_delta=cm.dim)
@@ -170,7 +172,8 @@ def gram_determinant(cm: CellModule, mu: Weight, scan_bound: int = 50,
     semisimplicity of specializations.  Always nonzero over Q(v).
     """
     mu = tuple(mu)
-    det = _normalize_det(laurent_determinant(cm.basis(mu, integral).gram))
+    basis = cm.basis(mu, integral)
+    det = _normalize_det(laurent_determinant(basis.gram, len(basis.combos)))
     assert not det.is_zero(), "contravariant form degenerate over Q(v)"
     factors, cofactor = _cyclotomic_scan(det, scan_bound)
     return GramDeterminantRecord(cm.lam, mu, det, factors, cofactor)
@@ -195,9 +198,10 @@ class DecompositionMatrix:
                    for lam in self.order for mu in self.order)
 
 
-def decomposition_matrix(modules: dict, flag: CosaturatedFlag,
+def decomposition_matrix(specs: dict, flag: CosaturatedFlag,
                          ctx: FieldContext) -> DecompositionMatrix:
-    """Solve charDelta(lam) = sum_mu d[lam][mu] charL(mu), in flag order.
+    """Solve charDelta(lam) = sum_mu d[lam][mu] charL(mu), in flag order,
+    from specs[lam] = specialize_module(Delta(lam), ctx).
 
     The system is unitriangular because charL(mu) has leading weight mu
     with coefficient 1.  A nonzero residue, a negative entry, or a
@@ -205,7 +209,6 @@ def decomposition_matrix(modules: dict, flag: CosaturatedFlag,
     """
     datum = flag.datum
     order = tuple(flag)
-    specs = {lam: specialize_module(modules[lam], ctx) for lam in order}
     char_l = {lam: specs[lam].char_simple() for lam in order}
     for lam in order:
         if char_l[lam].get(lam, 0) != 1:
@@ -262,12 +265,14 @@ class SemisimplicityReport:
         self.quasihereditary_witness = quasihereditary_witness
 
 
-def semisimplicity_report(modules: dict, flag: CosaturatedFlag,
+def semisimplicity_report(specs: dict, flag: CosaturatedFlag,
                           ctx: FieldContext) -> SemisimplicityReport:
+    """The witnesses read from the radicals of specs[lam] =
+    specialize_module(Delta(lam), ctx), in flag order."""
     witnesses = []
     for lam in flag:
-        radicals = specialize_module(modules[lam], ctx).radicals
-        witnesses.extend((lam, mu) for mu, rad in radicals.items() if rad)
+        witnesses.extend((lam, mu) for mu, rad in specs[lam].radicals.items()
+                         if rad)
     return SemisimplicityReport(ctx, not witnesses, tuple(witnesses))
 
 
@@ -282,25 +287,17 @@ def radical_is_submodule(cm: CellModule, ctx: FieldContext,
     col = 0
     for mu in cm.weights:
         off = cm.offset(mu)
-        g = cm.basis(mu, integral=True).gram.to_field(ctx)
+        g = to_field(cm.basis(mu, integral=True).gram, ctx)
         gram.update((off + r, {off + c: x for c, x in row.items()})
-                    for r, row in sparse_form(g.entries).items())
+                    for r, row in g.items())
         for vec in spec.radicals[mu]:
-            for k, x in enumerate(vec):
-                if x:
-                    rad.setdefault(off + k, {})[col] = x
+            for k, x in vec.items():
+                rad.setdefault(off + k, {})[col] = x
             col += 1
     for i in range(cm.datum.rank):
         for a in range(1, depth + 1):
             for kind in ("E", "F"):
-                m = _specialized(cm.integral_action_matrix((kind, i, a)), ctx)
+                m = to_field(cm.integral_action_matrix((kind, i, a)), ctx)
                 if sparse_product(gram, sparse_product(m, rad)):
                     return False
     return True
-
-
-def _specialized(m: dict, ctx: FieldContext) -> dict:
-    """A sparse Laurent matrix at the point of ctx; vanishing entries go."""
-    rows = ((i, {j: y for j, x in row.items() if (y := ctx.from_laurent(x))})
-            for i, row in m.items())
-    return {i: row for i, row in rows if row}

@@ -19,7 +19,7 @@ from qschur.assembly import (
 )
 from qschur.cellmod import CellModule
 from qschur.cli import main as cli_main
-from qschur.linalg import FieldMatrix, dense_rows, express_in_column_basis, rank
+from qschur.linalg import express_in_column_basis
 from qschur.rootdata import build_flag, build_root_datum, saturate
 from qschur.scalars import FieldContext, LaurentPoly, quantum_integer
 from qschur.specialize import (
@@ -28,6 +28,8 @@ from qschur.specialize import (
     semisimplicity_report,
     specialize_module,
 )
+
+import dense
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
@@ -56,11 +58,13 @@ def alg_b2():
 
 
 def _dense_action(cm, symbol):
-    """The generic action of a generator, read from its sparse rows as a
-    dense FieldMatrix."""
-    n = cm.dim
-    return FieldMatrix(GEN, n, n, dense_rows(cm.action_matrix(symbol), n, n,
-                                             GEN.zero()))
+    """The generic action of a generator as a dense FieldMatrix view."""
+    return dense.field_view(GEN, cm.action_matrix(symbol), cm.dim, cm.dim)
+
+
+def _specs(modules, flag, ctx):
+    """Every module of the flag specialized at ctx, once."""
+    return {lam: specialize_module(modules[lam], ctx) for lam in flag}
 
 
 def _report(num, name, ok, elapsed, limit):
@@ -143,7 +147,7 @@ def test_criterion_6_specialization_fixture():
     ctx = FieldContext.cyclotomic_point(4)
     dims = {lam: specialize_module(modules[lam], ctx).dim_simple for lam in flag}
     ok = dims == {(0,): 1, (1,): 2, (2,): 2}
-    dm = decomposition_matrix(modules, flag, ctx)
+    dm = decomposition_matrix(_specs(modules, flag, ctx), flag, ctx)
     ok &= dm.entries.get(((0,), (0,)), 0) == 1
     ok &= dm.entries.get(((1,), (1,)), 0) == 1
     ok &= dm.entries.get(((2,), (2,)), 0) == 1
@@ -160,9 +164,10 @@ def test_criterion_7_generic_and_classical_semisimplicity(
     ok = True
     for s in (alg_a1_6, alg_a1_4, alg_a2, alg_b2):
         for ctx in (FieldContext.generic(), FieldContext.rational_point(1)):
-            dm = decomposition_matrix(s.modules, s.flag, ctx)
+            specs = _specs(s.modules, s.flag, ctx)
+            dm = decomposition_matrix(specs, s.flag, ctx)
             ok &= dm.is_identity()
-            ok &= semisimplicity_report(s.modules, s.flag, ctx).semisimple
+            ok &= semisimplicity_report(specs, s.flag, ctx).semisimple
     _report(7, "generic and classical semisimplicity", ok,
             time.monotonic() - start, 120)
 
@@ -192,9 +197,13 @@ def test_criterion_9_hnf_module_equality(alg_a1_6, alg_a1_4, alg_a2, alg_b2):
             for mu in cm.weights:
                 sp = cm.spaces[mu]
                 hnf = sp.integral.hnf_basis
-                for j in range(sp.gram.cols):
-                    express_in_column_basis(hnf, sp.gram.column(j))
-                ok &= rank(hnf.to_field(GEN)) == sp.rank == hnf.cols
+                n = len(sp.words)
+                # the Gram matrix is symmetric: column j is row j
+                for j in range(n):
+                    express_in_column_basis(hnf, sp.gram.get(j, {}))
+                view = dense.column_view(hnf, n)
+                ok &= dense.rank(dense.to_field(view, GEN)) == sp.rank == \
+                    view.cols
     _report(9, "HNF module equality", ok, time.monotonic() - start, 120)
 
 

@@ -4,13 +4,7 @@ import pytest
 
 from qschur import cellmod
 from qschur.cellmod import CellModule, enumerate_words
-from qschur.linalg import (
-    FieldMatrix,
-    LaurentMatrix,
-    dense_rows,
-    forward_eliminate,
-    rank,
-)
+from qschur.linalg import forward_eliminate, to_field
 from qschur.rootdata import build_root_datum
 from qschur.scalars import (
     FieldContext,
@@ -34,18 +28,20 @@ def gval(p):
 
 
 def action(cm, symbol):
-    """The generic action of a generator, read from its sparse rows as a
-    dense FieldMatrix."""
-    n = cm.dim
-    return FieldMatrix(GEN, n, n, dense_rows(cm.action_matrix(symbol), n, n,
-                                             GEN.zero()))
+    """The generic action of a generator as a dense FieldMatrix view."""
+    return dense.field_view(GEN, cm.action_matrix(symbol), cm.dim, cm.dim)
 
 
 def integral_action(cm, symbol):
-    """The integral action of a generator as a dense LaurentMatrix."""
-    n = cm.dim
-    return LaurentMatrix(n, n, dense_rows(cm.integral_action_matrix(symbol),
-                                          n, n, LaurentPoly.zero()))
+    """The integral action of a generator as a dense LaurentMatrix view."""
+    return dense.laurent_view(cm.integral_action_matrix(symbol),
+                              cm.dim, cm.dim)
+
+
+def gram_rows(sp):
+    """The dense rows of the Gram matrix of all the words of a space."""
+    n = len(sp.words)
+    return dense.laurent_view(sp.gram, n, n).entries
 
 
 def test_enumerate_words_a1():
@@ -72,8 +68,19 @@ def test_gram_examples():
     for t in range(5):
         mu = (4 - 2 * t,)
         sp = cm.spaces[mu]
-        assert sp.gram.entries == [[quantum_binomial(4, t)]]
-    assert cm.spaces[(4,)].gram.entries == [[LaurentPoly.one()]]
+        assert gram_rows(sp) == [[quantum_binomial(4, t)]]
+    assert gram_rows(cm.spaces[(4,)]) == [[LaurentPoly.one()]]
+
+
+def test_greedy_picks_keep_indices_past_a_zero_gram_row():
+    # a zero Gram row is an absent key of the sparse rows; walking only the
+    # present rows would shift the third and fourth words down by one
+    one, two, z = LaurentPoly.one(), quantum_integer(2), LaurentPoly.zero()
+    gram = dense.sparse(
+        [[one, z, one, z], [z, z, z, z], [one, z, two, z], [z, z, z, two]])
+    assert 1 not in gram
+    cm = CellModule(A1, (1,))
+    assert cm._greedy_basis_words(gram, 4) == (0, 2, 3)
 
 
 def test_dimensions_match_weyl():
@@ -252,10 +259,15 @@ def test_integral_gram_certificate():
         cm.ensure_integral()
         for mu in cm.weights:
             sp = cm.spaces[mu]
-            hnf = sp.integral.hnf_basis
-            assert (sp.gram * sp.integral.transform) == hnf
+            n = len(sp.words)
+            hnf = dense.column_view(sp.integral.hnf_basis, n)
+            transform = dense.column_view(sp.integral.transform, n)
+            assert (dense.laurent_view(sp.gram, n, n) * transform).entries \
+                == hnf.entries
             assert hnf.cols == sp.rank
-            assert rank(sp.integral.gram.to_field(GEN)) == sp.rank
+            assert dense.rank(dense.field_view(
+                GEN, to_field(sp.integral.gram, GEN), sp.rank, sp.rank)) \
+                == sp.rank
 
 
 def test_integral_action_is_laurent():
@@ -290,14 +302,14 @@ def test_generic_and_integral_actions_agree():
         for mu in cm.weights:
             off = cm.offset(mu)
             for j, combo in enumerate(cm.basis(mu, integral=True).combos):
-                for r, x in enumerate(cm.coordinates(mu, dict(combo))):
+                for r, x in cm.coordinates(mu, dict(combo)).items():
                     c.entries[off + r][off + j] = x
-        assert rank(c) == cm.dim
+        assert dense.rank(c) == cm.dim
         for i in range(datum.rank):
             for kind in ("E", "F"):
                 for a in (1, 2):
                     sym = (kind, i, a)
-                    integral = integral_action(cm, sym).to_field(GEN)
+                    integral = dense.to_field(integral_action(cm, sym), GEN)
                     assert action(cm, sym) * c == c * integral, (lam, sym)
 
 
@@ -350,7 +362,7 @@ def test_word_gram_built_on_read_matches_direct_build(datum, lam):
     for mu, (words, gram) in _word_grams(cm).items():
         sp = cm.spaces[mu]
         assert sp.words == words
-        assert sp.gram == LaurentMatrix(len(words), len(words), gram), mu
+        assert sp.gram == dense.sparse(gram), mu
 
 
 def test_candidate_pruning_bounds_gram_entries(monkeypatch):
@@ -383,4 +395,4 @@ def test_cell_modules_never_share_gram_memo():
     word = ((0, 1),)
     assert gram_entry(small.ctx, word, word) == quantum_integer(2)
     assert gram_entry(large.ctx, word, word) == quantum_integer(4)
-    assert small.spaces[(0,)].gram.entries == [[quantum_integer(2)]]
+    assert gram_rows(small.spaces[(0,)]) == [[quantum_integer(2)]]

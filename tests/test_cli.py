@@ -15,7 +15,7 @@ from qschur import cellmod
 from qschur.cellmod import CellModule
 from qschur.cli import COMMANDS, main, matrix_json, parse_field
 from qschur.errors import ConfigError, UnsupportedCharacteristicError
-from qschur.linalg import LaurentMatrix
+from qschur.linalg import dense_rows
 from qschur.rootdata import build_root_datum
 from qschur.scalars import LaurentPoly
 
@@ -254,16 +254,17 @@ def test_undecodable_config_exits_2(tmp_path, capsys, raw):
 def test_matrix_json_renders_each_entry_as_str():
     L = LaurentPoly
     a, b = L.var(1) + L.one(), L.var(-2)
-    gram = CellModule(build_root_datum("A2"), (1, 1)).spaces[(0, 0)].gram
+    sp = CellModule(build_root_datum("A2"), (1, 1)).spaces[(0, 0)]
+    n = len(sp.words)
     matrices = [
-        gram,  # symmetric: one object at [i][j] and [j][i]
-        LaurentMatrix(2, 2, [[a, b], [b, L.zero()]]),
+        # symmetric: one object at [i][j] and [j][i]
+        dense_rows(sp.gram, n, n, L.zero()),
+        [[a, b], [b, L.zero()]],
         # not symmetric; equal entries held by distinct objects
-        LaurentMatrix(2, 3, [[a, L.var(1) + L.one(), b],
-                             [L.zero(), L.var(-2), L.var(2)]]),
+        [[a, L.var(1) + L.one(), b], [L.zero(), L.var(-2), L.var(2)]],
     ]
-    for m in matrices:
-        assert matrix_json(m) == [[str(x) for x in row] for row in m.entries]
+    for rows in matrices:
+        assert matrix_json(rows) == [[str(x) for x in row] for row in rows]
 
 
 def test_parse_field():
@@ -486,3 +487,28 @@ def test_cli_fuzz_exit_codes(fuzz_config, job):
             rc = exc.code
     assert rc in (0, 1, 2), (doc, argv, err.getvalue())
     assert rc != 1 or argv[0] == "verify", (doc, argv, err.getvalue())
+
+
+def test_decomp_specializes_each_module_once(tmp_path, capsys, monkeypatch):
+    # the decomposition numbers and the semisimplicity witnesses read one
+    # specialization of each cell module; patch every namespace that binds
+    # the name, as a tracer would
+    from qschur import cli, specialize
+    calls = []
+    original = specialize.specialize_module
+
+    def counting(cm, ctx):
+        calls.append(cm.lam)
+        return original(cm, ctx)
+
+    for namespace in (specialize, cli):
+        monkeypatch.setattr(namespace, "specialize_module", counting)
+    cfg = tmp_path / "a2.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "A2"},
+                               "pi": {"seeds": [[3, 1]]},
+                               "field": "cyclotomic=4"}))
+    rc, out, _ = run(capsys, "decomp", "--config", str(cfg))
+    assert rc == 0
+    flag = [tuple(lam) for lam in json.loads(out)["payload"]["order"]]
+    assert len(flag) == 4
+    assert sorted(calls) == sorted(flag)

@@ -4,7 +4,11 @@ non-semisimple-lattice (GL-type) data, multi-cell configurations, G2."""
 from qschur.assembly import assemble, verify_cellularity, verify_relations
 from qschur.rootdata import build_root_datum, saturate
 from qschur.scalars import FieldContext
-from qschur.specialize import decomposition_matrix, semisimplicity_report
+from qschur.specialize import (
+    decomposition_matrix,
+    semisimplicity_report,
+    specialize_module,
+)
 
 
 def _verify(s, depth=2):
@@ -33,10 +37,11 @@ def test_gl2_type_explicit_datum_pipeline():
     assert s.dim == 10
     _verify(s, depth=3)
     ctx = FieldContext.cyclotomic_point(4)
-    dm = decomposition_matrix(s.modules, s.flag, ctx)
+    specs = {lam: specialize_module(cm, ctx) for lam, cm in s.modules.items()}
+    dm = decomposition_matrix(specs, s.flag, ctx)
     # same degeneration pattern as A1 Delta(2) at a fourth root of unity
     assert dm.entries[((2, 0), (1, 1))] == 1
-    assert not semisimplicity_report(s.modules, s.flag, ctx).semisimple
+    assert not semisimplicity_report(specs, s.flag, ctx).semisimple
 
 
 def test_a2_two_cell_configuration():

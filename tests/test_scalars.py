@@ -380,5 +380,5 @@ def test_word_gram_entries_have_int_coefficients():
     for preset, lam in (("A2", (2, 2)), ("B2", (1, 1)), ("G2", (2, 0))):
         cm = CellModule(build_root_datum(preset), lam)
         for mu, sp in cm.spaces.items():
-            for row in sp.gram.entries:
-                assert all(_int_coeffs(x) for x in row), (preset, mu)
+            for row in sp.gram.values():
+                assert all(_int_coeffs(x) for x in row.values()), (preset, mu)

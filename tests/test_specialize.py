@@ -43,6 +43,15 @@ def modules_for(datum, seeds):
     return {lam: CellModule(datum, lam) for lam in flag}, flag
 
 
+def specs_at(modules, flag, ctx):
+    """Every module of the flag specialized at ctx, once."""
+    return {lam: specialize_module(modules[lam], ctx) for lam in flag}
+
+
+def gram_det(basis):
+    return laurent_determinant(basis.gram, len(basis.combos))
+
+
 def test_specialize_module_fixture():
     cm = CellModule(A1, (2,))
     spec = specialize_module(cm, CYC4)
@@ -93,13 +102,13 @@ def test_decomposition_identity_generic_and_classical():
     modules, flag = modules_for(A1, [(2,), (1,)])
     for ctx in (GENERIC, Q1, FieldContext.rational_point(2),
                 FieldContext.rational_point(3)):
-        dm = decomposition_matrix(modules, flag, ctx)
+        dm = decomposition_matrix(specs_at(modules, flag, ctx), flag, ctx)
         assert dm.is_identity(), ctx.label()
 
 
 def test_decomposition_fixture_cyclotomic4():
     modules, flag = modules_for(A1, [(2,), (1,)])
-    dm = decomposition_matrix(modules, flag, CYC4)
+    dm = decomposition_matrix(specs_at(modules, flag, CYC4), flag, CYC4)
     assert dm.entries[((2,), (2,))] == 1
     assert dm.entries[((2,), (0,))] == 1
     assert dm.entries.get(((2,), (1,)), 0) == 0
@@ -114,9 +123,11 @@ def test_decomposition_fixture_cyclotomic4():
 
 def test_semisimplicity_reports():
     modules, flag = modules_for(A1, [(2,), (1,)])
-    assert semisimplicity_report(modules, flag, GENERIC).semisimple
-    assert semisimplicity_report(modules, flag, Q1).semisimple
-    rep4 = semisimplicity_report(modules, flag, CYC4)
+    assert semisimplicity_report(specs_at(modules, flag, GENERIC), flag,
+                                 GENERIC).semisimple
+    assert semisimplicity_report(specs_at(modules, flag, Q1), flag,
+                                 Q1).semisimple
+    rep4 = semisimplicity_report(specs_at(modules, flag, CYC4), flag, CYC4)
     assert not rep4.semisimple
     assert ((2,), (0,)) in rep4.witnesses
     assert rep4.quasihereditary_witness
@@ -128,14 +139,14 @@ def test_semisimplicity_matches_integral_determinants(preset, seed):
     # the witnesses are exactly the weight spaces whose integral Gram
     # determinant f(v) vanishes at the point, in flag x weight order
     modules, flag = modules_for(build_root_datum(preset), [seed])
-    dets = [(lam, mu, laurent_determinant(modules[lam].basis(mu, True).gram))
+    dets = [(lam, mu, gram_det(modules[lam].basis(mu, True)))
             for lam in flag for mu in modules[lam].weights]
     points = [FieldContext.rational_point(1), FieldContext.rational_point(-1)]
     points += [FieldContext.cyclotomic_point(ell) for ell in range(2, 7)]
     for ctx in points:
         expected = tuple((lam, mu) for lam, mu, det in dets
                          if not ctx.from_laurent(det))
-        rep = semisimplicity_report(modules, flag, ctx)
+        rep = semisimplicity_report(specs_at(modules, flag, ctx), flag, ctx)
         assert rep.witnesses == expected
         assert rep.semisimple == (not expected)
 
@@ -154,12 +165,12 @@ def test_a2_adjoint_at_third_root():
     # the zero-weight line through the traceless-diagonal direction dies,
     # leaving the 7-dimensional simple (the char-3 classical story)
     modules, flag = modules_for(A2, [(1, 1)])
-    rep = semisimplicity_report(modules, flag, CYC3)
+    rep = semisimplicity_report(specs_at(modules, flag, CYC3), flag, CYC3)
     assert not rep.semisimple
     spec = specialize_module(modules[(1, 1)], CYC3)
     assert spec.dim_simple == 7
     assert spec.weight_ranks[(0, 0)] == 1
-    dm = decomposition_matrix(modules, flag, CYC3)
+    dm = decomposition_matrix(specs_at(modules, flag, CYC3), flag, CYC3)
     assert dm.entries[((1, 1), (1, 1))] == 1
     assert dm.entries[((1, 1), (0, 0))] == 1
     # integral Gram determinant at weight (0,0) is Phi_3 * Phi_6
@@ -171,7 +182,7 @@ def test_a2_adjoint_at_third_root():
 
 def test_decomposition_rows_dominance_support():
     modules, flag = modules_for(A1, [(4,), (3,)])
-    dm = decomposition_matrix(modules, flag, CYC4)
+    dm = decomposition_matrix(specs_at(modules, flag, CYC4), flag, CYC4)
     for (lam, mu), d in dm.entries.items():
         assert d >= 0
         if d:
@@ -219,7 +230,7 @@ def _generic_gram_determinants(name, seeds):
     for lam in build_flag(saturate(datum, seeds)):
         cm = CellModule(datum, lam)
         for mu in cm.weights:
-            yield _normalize_det(laurent_determinant(cm.basis(mu).gram))
+            yield _normalize_det(gram_det(cm.basis(mu)))
 
 
 def _cyclotomic_products(rng, count):
