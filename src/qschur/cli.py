@@ -14,20 +14,24 @@ import json
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
 from .assembly import assemble, rank1_canonical_identity, verify_cellularity, verify_relations
 from .cellmod import CellModule
 from .errors import CapExceededError, ConfigError, EngineError, UnsupportedCharacteristicError
 from .rootdata import RootDatum, build_flag, build_root_datum, parse_preset, saturate
-from .linalg import dense_rows
-from .scalars import FieldContext, LaurentPoly
+from .scalars import FieldContext
 from .specialize import (
     decomposition_matrix,
     gram_determinant,
     semisimplicity_report,
     specialize_module,
 )
+
+# Largest L of a cyclotomic=L field: building the field and specializing
+# at it cost time and memory linear in L.
+MAX_CYCLOTOMIC_ORDER = 10000
 
 DEFAULT_CAPS = {
     "depth": 3,
@@ -170,7 +174,12 @@ def parse_field(spec) -> FieldContext:
             raise ConfigError("bad rational point %r: %s" % (spec, exc))
     if spec.startswith("cyclotomic="):
         try:
-            return FieldContext.cyclotomic_point(int(spec[11:]))
+            ell = int(spec[11:])
+            if ell > MAX_CYCLOTOMIC_ORDER:
+                raise ConfigError(
+                    "cyclotomic order %d exceeds the bound %d"
+                    % (ell, MAX_CYCLOTOMIC_ORDER))
+            return FieldContext.cyclotomic_point(ell)
         except ValueError as exc:
             raise ConfigError("bad cyclotomic order %r: %s" % (spec, exc))
     raise ConfigError("bad field spec: %r" % (spec,))
@@ -194,20 +203,115 @@ def char_json(char: dict) -> list:
     return [[weight_json(mu), int(m)] for mu, m in sorted(char.items())]
 
 
-def matrix_json(rows: list) -> list:
-    """Dense rows of entries as strings.  A Gram matrix holds one object at
-    [i][j] and [j][i], so each distinct entry object is rendered once."""
-    text: dict = {}
-    out = []
-    for row in rows:
-        line = []
-        for x in row:
-            s = text.get(id(x))
-            if s is None:
-                s = text[id(x)] = str(x)
-            line.append(s)
-        out.append(line)
-    return out
+class SparseRows:
+    """A report leaf: a rows x cols matrix given by its sparse rows
+    {row: {col: nonzero}}, written as the dense rows of its entries' str,
+    with "0", as every scalar writes its zero, where no entry is stored."""
+
+    __slots__ = ("sparse", "rows", "cols")
+
+    def __init__(self, sparse: dict, rows: int, cols: int):
+        self.sparse = sparse
+        self.rows = rows
+        self.cols = cols
+
+    def write(self, nl: str, out: list) -> None:
+        """Append the rows at the indent after nl.  A Gram matrix holds one
+        object at (i, j) and (j, i), so each distinct entry object is
+        rendered once; an all-zero row's text is built once."""
+        if not self.rows:
+            out.append("[]")
+            return
+        row_nl = nl + "  "
+        entry_nl = row_nl + "  "
+        sep = "," + entry_nl
+        head, tail = "[" + entry_nl, row_nl + "]"
+        zero = '"0"'
+        zero_row = head + sep.join([zero] * self.cols) + tail \
+            if self.cols else "[]"
+        text: dict = {}
+        lines = []
+        for i in range(self.rows):
+            row = self.sparse.get(i)
+            if not row:
+                lines.append(zero_row)
+                continue
+            line = [zero] * self.cols
+            for j, x in row.items():
+                s = text.get(id(x))
+                if s is None:
+                    s = text[id(x)] = _quote(str(x))
+                line[j] = s
+            lines.append(head + sep.join(line) + tail)
+        out.append("[" + row_nl + ("," + row_nl).join(lines) + nl + "]")
+
+
+_STRS, _INTS = frozenset((str,)), frozenset((int,))
+
+
+def render(report) -> str:
+    """The report's text: what the stdlib json encoder writes with
+    sort_keys=True and indent=2 (two-space indent, sorted keys, ASCII
+    escapes), plus a newline, byte for byte.  That encoder runs in pure
+    Python whenever it indents, so the report is written here in one pass.
+    Values are dicts with str keys, lists, str, int, bool, None and
+    SparseRows leaves; any other type raises TypeError."""
+    out: list = []
+    _write(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write(x, nl: str, out: list) -> None:
+    """Append x, its items at the indent after nl (a newline and the
+    indent of the line x starts on)."""
+    kind = type(x)
+    if kind is str:
+        out.append(_quote(x))
+    elif kind is dict:
+        if not x:
+            out.append("{}")
+            return
+        inner = nl + "  "
+        sep = "{" + inner
+        for key in sorted(x):
+            if type(key) is not str:
+                raise TypeError("report keys must be str, not %s"
+                                % type(key).__name__)
+            out.append(sep + _quote(key) + ": ")
+            _write(x[key], inner, out)
+            sep = "," + inner
+        out.append(nl + "}")
+    elif kind is list:
+        if not x:
+            out.append("[]")
+            return
+        inner = nl + "  "
+        kinds = set(map(type, x))
+        if kinds == _STRS:
+            out.append("[" + inner + ("," + inner).join(map(_quote, x))
+                       + nl + "]")
+        elif kinds == _INTS:
+            out.append("[" + inner + ("," + inner).join(map(int.__repr__, x))
+                       + nl + "]")
+        else:
+            sep = "[" + inner
+            for item in x:
+                out.append(sep)
+                _write(item, inner, out)
+                sep = "," + inner
+            out.append(nl + "]")
+    elif kind is int:
+        out.append(int.__repr__(x))
+    elif kind is bool:
+        out.append("true" if x else "false")
+    elif x is None:
+        out.append("null")
+    elif kind is SparseRows:
+        x.write(nl, out)
+    else:
+        raise TypeError("Object of type %s is not JSON serializable"
+                        % kind.__name__)
 
 
 def _check_json(rep) -> list:
@@ -313,9 +417,7 @@ def cmd_gram(p: Pipeline, args) -> dict:
             spaces.append({
                 "weight": weight_json(mu),
                 "words": [word_json(w) for w in sp.words],
-                "gram": matrix_json(dense_rows(sp.gram, len(sp.words),
-                                               len(sp.words),
-                                               LaurentPoly.zero())),
+                "gram": SparseRows(sp.gram, len(sp.words), len(sp.words)),
                 "rank": sp.rank,
                 "determinant": str(rec.det),
                 "cyclotomic_factors": [[ell, m] for ell, m
@@ -340,11 +442,9 @@ def cmd_cellbasis(p: Pipeline, args) -> dict:
         } for el in elements],
     }
     if args.matrices:
-        zero = FieldContext.generic().zero()
         for entry, el in zip(payload["elements"], elements):
             entry["matrix"] = {
-                str(weight_json(lam)): matrix_json(
-                    dense_rows(el.matrix.block(lam), n, n, zero))
+                str(weight_json(lam)): SparseRows(el.matrix.block(lam), n, n)
                 for lam, n in sorted(el.matrix.dims.items())}
     return payload
 
@@ -479,7 +579,7 @@ def main(argv=None) -> int:
         "engine": {"name": "qschur", "version": __version__},
         "payload": payload,
     }
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+    text = render(report)
     if args.out:
         try:
             with open(args.out, "w", encoding="utf-8") as fh:

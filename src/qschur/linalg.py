@@ -260,16 +260,18 @@ def hnf_column_basis(g: dict, rows: int, cols: int) -> tuple[dict, dict]:
     (lowest exponent 0, leading coefficient 1) and entries to the left of
     each pivot are reduced modulo it, so the output is canonical.
     """
-    zero, one = LaurentPoly.zero(), LaurentPoly.one()
-    work = [(col, [one if k == j else zero for k in range(cols)])
-            for j, col in enumerate(dense_rows(sparse_transpose(g), cols,
-                                               rows, zero))]
+    one = LaurentPoly.one()
+    columns = sparse_transpose(g)  # fresh dicts, updated in place below
+    work = [(columns.get(j, {}), {j: one}) for j in range(cols)]
     basis_cols: list = []
     combo_cols: list = []
     for row in range(rows):
-        live = [wc for wc in work if not wc[0][row].is_zero()]
+        live = [wc for wc in work if row in wc[0]]
         if not live:
             continue
+        # the columns zero at this row stay; each one the elimination
+        # zeroes here joins them, so no column is in work twice
+        work = [wc for wc in work if row not in wc[0]]
         # Euclidean elimination at this row among the live columns
         while len(live) > 1:
             live.sort(key=lambda wc: wc[0][row].span)
@@ -278,35 +280,39 @@ def hnf_column_basis(g: dict, rows: int, cols: int) -> tuple[dict, dict]:
             rest = []
             for col, combo in live[1:]:
                 q, _ = laurent_divmod(col[row], piv)
-                col = [a - q * b for a, b in zip(col, piv_col)]
-                combo = [a - q * b for a, b in zip(combo, piv_combo)]
-                if not col[row].is_zero():
+                if q:
+                    add_scaled(col, -q, piv_col)
+                    add_scaled(combo, -q, piv_combo)
+                if row in col:
                     rest.append((col, combo))
                 else:
                     work.append((col, combo))
             live = [(piv_col, piv_combo)] + rest
-        (col, combo) = live[0]
-        work = [wc for wc in work if wc[0][row].is_zero()]
+        col, combo = live[0]
         # unit-normalize the pivot entry
         _, unit = col[row].unit_normalize()
         inv = LaurentPoly({-unit.min_exp: _quo(1, unit.coeffs[unit.min_exp])})
-        col = [c * inv for c in col]
-        combo = [c * inv for c in combo]
-        basis_cols.append((row, col))
-        combo_cols.append(combo)
+        basis_cols.append((row, {k: c * inv for k, c in col.items()}))
+        combo_cols.append({k: c * inv for k, c in combo.items()})
     # back-reduce: entries of earlier columns at later pivot rows
     for j in range(len(basis_cols)):
+        col, combo = basis_cols[j][1], combo_cols[j]
         for k in range(j + 1, len(basis_cols)):
             prow, pcol = basis_cols[k]
-            q, _ = laurent_divmod(basis_cols[j][1][prow], pcol[prow])
-            if q.is_zero():
+            x = col.get(prow)
+            if x is None:
                 continue
-            basis_cols[j] = (basis_cols[j][0],
-                             [a - q * b for a, b in zip(basis_cols[j][1], pcol)])
-            combo_cols[j] = [a - q * b for a, b in
-                             zip(combo_cols[j], combo_cols[k])]
-    # no column is zero: each has its pivot
-    return sparse_form([col for _, col in basis_cols]), sparse_form(combo_cols)
+            q, _ = laurent_divmod(x, pcol[prow])
+            if q:
+                add_scaled(col, -q, pcol)
+                add_scaled(combo, -q, combo_cols[k])
+    # no column is zero: each has its pivot; entries in index order
+    return ({j: _in_order(col) for j, (_, col) in enumerate(basis_cols)},
+            {j: _in_order(combo) for j, combo in enumerate(combo_cols)})
+
+
+def _in_order(vec: dict) -> dict:
+    return {k: vec[k] for k in sorted(vec)}
 
 
 def express_in_column_basis(basis: dict, y: dict) -> list:

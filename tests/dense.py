@@ -9,7 +9,7 @@ so that tests can compare the engine against the dense reference.
 
 from qschur import linalg
 from qschur.linalg import FieldMatrix, LaurentMatrix, dense_rows
-from qschur.scalars import LaurentPoly
+from qschur.scalars import LaurentPoly, _quo, laurent_divmod
 
 
 # -- views -------------------------------------------------------------------
@@ -154,3 +154,44 @@ def scale(a, c):
 
 def is_zero(m):
     return not any(x for row in m.entries for x in row)
+
+
+def hnf_column_basis(g, rows, cols):
+    """Hermite column reduction on dense columns, every update a new list:
+    the reference for linalg.hnf_column_basis, which takes the same
+    Euclidean steps on sparse columns in place and must return the same
+    columns, entries in index order."""
+    zero, one = LaurentPoly.zero(), LaurentPoly.one()
+    work = [(col, [one if k == j else zero for k in range(cols)])
+            for j, col in enumerate(dense_rows(linalg.sparse_transpose(g),
+                                               cols, rows, zero))]
+    basis_cols, combo_cols = [], []
+    for row in range(rows):
+        live = [wc for wc in work if not wc[0][row].is_zero()]
+        if not live:
+            continue
+        while len(live) > 1:
+            live.sort(key=lambda wc: wc[0][row].span)
+            piv_col, piv_combo = live[0]
+            rest = []
+            for col, combo in live[1:]:
+                q, _ = laurent_divmod(col[row], piv_col[row])
+                col = [a - q * b for a, b in zip(col, piv_col)]
+                combo = [a - q * b for a, b in zip(combo, piv_combo)]
+                (work if col[row].is_zero() else rest).append((col, combo))
+            live = [(piv_col, piv_combo)] + rest
+        col, combo = live[0]
+        work = [wc for wc in work if wc[0][row].is_zero()]
+        _, unit = col[row].unit_normalize()
+        inv = LaurentPoly({-unit.min_exp: _quo(1, unit.coeffs[unit.min_exp])})
+        basis_cols.append((row, [c * inv for c in col]))
+        combo_cols.append([c * inv for c in combo])
+    for j in range(len(basis_cols)):
+        for k in range(j + 1, len(basis_cols)):
+            prow, pcol = basis_cols[k]
+            q, _ = laurent_divmod(basis_cols[j][1][prow], pcol[prow])
+            basis_cols[j] = (basis_cols[j][0], [
+                a - q * b for a, b in zip(basis_cols[j][1], pcol)])
+            combo_cols[j] = [a - q * b for a, b in
+                             zip(combo_cols[j], combo_cols[k])]
+    return (sparse([col for _, col in basis_cols]), sparse(combo_cols))

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +14,14 @@ from hypothesis import given, settings, strategies as st
 import qschur
 from qschur import cellmod
 from qschur.cellmod import CellModule
-from qschur.cli import COMMANDS, main, matrix_json, parse_field
+from qschur.cli import (
+    COMMANDS,
+    MAX_CYCLOTOMIC_ORDER,
+    SparseRows,
+    main,
+    parse_field,
+    render,
+)
 from qschur.errors import ConfigError, UnsupportedCharacteristicError
 from qschur.linalg import dense_rows
 from qschur.rootdata import build_root_datum
@@ -149,10 +157,22 @@ def test_determinism_across_threads(capsys, cfg_a1, cfg_a2):
         assert out1 == out2
 
 
-def test_report_roundtrip(capsys, cfg_a1):
-    _, out, _ = run(capsys, "gram", "--config", cfg_a1)
-    rep = json.loads(out)
-    assert json.dumps(rep, sort_keys=True, indent=2) + "\n" == out
+ROUNDTRIP_ARGV = [["datum"], ["saturate"], ["module"], ["gram"],
+                  ["cellbasis"], ["cellbasis", "--integral"],
+                  ["cellbasis", "--matrices"], ["specialize"], ["decomp"],
+                  ["verify"]]
+
+
+@pytest.mark.parametrize("argv", ROUNDTRIP_ARGV, ids=lambda argv: "_".join(
+    a.lstrip("-") for a in argv))
+def test_report_roundtrip(capsys, tmp_path, cfg_a1, argv):
+    # every report is what the stdlib encoder writes with sorted keys and
+    # a two-space indent, and --out holds the same bytes
+    target = tmp_path / "report.json"
+    rc, out, _ = run(capsys, *argv, "--config", cfg_a1, "--out", str(target))
+    assert rc == 0
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+    assert target.read_bytes() == out.encode("ascii")
 
 
 def test_out_file(capsys, tmp_path, cfg_a1):
@@ -251,20 +271,73 @@ def test_undecodable_config_exits_2(tmp_path, capsys, raw):
     assert err.startswith("error: ")
 
 
-def test_matrix_json_renders_each_entry_as_str():
+def test_sparse_rows_render_as_dense_entry_strings(monkeypatch):
     L = LaurentPoly
     a, b = L.var(1) + L.one(), L.var(-2)
     sp = CellModule(build_root_datum("A2"), (1, 1)).spaces[(0, 0)]
     n = len(sp.words)
     matrices = [
         # symmetric: one object at [i][j] and [j][i]
-        dense_rows(sp.gram, n, n, L.zero()),
-        [[a, b], [b, L.zero()]],
+        (sp.gram, n, n),
+        ({0: {0: a, 1: b}, 1: {0: b}}, 2, 2),
         # not symmetric; equal entries held by distinct objects
-        [[a, L.var(1) + L.one(), b], [L.zero(), L.var(-2), L.var(2)]],
+        ({0: {0: a, 1: L.var(1) + L.one(), 2: b},
+          1: {1: L.var(-2), 2: L.var(2)}}, 2, 3),
+        ({1: {0: a}}, 3, 2),  # zero rows around a nonzero one
+        ({}, 2, 3),           # all zero
+        ({}, 0, 3),           # no rows
+        ({}, 2, 0),           # rows of no columns
+        ({}, 0, 0),
     ]
-    for rows in matrices:
-        assert matrix_json(rows) == [[str(x) for x in row] for row in rows]
+    calls = []
+    original = L.__str__
+
+    def counting(x):
+        calls.append(x)
+        return original(x)
+
+    monkeypatch.setattr(L, "__str__", counting)
+    for sparse, rows, cols in matrices:
+        strings = [[original(x) for x in row]
+                   for row in dense_rows(sparse, rows, cols, L.zero())]
+        distinct = {id(x) for row in sparse.values() for x in row.values()}
+        for depth in range(3):
+            calls.clear()
+            leaf, dense = SparseRows(sparse, rows, cols), strings
+            for _ in range(depth):
+                leaf, dense = {"m": [leaf, 1]}, {"m": [dense, 1]}
+            assert render(leaf) == json.dumps(dense, sort_keys=True,
+                                              indent=2) + "\n"
+            # each distinct entry object once
+            assert sorted(map(id, calls)) == sorted(distinct)
+    assert len({id(x) for row in sp.gram.values() for x in row.values()}) < \
+        sum(len(row) for row in sp.gram.values())  # the Gram shares entries
+
+
+_TEXT = st.one_of(st.text(), st.text(st.sampled_from(
+    '"\\/\b\f\n\r\t\x00\x1f\x7f\x80 a\u00e9\u2028\ud800\udfff\U0001f600')),
+    st.text(st.characters(exclude_categories=())))
+_SCALARS = st.one_of(_TEXT, st.integers(), st.integers(-2 ** 200, 2 ** 200),
+                     st.booleans(), st.none())
+_JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
+    st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4),
+    st.lists(_TEXT, max_size=4), st.lists(st.integers(), max_size=4),
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON)
+def test_render_matches_stdlib_encoder(value):
+    assert render(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), LaurentPoly.one(), 1.5,
+                                   (1, 2), {1, 2}, {1: "a"}, object()],
+                         ids=lambda v: type(v).__name__)
+def test_render_rejects_other_types(value):
+    with pytest.raises(TypeError):
+        render({"payload": [value]})
 
 
 def test_parse_field():
@@ -277,6 +350,17 @@ def test_parse_field():
         parse_field("galois")
     with pytest.raises(UnsupportedCharacteristicError):
         parse_field({"q": "1", "char": 5})
+
+
+def test_cyclotomic_order_is_bounded(capsys, cfg_a1):
+    bound = MAX_CYCLOTOMIC_ORDER
+    for spec in ("cyclotomic=%d" % (bound + 1), {"cyclotomic": bound + 1}):
+        with pytest.raises(ConfigError, match=str(bound)):
+            parse_field(spec)
+    rc, out, err = run(capsys, "specialize", "--config", cfg_a1,
+                       "--field", "cyclotomic=1000003")
+    assert rc == 2 and out == ""
+    assert err.startswith("error: ") and str(bound) in err
 
 
 def test_non_finite_type_exit_code(tmp_path, capsys):
@@ -408,7 +492,8 @@ FIELDS = ["generic", "q=2", "q=1", "q=-1", "q=1/2", "cyclotomic=2",
           "cyclotomic=3", "cyclotomic=4", {"cyclotomic": 5},
           {"q": "3", "char": 0}]
 BAD_FIELDS = ["q=0", "q=x", "cyclotomic=1", "cyclotomic=x", "galois", 7,
-              None, {}, {"cyclotomic": "x"}, {"q": 1, "char": 2}]
+              None, {}, {"cyclotomic": "x"}, {"q": 1, "char": 2},
+              "cyclotomic=1000003", {"cyclotomic": 1000003}]
 CAPS = st.fixed_dictionaries({}, optional={
     "depth": st.integers(0, 2), "samples": st.integers(0, 3),
     "cyclotomic_scan": st.integers(0, 60), "rank": st.integers(0, 4),

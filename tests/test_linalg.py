@@ -350,6 +350,23 @@ def test_express_outside_module():
         express_in_column_basis(basis, {0: L.one()})
 
 
+def test_hnf_matches_dense_reference():
+    # the sparse in-place updates take the dense reference's Euclidean
+    # steps: equal columns, entries in the same order; the inputs have
+    # zero rows and zero columns, and each has many columns live at once
+    rng = random.Random(23)
+    for _ in range(40):
+        r, c = rng.randint(1, 5), rng.randint(1, 6)
+        g = dense.sparse([[_random_laurent(rng) if rng.random() < 0.7
+                           else L.zero() for _ in range(c)]
+                          for _ in range(r)])
+        basis, transform = hnf_column_basis(g, r, c)
+        ref_basis, ref_transform = dense.hnf_column_basis(g, r, c)
+        for out, ref in ((basis, ref_basis), (transform, ref_transform)):
+            assert [(j, list(col.items())) for j, col in out.items()] == \
+                [(j, list(col.items())) for j, col in ref.items()]
+
+
 def test_hnf_determinism():
     rng = random.Random(17)
     g = dense.sparse(
