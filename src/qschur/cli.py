@@ -247,6 +247,7 @@ class SparseRows:
 
 
 _STRS, _INTS = frozenset((str,)), frozenset((int,))
+_FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def render(report) -> str:
@@ -254,8 +255,9 @@ def render(report) -> str:
     sort_keys=True and indent=2 (two-space indent, sorted keys, ASCII
     escapes), plus a newline, byte for byte.  That encoder runs in pure
     Python whenever it indents, so the report is written here in one pass.
-    Values are dicts with str keys, lists, str, int, bool, None and
-    SparseRows leaves; any other type raises TypeError."""
+    Values are dicts with str keys, lists, str, int, float, bool, None and
+    SparseRows leaves; any other type raises TypeError.  Floats reach a
+    report only in the echoed config (a field such as {"q": 0.5})."""
     out: list = []
     _write(report, "\n", out)
     out.append("\n")
@@ -307,6 +309,9 @@ def _write(x, nl: str, out: list) -> None:
         out.append("true" if x else "false")
     elif x is None:
         out.append("null")
+    elif kind is float:  # as the json encoder writes it
+        text = float.__repr__(x)
+        out.append(_FLOATS.get(text, text))
     elif kind is SparseRows:
         x.write(nl, out)
     else:

@@ -175,6 +175,22 @@ def test_report_roundtrip(capsys, tmp_path, cfg_a1, argv):
     assert target.read_bytes() == out.encode("ascii")
 
 
+@pytest.mark.parametrize("field", [{"q": 0.5}, {"q": "2", "char": 0.0}],
+                         ids=["q_float", "char_float"])
+def test_report_roundtrip_float_field(capsys, tmp_path, field):
+    # the report echoes the config's field object, floats included
+    cfg = tmp_path / "a1.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "A1"},
+                               "pi": {"seeds": [[2]]}, "field": field}))
+    target = tmp_path / "report.json"
+    rc, out, _ = run(capsys, "specialize", "--config", str(cfg),
+                     "--out", str(target))
+    assert rc == 0
+    assert json.dumps(json.loads(out), sort_keys=True, indent=2) + "\n" == out
+    assert target.read_bytes() == out.encode("ascii")
+    assert json.loads(out)["config"]["field"] == field
+
+
 def test_out_file(capsys, tmp_path, cfg_a1):
     target = tmp_path / "report.json"
     rc, out, _ = run(capsys, "datum", "--config", cfg_a1,
@@ -318,7 +334,7 @@ _TEXT = st.one_of(st.text(), st.text(st.sampled_from(
     '"\\/\b\f\n\r\t\x00\x1f\x7f\x80 a\u00e9\u2028\ud800\udfff\U0001f600')),
     st.text(st.characters(exclude_categories=())))
 _SCALARS = st.one_of(_TEXT, st.integers(), st.integers(-2 ** 200, 2 ** 200),
-                     st.booleans(), st.none())
+                     st.floats(), st.booleans(), st.none())
 _JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4),
     st.lists(_TEXT, max_size=4), st.lists(st.integers(), max_size=4),
@@ -332,8 +348,7 @@ def test_render_matches_stdlib_encoder(value):
     assert render(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), LaurentPoly.one(), 1.5,
-                                   (1, 2), {1, 2}, {1: "a"}, object()],
+@pytest.mark.parametrize("value", [Fraction(1, 2), LaurentPoly.one(), (1, 2), {1, 2}, {1: "a"}, object()],
                          ids=lambda v: type(v).__name__)
 def test_render_rejects_other_types(value):
     with pytest.raises(TypeError):
@@ -490,7 +505,7 @@ DATA = [
 ]
 FIELDS = ["generic", "q=2", "q=1", "q=-1", "q=1/2", "cyclotomic=2",
           "cyclotomic=3", "cyclotomic=4", {"cyclotomic": 5},
-          {"q": "3", "char": 0}]
+          {"q": "3", "char": 0}, {"q": 0.5}, {"q": "2", "char": 0.0}]
 BAD_FIELDS = ["q=0", "q=x", "cyclotomic=1", "cyclotomic=x", "galois", 7,
               None, {}, {"cyclotomic": "x"}, {"q": 1, "char": 2},
               "cyclotomic=1000003", {"cyclotomic": 1000003}]
