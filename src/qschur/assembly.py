@@ -75,14 +75,6 @@ class BlockMatrix:
                   for lam, a in self.sparse.items())
         return BlockMatrix(self.dims, {lam: b for lam, b in blocks if b})
 
-    def scale(self, c: FieldValue) -> "BlockMatrix":
-        if not c:
-            return BlockMatrix(self.dims, {})
-        return BlockMatrix(self.dims, {
-            lam: {i: {j: x * c for j, x in row.items()}
-                  for i, row in blk.items()}
-            for lam, blk in self.sparse.items()})
-
     def is_zero(self) -> bool:
         return not self.sparse
 
@@ -157,7 +149,6 @@ class SchurAlgebra:
         self.orbit_weights = tuple(sorted(self._orbit))
         self.dims = {lam: cm.dim for lam, cm in modules.items()}
         self.dim = sum(n * n for n in self.dims.values())
-        self.total_size = sum(self.dims.values())
         self._gen_cache: dict = {}
         self._word_cache: dict = {}
         self._gram_cache: dict = {}
@@ -214,33 +205,26 @@ class SchurAlgebra:
 
     # -- star and word images ---------------------------------------------------
 
-    def full_gram(self, lam: Weight) -> tuple:
-        """(G, G^-1) for Delta(lambda) in the generic basis, as sparse
-        blocks assembled from the weight-space blocks (the form pairs only
-        equal weights)."""
+    def full_gram(self, lam: Weight) -> dict:
+        """The sparse Gram matrix G of Delta(lambda) in the generic basis,
+        block-diagonal by weight (the form pairs only equal weights)."""
         lam = tuple(lam)
-        cached = self._gram_cache.get(lam)
-        if cached is None:
+        g = self._gram_cache.get(lam)
+        if g is None:
             cm = self.modules[lam]
-            g, ginv = {}, {}
-            for mu in cm.weights:
-                basis = cm.basis(mu)
-                off = cm.offset(mu)
-                for out, m in ((g, to_field(basis.gram, GENERIC)),
-                               (ginv, basis.inverse())):
-                    for r, row in m.items():
-                        out[off + r] = {off + c: x for c, x in row.items()}
-            cached = (g, ginv)
-            self._gram_cache[lam] = cached
-        return cached
+            g = self._gram_cache[lam] = cm.block_diagonal({
+                mu: to_field(cm.basis(mu).gram, GENERIC) for mu in cm.weights})
+        return g
 
     def star(self, x: BlockMatrix) -> BlockMatrix:
         """The anti-involution: per block, G^-1 x^T G."""
         out = {}
-        for lam, blk in x.sparse.items():
-            g, ginv = self.full_gram(lam)  # invertible: a nonzero image
-            out[lam] = sparse_product(
-                sparse_product(ginv, sparse_transpose(blk)), g)
+        for lam, blk in x.sparse.items():  # G is invertible: a nonzero image
+            cm = self.modules[lam]
+            ginv = cm.block_diagonal(
+                {mu: cm.basis(mu).inverse() for mu in cm.weights})
+            out[lam] = sparse_product(sparse_product(
+                ginv, sparse_transpose(blk)), self.full_gram(lam))
         return BlockMatrix(self.dims, out)
 
     def rho_word(self, kind: str, word: Word) -> BlockMatrix:
@@ -570,14 +554,12 @@ def verify_cellularity(s: SchurAlgebra, elements: list = None,
         if (lam, combo) not in coords:
             cm = s.modules[lam]
             mu = cm.ctx.weight_of(combo[0][0])
-            off = cm.offset(mu)
             coords[lam, combo] = {
-                off + k: {0: c}
-                for k, c in cm.coordinates(mu, dict(combo)).items()}
+                k: {0: c} for k, c in cm.coordinates(mu, dict(combo)).items()}
         return coords[lam, combo]
 
     def rank_one(el):
-        paired = sparse_product(s.full_gram(el.lam)[0],
+        paired = sparse_product(s.full_gram(el.lam),
                                 coordinates(el.lam, el.right))
         return sparse_product(coordinates(el.lam, el.left),
                               sparse_transpose(paired))
@@ -593,7 +575,7 @@ def verify_cellularity(s: SchurAlgebra, elements: list = None,
         for el in elements:
             x, y = el.matrix, by_pair[(el.lam, el.right, el.left)].matrix
             for lam in x.sparse.keys() | y.sparse.keys():
-                g = s.full_gram(lam)[0]
+                g = s.full_gram(lam)
                 yield (witness(el),
                        sparse_product(sparse_transpose(x.block(lam)), g),
                        sparse_product(g, y.block(lam)))

@@ -46,24 +46,26 @@ GENERIC = FieldContext.generic()
 def enumerate_words(ctx: ModuleContext) -> dict:
     """All alive divided words of Delta(lambda), grouped by weight.
 
-    Depth-first search pruned the moment a prefix weight leaves
-    W pi_lambda; each group is sorted by (length, factor sequence).
+    Depth-first search that carries each prefix's weight forward.  The
+    alpha_i-strings of W pi_lambda are unbroken, so the exponent of a new
+    factor F_i^(a) grows only until the weight first leaves W pi_lambda.
+    Each group is sorted by (length, factor sequence).
     """
     by_weight: dict = {}
-    max_depth = ctx.max_depth
+    weights = ctx.weights
 
-    def visit(word: Word, depth: int):
-        by_weight.setdefault(ctx.weight_of(word), []).append(word)
+    def visit(word: Word, mu: Weight):
+        by_weight.setdefault(mu, []).append(word)
         last = word[-1][0] if word else None
-        for i in range(ctx.datum.rank):
+        for i, root in enumerate(ctx.datum.alpha):
             if i == last:
                 continue
-            for a in range(1, max_depth - depth + 1):
-                w2 = word + ((i, a),)
-                if ctx.weight_of(w2) in ctx.weights:
-                    visit(w2, depth + a)
+            nu, a = mu, 0
+            while (nu := tuple(m - x for m, x in zip(nu, root))) in weights:
+                a += 1
+                visit(word + ((i, a),), nu)
 
-    visit(EMPTY_WORD, 0)
+    visit(EMPTY_WORD, ctx.lam)
     for group in by_weight.values():
         group.sort(key=lambda w: (len(w), w))
     return by_weight
@@ -150,8 +152,10 @@ class CellModule:
 
     Coordinates of arbitrary word vectors are extracted against the Gram
     matrix of the chosen basis, which is valid because the contravariant
-    form is nondegenerate.  Both bases of a weight space have the same
-    rank, so one offset per weight serves both.
+    form is nondegenerate.  The module owns the layout of its basis: the
+    weight spaces in the order of weights, each at its offset.  Both bases
+    of a weight space have the same rank, so one offset per weight serves
+    both; coordinates and block_diagonal are indexed over the whole basis.
     """
 
     def __init__(self, datum: RootDatum, lam: Weight):
@@ -211,21 +215,21 @@ class CellModule:
         w = p + ((i, a),) were a combination of earlier words, F_i^(a)
         would make w a combination of earlier or shorter merged words.  So
         every pick at mu extends, without merging, a pick at
-        mu + a alpha_i, a space of smaller height already built.  The
-        greedy result over this sorted superset of the picks equals the
-        one over all the words.  alive maps each alive word at mu to
-        itself, so the candidates share the word objects.
+        mu + a alpha_i, a space of smaller height already built; that
+        alpha_i-string is unbroken, so the walk up it ends at the first
+        absent space.  The greedy result over this sorted superset of the
+        picks equals the one over all the words.  alive maps each alive
+        word at mu to itself, so the candidates share the word objects.
         """
         if mu == self.lam:
             return (EMPTY_WORD,)
         out = []
-        for i in range(self.datum.rank):
-            for a in range(1, self.ctx.max_depth + 1):
-                sp = self.spaces.get(tuple(
-                    m + a * x for m, x in zip(mu, self.datum.alpha[i])))
-                if sp is None:
-                    continue
-                for combo in sp.generic.combos:
+        spaces = self.spaces
+        for i, root in enumerate(self.datum.alpha):
+            nu, a = mu, 0
+            while (nu := tuple(m + x for m, x in zip(nu, root))) in spaces:
+                a += 1
+                for combo in spaces[nu].generic.combos:
                     b = combo[0][0]
                     if b and b[-1][0] == i:
                         continue
@@ -292,11 +296,21 @@ class CellModule:
             col = basis.columns[word] = {j: x for j, x in sums if x}
         return col
 
+    def block_diagonal(self, blocks: dict) -> dict:
+        """Sparse rows over the whole basis from sparse rows per weight
+        space: the rows and columns of blocks[mu] move to mu's offset."""
+        out = {}
+        for mu, rows in blocks.items():
+            off = self._offsets[mu]
+            for r, row in rows.items():
+                out[off + r] = {off + c: x for c, x in row.items()}
+        return out
+
     def coordinates(self, mu: Weight, vec: dict,
                     integral: bool = False) -> dict:
-        """The sparse column {index: nonzero} of coordinates over Q(v) of a
-        word vector of weight mu in the chosen basis: solve
-        gram * x = (phi(b_j, vec))_j by the Gram inverse."""
+        """The sparse column {index: nonzero} over the whole basis of the
+        coordinates over Q(v) of a word vector of weight mu in the chosen
+        basis: solve gram * x = (phi(b_j, vec))_j by the Gram inverse."""
         if mu not in self.spaces:
             if vec:
                 raise CoordinateFailureError("vector at absent weight %r" % (mu,))
@@ -307,7 +321,8 @@ class CellModule:
             add_scaled(rhs, coeff, self._pairings(basis, w))
         x = sparse_product(basis.inverse(), {
             j: {0: GENERIC.from_laurent(y)} for j, y in rhs.items()})
-        return {i: row[0] for i, row in x.items()}
+        off = self._offsets[mu]
+        return {off + i: row[0] for i, row in x.items()}
 
     # -- generator action ----------------------------------------------------
 
@@ -325,8 +340,8 @@ class CellModule:
             mu = tuple(symbol[1])
             sp = self.spaces.get(mu)
             if sp is not None:
-                off = self._offsets[mu]
-                m = {off + k: {off + k: one} for k in range(sp.rank)}
+                m = self.block_diagonal(
+                    {mu: {k: {k: one} for k in range(sp.rank)}})
         elif symbol[2] == 0:
             m = {k: {k: one} for k in range(self.dim)}  # F^(0) = E^(0) = 1
         else:
@@ -341,9 +356,8 @@ class CellModule:
                     vec = push(self.ctx, i, a, dict(combo))
                     if vec:
                         coords = self.coordinates(target, vec, integral)
-                        toff = self._offsets[target]
                         for r, c in coords.items():
-                            m.setdefault(toff + r, {})[col] = c
+                            m.setdefault(r, {})[col] = c
                     col += 1
         self._action_cache[key] = m
         return m

@@ -33,6 +33,11 @@ from .specialize import (
 # at it cost time and memory linear in L.
 MAX_CYCLOTOMIC_ORDER = 10000
 
+# Largest caps.depth and caps.samples: verify's time and memory grow with
+# both.  At depth 32 it takes about 2 s on A2 (1,1), and 10,000 samples
+# take about 1 s on A1 (2), on a 2-core Xeon host.
+MAX_CAPS = {"depth": 32, "samples": 10000}
+
 DEFAULT_CAPS = {
     "depth": 3,
     "samples": 50,
@@ -48,10 +53,12 @@ def _integer(value, what: str) -> int:
     return value
 
 
-def _count(value, what: str) -> int:
+def _count(value, what: str, bound: int | None = None) -> int:
     value = _integer(value, what)
     if value < 0:
         raise ConfigError("%s must be nonnegative, got %d" % (what, value))
+    if bound is not None and value > bound:
+        raise ConfigError("%s %d exceeds the bound %d" % (what, value, bound))
     return value
 
 
@@ -114,13 +121,13 @@ class JobConfig:
         self.seeds = [tuple(_integer(c, "seed entry") for c in seed)
                       for seed in seeds]
         self.field_spec = doc.get("field", "generic")
-        parse_field(self.field_spec)  # validate now, not on first use
+        self.field = parse_field(self.field_spec)
         caps = dict(DEFAULT_CAPS)
         user_caps = doc.get("caps", {})
         if not isinstance(user_caps, dict) or set(user_caps) - set(DEFAULT_CAPS):
             raise ConfigError("unknown caps keys: %s"
                               % sorted(set(user_caps) - set(DEFAULT_CAPS)))
-        caps.update({k: _count(v, "caps.%s" % k)
+        caps.update({k: _count(v, "caps.%s" % k, MAX_CAPS.get(k))
                      for k, v in user_caps.items()})
         self.caps = caps
 
@@ -145,9 +152,6 @@ class JobConfig:
                 raise ConfigError(str(exc))
         return build_root_datum(cartan=spec["cartan"], alpha=spec["alpha"],
                                 alphav=spec["alphav"])
-
-    def field_context(self) -> FieldContext:
-        return parse_field(self.field_spec)
 
 
 def parse_field(spec) -> FieldContext:
@@ -349,9 +353,6 @@ class Pipeline:
             self._modules = self._algebra.modules
         return self._algebra
 
-    def modules(self) -> dict:
-        return self.algebra().modules
-
     def module(self, lam):
         """The cell module Delta(lambda) alone, built on first use."""
         cm = self._modules.get(lam)
@@ -455,7 +456,7 @@ def cmd_cellbasis(p: Pipeline, args) -> dict:
 
 
 def cmd_specialize(p: Pipeline, args) -> dict:
-    ctx = p.config.field_context()
+    ctx = p.config.field
     out = []
     for lam in p.lambdas(args.lam):
         cm = p.module(lam)
@@ -472,9 +473,8 @@ def cmd_specialize(p: Pipeline, args) -> dict:
 
 
 def cmd_decomp(p: Pipeline, args) -> dict:
-    ctx = p.config.field_context()
-    modules = p.modules()
-    specs = {lam: specialize_module(modules[lam], ctx) for lam in p.flag}
+    ctx = p.config.field
+    specs = {lam: specialize_module(p.module(lam), ctx) for lam in p.flag}
     dm = decomposition_matrix(specs, p.flag, ctx)
     ss = semisimplicity_report(specs, p.flag, ctx)
     return {
@@ -560,10 +560,11 @@ def main(argv=None) -> int:
                 raise ConfigError("config parse error: %s" % exc)
         config = JobConfig(doc)
         if args.field is not None:
-            parse_field(args.field)  # validate before overriding
+            config.field = parse_field(args.field)
             config.field_spec = args.field
         if args.depth is not None:
-            config.caps["depth"] = _count(args.depth, "--depth")
+            config.caps["depth"] = _count(args.depth, "--depth",
+                                          MAX_CAPS["depth"])
         if args.lam is not None:
             try:
                 args.lam = tuple(int(c) for c in args.lam.split(","))
@@ -572,10 +573,7 @@ def main(argv=None) -> int:
                                   % args.lam)
         pipeline = Pipeline(config)
         payload = COMMANDS[args.command](pipeline, args)
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 2
-    except EngineError as exc:
+    except (OSError, EngineError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
     report = {

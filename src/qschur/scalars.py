@@ -110,21 +110,7 @@ class LaurentPoly:
         return out
 
     def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not other.coeffs:
-            return self
-        if not self.coeffs:
-            return -other
-        d = dict(self.coeffs)
-        for e, c in other.coeffs.items():
-            s = d.get(e, 0) - c
-            if s:
-                d[e] = s
-            elif e in d:
-                del d[e]
-        out = LaurentPoly.__new__(LaurentPoly)
-        out.coeffs = d
-        out._hash = None
-        return out
+        return self + -other
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
         if not self.coeffs or not other.coeffs:
@@ -359,10 +345,7 @@ class RatFunc:
                        self.den * other.den)
 
     def __sub__(self, other: "RatFunc") -> "RatFunc":
-        if self.den is _ONE and other.den is _ONE:
-            return RatFunc.from_laurent(self.num - other.num)
-        return RatFunc(self.num * other.den - other.num * self.den,
-                       self.den * other.den)
+        return self + -other
 
     def __neg__(self) -> "RatFunc":
         out = RatFunc.__new__(RatFunc)

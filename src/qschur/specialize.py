@@ -15,7 +15,8 @@ from functools import lru_cache
 
 from .cellmod import CellModule
 from .errors import InconsistentCharactersError
-from .linalg import laurent_determinant, nullspace, sparse_product, to_field
+from .linalg import (laurent_determinant, nullspace, sparse_product,
+                     sparse_transpose, to_field)
 from .rootdata import CosaturatedFlag, Weight
 from .scalars import (
     FieldContext,
@@ -251,18 +252,15 @@ class SemisimplicityReport:
 
     semisimple is true iff every specialized integral Gram has a zero
     radical, that is iff every integral Gram determinant f(v) is nonzero
-    at the point; witnesses lists the (lam, mu) where it vanishes.  The
-    quasihereditary witness phi^q(x0, x0) = 1 holds identically.
+    at the point; witnesses lists the (lam, mu) where it vanishes.
     """
 
-    __slots__ = ("ctx", "semisimple", "witnesses", "quasihereditary_witness")
+    __slots__ = ("ctx", "semisimple", "witnesses")
 
-    def __init__(self, ctx: FieldContext, semisimple: bool, witnesses: tuple,
-                 quasihereditary_witness: bool = True):
+    def __init__(self, ctx: FieldContext, semisimple: bool, witnesses: tuple):
         self.ctx = ctx
         self.semisimple = semisimple
         self.witnesses = witnesses
-        self.quasihereditary_witness = quasihereditary_witness
 
 
 def semisimplicity_report(specs: dict, flag: CosaturatedFlag,
@@ -281,19 +279,16 @@ def radical_is_submodule(cm: CellModule, ctx: FieldContext,
     """Check that every specialized divided-power generator matrix X maps
     rad_q into rad_q (exact membership: rad_q is the nullspace of the
     specialized integral Gram G, block-diagonal by weight), that is
-    G X R == 0 with the radical vectors as the columns of R."""
+    G X R == 0 with the radical vectors as the columns of R.  R is laid
+    out block-diagonally too: the radical at mu has at most rank(mu)
+    vectors, so its columns fit in mu's block."""
     spec = specialize_module(cm, ctx)
-    gram, rad = {}, {}
-    col = 0
-    for mu in cm.weights:
-        off = cm.offset(mu)
-        g = to_field(cm.basis(mu, integral=True).gram, ctx)
-        gram.update((off + r, {off + c: x for c, x in row.items()})
-                    for r, row in g.items())
-        for vec in spec.radicals[mu]:
-            for k, x in vec.items():
-                rad.setdefault(off + k, {})[col] = x
-            col += 1
+    gram = cm.block_diagonal({
+        mu: to_field(cm.basis(mu, integral=True).gram, ctx)
+        for mu in cm.weights})
+    rad = cm.block_diagonal({
+        mu: sparse_transpose(dict(enumerate(spec.radicals[mu])))
+        for mu in cm.weights})
     for i in range(cm.datum.rank):
         for a in range(1, depth + 1):
             for kind in ("E", "F"):

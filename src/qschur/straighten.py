@@ -41,10 +41,6 @@ class ModuleContext:
         self.lam = lam
         self.pi_lambda: SaturatedSet = saturate(datum, [lam])
         self.weights = self.pi_lambda.orbit_weights()
-        depth = datum.alpha_coords(
-            tuple(a - b for a, b in zip(lam, datum.w0(lam))))
-        assert all(c.denominator == 1 and c >= 0 for c in depth)
-        self.max_depth = int(sum(depth))
         self._push_memo: dict = {}
         self._gram_memo: dict = {}
 

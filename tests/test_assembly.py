@@ -29,7 +29,7 @@ def build(datum, seeds):
 def test_assemble_dims():
     s = build(A1, [(2,), (1,)])  # pi = {0,1,2}
     assert s.dim == 1 + 4 + 9 == 14
-    assert s.total_size == 1 + 2 + 3
+    assert sum(s.dims.values()) == 1 + 2 + 3
     s2 = build(A2, [(1, 0)])
     assert s2.dim == 9
     s0 = build(A1, [(0,)])
@@ -99,12 +99,10 @@ def _assert_canonical(bm):
 
 def test_block_matrix_agrees_with_dense_oracle():
     rng = random.Random(8)
-    zero = GEN.zero()
     for _ in range(60):
         dims = {(k,): rng.randint(1, 6) for k in range(rng.randint(2, 4))}
         x = _random_block_matrix(rng, dims, rng.choice([0.0, 0.1, 0.2]))
         y = _random_block_matrix(rng, dims, rng.choice([0.1, 0.2]))
-        c = _random_scalar(rng)
         dx, dy = x.blocks, y.blocks
         assert list(dx) == list(dims)
         assert all((m.rows, m.cols) == (n, n) for m, n in
@@ -119,8 +117,6 @@ def test_block_matrix_agrees_with_dense_oracle():
             (-x, {lam: dense.neg(dx[lam]) for lam in dims}),
             (x * y, {lam: dx[lam] * dy[lam] for lam in dims}),
             (y * x, {lam: dy[lam] * dx[lam] for lam in dims}),
-            (x.scale(c), {lam: dense.scale(dx[lam], c) for lam in dims}),
-            (x.scale(zero), dense_zero),
             (x - x, dense_zero),
             (x + part, {lam: dense.add(dx[lam], dpart[lam]) for lam in dims}),
             ((x + part) * y, {lam: dense.add(dx[lam], dpart[lam]) * dy[lam]
@@ -303,7 +299,11 @@ def test_biweight_decomposition():
 
 def test_generators_nilpotent():
     s = build(A2, [(1, 1)])
-    n = max(cm.ctx.max_depth for cm in s.modules.values()) + 1
+    # a product of more than height(lambda - w0 lambda) lowering or raising
+    # generators leaves the weights of every Delta(lambda)
+    n = max(int(sum(A2.alpha_coords(
+        tuple(a - b for a, b in zip(lam, A2.w0(lam))))))
+        for lam in s.modules) + 1
     for i in range(2):
         for kind in ("E", "F"):
             x = s.gen((kind, i, 1))

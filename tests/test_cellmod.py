@@ -13,7 +13,7 @@ from qschur.scalars import (
     quantum_factorial,
     quantum_integer,
 )
-from qschur.straighten import EMPTY_WORD, ModuleContext, gram_entry
+from qschur.straighten import EMPTY_WORD, ModuleContext, gram_entry, is_alive
 
 import dense
 
@@ -42,6 +42,61 @@ def gram_rows(sp):
     """The dense rows of the Gram matrix of all the words of a space."""
     n = len(sp.words)
     return dense.laurent_view(sp.gram, n, n).entries
+
+
+def _brute_force_words(ctx, height):
+    """Every alive word, grouped by weight: all words with adjacent indices
+    distinct and exponents summing to at most height, listed depth-first,
+    filtered by is_alive, each group sorted by (length, factor sequence)."""
+    datum = ctx.datum
+    out = {}
+
+    def extend(word, left):
+        if is_alive(ctx, word):
+            wt = list(ctx.lam)
+            for i, a in word:
+                wt = [w - a * x for w, x in zip(wt, datum.alpha[i])]
+            out.setdefault(tuple(wt), []).append(word)
+        for i in range(datum.rank):
+            if word and word[-1][0] == i:
+                continue
+            for a in range(1, left + 1):
+                extend(word + ((i, a),), left - a)
+
+    extend(EMPTY_WORD, height)
+    for group in out.values():
+        group.sort(key=lambda w: (len(w), w))
+    return out
+
+
+WORD_CONFIGS = [("A2", (2, 1)), ("B2", (1, 1)), ("G2", (1, 0)),
+                ("A1xA1", (3, 3)), ("GL2", (2, 0))]
+COORDINATE_CONFIGS = [("A2", (2, 1)), ("B2", (1, 1)), ("G2", (0, 1))]
+
+
+def _ids(configs):
+    return ["%s-%s" % (n, "".join(map(str, l))) for n, l in configs]
+
+
+@pytest.mark.parametrize("name,lam", WORD_CONFIGS, ids=_ids(WORD_CONFIGS))
+def test_enumerate_words_matches_brute_force(name, lam):
+    # no alive word has more than height(lambda - w0 lambda) factors
+    datum = _datum(name)
+    ctx = ModuleContext(datum, lam)
+    height = int(sum(datum.alpha_coords(
+        tuple(a - b for a, b in zip(lam, datum.w0(lam))))))
+    expected = _brute_force_words(ctx, height)
+    assert list(enumerate_words(ctx).items()) == list(expected.items())
+
+
+@pytest.mark.parametrize("name,lam", COORDINATE_CONFIGS,
+                         ids=_ids(COORDINATE_CONFIGS))
+def test_coordinates_of_basis_words_are_unit_vectors(name, lam):
+    # coordinates are indexed over the whole basis, as basis_index is
+    cm = CellModule(_datum(name), lam)
+    for index, (mu, word) in enumerate(cm.basis_index):
+        assert cm.coordinates(mu, {word: LaurentPoly.one()}) \
+            == {index: GEN.one()}
 
 
 def test_enumerate_words_a1():
@@ -303,7 +358,7 @@ def test_generic_and_integral_actions_agree():
             off = cm.offset(mu)
             for j, combo in enumerate(cm.basis(mu, integral=True).combos):
                 for r, x in cm.coordinates(mu, dict(combo)).items():
-                    c.entries[off + r][off + j] = x
+                    c.entries[r][off + j] = x
         assert dense.rank(c) == cm.dim
         for i in range(datum.rank):
             for kind in ("E", "F"):
@@ -342,8 +397,7 @@ def _word_grams(cm):
 
 
 @pytest.mark.parametrize("name,lam", PICK_CONFIGS,
-                         ids=["%s-%s" % (n, "".join(map(str, l)))
-                              for n, l in PICK_CONFIGS])
+                         ids=_ids(PICK_CONFIGS))
 def test_generic_picks_match_greedy_over_all_words(name, lam):
     # oracle: the greedy over the Gram matrix of every alive word
     cm = CellModule(_datum(name), lam)

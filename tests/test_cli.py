@@ -16,7 +16,9 @@ from qschur import cellmod
 from qschur.cellmod import CellModule
 from qschur.cli import (
     COMMANDS,
+    MAX_CAPS,
     MAX_CYCLOTOMIC_ORDER,
+    JobConfig,
     SparseRows,
     main,
     parse_field,
@@ -376,6 +378,40 @@ def test_cyclotomic_order_is_bounded(capsys, cfg_a1):
                        "--field", "cyclotomic=1000003")
     assert rc == 2 and out == ""
     assert err.startswith("error: ") and str(bound) in err
+
+
+@pytest.mark.parametrize("caps, extra", [
+    ({"depth": 10 ** 6}, []),
+    ({}, ["--depth", "1000000"]),
+    ({"samples": 10 ** 9}, []),
+], ids=["caps.depth", "--depth", "caps.samples"])
+def test_effort_caps_are_bounded(tmp_path, caps, extra):
+    # an unbounded depth or sample count would run verify for hours and
+    # grow its caches until the host runs out of memory: it must be
+    # refused before anything is built
+    cfg = tmp_path / "caps.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "A1"},
+                               "pi": {"seeds": [[2]]}, "caps": caps}))
+    src = os.path.dirname(os.path.dirname(qschur.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qschur.cli", "verify", "--config", str(cfg),
+         *extra],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=30)
+    key = "depth" if "depth" in caps or extra else "samples"
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert "bound %d" % MAX_CAPS[key] in proc.stderr
+
+
+def test_effort_caps_accept_their_bounds():
+    config = JobConfig({"datum": {"preset": "A1"}, "caps": dict(MAX_CAPS)})
+    assert config.caps["depth"] == MAX_CAPS["depth"]
+    assert config.caps["samples"] == MAX_CAPS["samples"]
+    for key, bound in MAX_CAPS.items():
+        with pytest.raises(ConfigError, match="bound %d" % bound):
+            JobConfig({"datum": {"preset": "A1"}, "caps": {key: bound + 1}})
 
 
 def test_non_finite_type_exit_code(tmp_path, capsys):

@@ -46,8 +46,7 @@ CASES = [
     (GramDeterminantRecord, _fields("lam", "mu", "det", "factors",
                                     "cofactor")),
     (DecompositionMatrix, _fields("ctx", "order", "entries")),
-    (SemisimplicityReport, _fields("ctx", "semisimple", "witnesses",
-                                   "quasihereditary_witness")),
+    (SemisimplicityReport, _fields("ctx", "semisimple", "witnesses")),
     (CellBasisElement, _fields("lam", "left", "right", "matrix")),
     (CheckResult, _fields("name", "passed", "detail")),
     (VerificationReport, _fields("checks")),
@@ -58,7 +57,6 @@ DEFAULTS = [
     (FieldContext, 1, {"q": None, "ell": None}),
     (Basis, 3, {"hnf_basis": None, "transform": None, "_inverse": None}),
     (WeightSpaceData, 6, {"integral": None, "_gram": None}),
-    (SemisimplicityReport, 3, {"quasihereditary_witness": True}),
     (CheckResult, 2, {"detail": ""}),
     (VerificationReport, 0, {"checks": []}),
 ]
