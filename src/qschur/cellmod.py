@@ -177,8 +177,7 @@ class CellModule:
         self._offsets = {}
         off = 0
         for mu in self.weights:
-            words = tuple(by_weight[mu])
-            candidates = self._candidates(mu, {w: w for w in words})
+            candidates = self._candidates(mu)
             gram = gram_matrix(self.ctx, candidates)
             picked = self._greedy_basis_words(gram, len(candidates))
             if len(picked) != char[mu]:
@@ -192,7 +191,8 @@ class CellModule:
                  for a, row in enumerate(rows)},
                 {w: {a: row[m] for a, row in enumerate(rows) if m in row}
                  for m, w in enumerate(candidates)})
-            self.spaces[mu] = WeightSpaceData(mu, words, candidates, generic,
+            self.spaces[mu] = WeightSpaceData(mu, tuple(by_weight[mu]),
+                                              candidates, generic,
                                               len(picked), self.ctx)
             self._offsets[mu] = off
             off += len(picked)
@@ -207,7 +207,7 @@ class CellModule:
             tuple(a - b for a, b in zip(self.lam, mu)))
         return int(sum(coords))
 
-    def _candidates(self, mu: Weight, alive: dict) -> tuple:
+    def _candidates(self, mu: Weight) -> tuple:
         """The words the generic basis at mu is picked from, sorted by
         (length, factor sequence).
 
@@ -217,9 +217,9 @@ class CellModule:
         every pick at mu extends, without merging, a pick at
         mu + a alpha_i, a space of smaller height already built; that
         alpha_i-string is unbroken, so the walk up it ends at the first
-        absent space.  The greedy result over this sorted superset of the
-        picks equals the one over all the words.  alive maps each alive
-        word at mu to itself, so the candidates share the word objects.
+        absent space.  Each such extension lands at mu, in W pi_lambda, so
+        it is alive.  The greedy result over this sorted superset of the
+        picks equals the one over all the words.
         """
         if mu == self.lam:
             return (EMPTY_WORD,)
@@ -231,11 +231,8 @@ class CellModule:
                 a += 1
                 for combo in spaces[nu].generic.combos:
                     b = combo[0][0]
-                    if b and b[-1][0] == i:
-                        continue
-                    w = alive.get(b + ((i, a),))
-                    if w is not None:
-                        out.append(w)
+                    if not b or b[-1][0] != i:
+                        out.append(b + ((i, a),))
         out.sort(key=lambda w: (len(w), w))
         return tuple(out)
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -32,6 +33,12 @@ from .specialize import (
 # Largest L of a cyclotomic=L field: building the field and specializing
 # at it cost time and memory linear in L.
 MAX_CYCLOTOMIC_ORDER = 10000
+
+# Most decimal digits in the numerator or the denominator of a q=FRACTION
+# point: Python writes no longer integer as a string, so the report could
+# not name the field, and a huge exponent takes seconds to expand.
+MAX_Q_DIGITS = 4300
+_Q_EXPONENT = r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z"  # compiled on first use
 
 # Largest caps.depth and caps.samples: verify's time and memory grow with
 # both.  At depth 32 it takes about 2 s on A2 (1,1), and 10,000 samples
@@ -173,7 +180,7 @@ def parse_field(spec) -> FieldContext:
         return FieldContext.generic()
     if spec.startswith("q="):
         try:
-            return FieldContext.rational_point(Fraction(spec[2:]))
+            return FieldContext.rational_point(_rational(spec[2:]))
         except (ValueError, ZeroDivisionError) as exc:
             raise ConfigError("bad rational point %r: %s" % (spec, exc))
     if spec.startswith("cyclotomic="):
@@ -187,6 +194,22 @@ def parse_field(spec) -> FieldContext:
         except ValueError as exc:
             raise ConfigError("bad cyclotomic order %r: %s" % (spec, exc))
     raise ConfigError("bad field spec: %r" % (spec,))
+
+
+def _rational(text: str) -> Fraction:
+    """The Fraction of text, refused when its numerator or denominator
+    has more than MAX_Q_DIGITS digits.  The numerator and the fraction
+    digits of a decimal each parse within that bound, so an exponent past
+    3 * MAX_Q_DIGITS is refused before Fraction expands it."""
+    m = re.search(_Q_EXPONENT, text)
+    if m is None or abs(int(m.group(1))) <= 3 * MAX_Q_DIGITS:
+        q = Fraction(text)
+        if max(abs(q.numerator), q.denominator) < 10 ** MAX_Q_DIGITS:
+            return q
+    shown = text if len(text) <= 40 else text[:37] + "..."
+    raise ConfigError(
+        "rational point %r has a numerator or denominator of more than "
+        "%d digits, the bound" % (shown, MAX_Q_DIGITS))
 
 
 # -- serialization helpers ----------------------------------------------------

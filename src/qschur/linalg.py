@@ -14,14 +14,13 @@ and LaurentMatrix are dense views, built only to export a block.
 
 from __future__ import annotations
 
-from .errors import ExactDivisionError, NoSolutionError
+from .errors import NoSolutionError
 from .scalars import (
     FieldContext,
     FieldValue,
     LaurentPoly,
     _quo,
     laurent_divmod,
-    laurent_exact_div,
 )
 
 
@@ -313,23 +312,6 @@ def hnf_column_basis(g: dict, rows: int, cols: int) -> tuple[dict, dict]:
 
 def _in_order(vec: dict) -> dict:
     return {k: vec[k] for k in sorted(vec)}
-
-
-def express_in_column_basis(basis: dict, y: dict) -> list:
-    """Coefficients of the sparse column y over an echelon column basis in
-    hnf_column_basis form, by successive Euclidean division; raises
-    ExactDivisionError if y is outside the module."""
-    y = dict(y)
-    coeffs = []
-    for col in basis.values():
-        r = min(col)
-        c = laurent_exact_div(y.get(r, LaurentPoly.zero()), col[r])
-        coeffs.append(c)
-        if c:
-            add_scaled(y, -c, col)
-    if y:
-        raise ExactDivisionError("column outside the generated module")
-    return coeffs
 
 
 def laurent_determinant(m: dict, n: int) -> LaurentPoly:

@@ -8,7 +8,7 @@ algebra; everything reduces to three exact operations on words:
   * concat_divided  -- multiply by one more F_i^{(a)} on the left,
   * push_E_through  -- expand E_j^{(a)} applied to a word, by commuting
     the divided E past each F factor with the binomial commutation
-    identity, dropping terms that die against the 1_mu = 0 convention,
+    identity,
   * gram_entry      -- the contravariant form c_{B,D}, by the recursion
     phi(B, D + F_j^{(a)}) = phi(E_j^{(a)} B, D) = sum_w c_w phi(w, D),
     with {w: c_w} = push_E_through(j, a, B), down to phi(B, ()) = [B == ()].
@@ -16,12 +16,14 @@ algebra; everything reduces to three exact operations on words:
     memoized once per module, the form being symmetric.
 
 Words whose prefix weights leave W pi_lambda are identically zero in
-Delta(lambda); they are discarded eagerly at every step.
+Delta(lambda).  Every term of an image has one weight, and that weight
+alone decides whether the image is zero or holds only alive words.
 """
 
 from __future__ import annotations
 
 from .errors import NonReducedWordError
+from .linalg import add_scaled
 from .rootdata import RootDatum, SaturatedSet, Weight, saturate
 from .scalars import LaurentPoly, quantum_binomial
 
@@ -89,20 +91,27 @@ def concat_divided(datum: RootDatum, word: Word, i: int, a: int) -> tuple:
     return (word + ((i, a),), LaurentPoly.one())
 
 
-def _alive_extension(ctx: ModuleContext, word: Word, i: int, a: int):
-    """concat_divided, or None when the extended word dies."""
-    new_word, coeff = concat_divided(ctx.datum, word, i, a)
-    if ctx.weight_of(new_word) not in ctx.weights:
-        return None
-    return new_word, coeff
+def _append(datum: RootDatum, i: int, a: int, vec: dict) -> dict:
+    """F_i^{(a)} applied to a word vector, with no liveness test.  Distinct
+    words stay distinct, so no two terms merge."""
+    out = {}
+    for word, coeff in vec.items():
+        w, c = concat_divided(datum, word, i, a)
+        out[w] = coeff * c
+    return out
+
+
+def _shift(mu: Weight, a: int, root) -> Weight:
+    return tuple(m + a * x for m, x in zip(mu, root))
 
 
 def push_E_through(ctx: ModuleContext, j: int, a: int, word: Word) -> dict:
     """The exact expansion of E_j^{(a)} . (word x0) in Delta(lambda).
 
     Returns {word: LaurentPoly}; coefficients are quantum binomials, so
-    they stay in Z[v,v^-1].  A positive E power reaching x0 is exactly
-    zero (lambda is maximal in pi_lambda), and dead words are dropped.
+    they stay in Z[v,v^-1].  Every term has the weight wt(word x0) +
+    a alpha_j: the image is empty when that weight leaves W pi_lambda (as
+    for x0, lambda being maximal), and otherwise holds only alive words.
     """
     if a == 0:
         return {word: LaurentPoly.one()}
@@ -111,63 +120,41 @@ def push_E_through(ctx: ModuleContext, j: int, a: int, word: Word) -> dict:
     hit = memo.get(key)
     if hit is not None:
         return hit
+    datum = ctx.datum
+    mu = ctx.weight_of(word)
     out: dict = {}
-    if word:
-        (i, c) = word[-1]
-        prefix = word[:-1]
+    if _shift(mu, a, datum.alpha[j]) in ctx.weights:
+        (i, c), prefix = word[-1], word[:-1]
         if i != j:
             # E_j commutes with F_i; re-append the F factor afterwards
-            for w, coeff in push_E_through(ctx, j, a, prefix).items():
-                ext = _alive_extension(ctx, w, i, c)
-                if ext is None:
-                    continue
-                w2, mc = ext
-                _accumulate(out, w2, coeff * mc)
+            out = _append(datum, i, c, push_E_through(ctx, j, a, prefix))
         else:
-            # E_j^{(a)} F_j^{(c)} 1_nu expansion at the intermediate weight
-            nu = ctx.weight_of(prefix)
-            pair = ctx.datum.pairing(j, nu)
+            # E_j^{(a)} F_j^{(c)} 1_nu expansion at the prefix weight nu
+            pair = datum.pairing(j, _shift(mu, c, datum.alpha[j]))
             for t in range(0, min(a, c) + 1):
-                qb = quantum_binomial(a - c + pair, t, ctx.datum.d[j])
-                if qb.is_zero():
-                    continue
-                for w, coeff in push_E_through(ctx, j, a - t, prefix).items():
-                    if c - t > 0:
-                        ext = _alive_extension(ctx, w, j, c - t)
-                        if ext is None:
-                            continue
-                        w2, mc = ext
-                        _accumulate(out, w2, qb * mc * coeff)
-                    else:
-                        _accumulate(out, w, qb * coeff)
-    out = {w: p for w, p in out.items() if not p.is_zero()}
+                qb = quantum_binomial(a - c + pair, t, datum.d[j])
+                if qb:
+                    below = push_E_through(ctx, j, a - t, prefix)
+                    add_scaled(out, qb, _append(datum, j, c - t, below)
+                               if c > t else below)
     memo[key] = out
     return out
-
-
-def _accumulate(acc: dict, word: Word, poly: LaurentPoly) -> None:
-    cur = acc.get(word)
-    acc[word] = poly if cur is None else cur + poly
 
 
 def push_E_through_vector(ctx: ModuleContext, j: int, a: int, vec: dict) -> dict:
     out: dict = {}
     for word, coeff in vec.items():
-        for w, p in push_E_through(ctx, j, a, word).items():
-            _accumulate(out, w, coeff * p)
-    return {w: p for w, p in out.items() if not p.is_zero()}
+        add_scaled(out, coeff, push_E_through(ctx, j, a, word))
+    return out
 
 
 def concat_divided_vector(ctx: ModuleContext, i: int, a: int, vec: dict) -> dict:
-    """F_i^{(a)} applied to a word vector, dead terms dropped."""
-    out: dict = {}
-    for word, coeff in vec.items():
-        ext = _alive_extension(ctx, word, i, a)
-        if ext is None:
-            continue
-        w2, mc = ext
-        _accumulate(out, w2, coeff * mc)
-    return {w: p for w, p in out.items() if not p.is_zero()}
+    """F_i^{(a)} applied to a vector of alive words of a single weight mu:
+    zero unless mu - a alpha_i is in W pi_lambda."""
+    if not vec or _shift(ctx.weight_of(next(iter(vec))), -a,
+                         ctx.datum.alpha[i]) not in ctx.weights:
+        return {}
+    return _append(ctx.datum, i, a, vec)
 
 
 def gram_entry(ctx: ModuleContext, b: Word, d: Word) -> LaurentPoly:

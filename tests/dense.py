@@ -1,15 +1,26 @@
-"""Dense views and entrywise arithmetic: the tests' reference.
+"""Dense views, entrywise arithmetic and plain algorithms: the tests'
+reference.
 
 The engine passes every matrix around as sparse rows {row: {col: nonzero}}
 and every vector as a sparse column {index: nonzero}.  These helpers build
 dense FieldMatrix and LaurentMatrix views of them and back, do plain loops
 over dense entries, and call the engine's linear algebra on a dense view,
-so that tests can compare the engine against the dense reference.
+so that tests can compare the engine against the dense reference.  The
+straightening reference tests every term of an image for liveness, with
+no memo, where the engine decides zero once per image by its weight.
 """
 
 from qschur import linalg
-from qschur.linalg import FieldMatrix, LaurentMatrix, dense_rows
-from qschur.scalars import LaurentPoly, _quo, laurent_divmod
+from qschur.errors import ExactDivisionError
+from qschur.linalg import FieldMatrix, LaurentMatrix, add_scaled, dense_rows
+from qschur.scalars import (
+    LaurentPoly,
+    _quo,
+    laurent_divmod,
+    laurent_exact_div,
+    quantum_binomial,
+)
+from qschur.straighten import concat_divided, is_alive
 
 
 # -- views -------------------------------------------------------------------
@@ -195,3 +206,62 @@ def hnf_column_basis(g, rows, cols):
             combo_cols[j] = [a - q * b for a, b in
                              zip(combo_cols[j], combo_cols[k])]
     return (sparse([col for _, col in basis_cols]), sparse(combo_cols))
+
+
+def express_in_column_basis(basis, y):
+    """Coefficients of the sparse column y over an echelon column basis in
+    hnf_column_basis form, by successive Euclidean division; raises
+    ExactDivisionError if y is outside the module."""
+    y = dict(y)
+    coeffs = []
+    for col in basis.values():
+        r = min(col)
+        c = laurent_exact_div(y.get(r, LaurentPoly.zero()), col[r])
+        coeffs.append(c)
+        if c:
+            add_scaled(y, -c, col)
+    if y:
+        raise ExactDivisionError("column outside the generated module")
+    return coeffs
+
+
+# -- straightening -----------------------------------------------------------
+
+def push_E_through(ctx, j, a, word):
+    """E_j^{(a)} . (word x0) term by term, with no memo: commute the divided
+    E past each F factor, keep each extended word only if is_alive holds,
+    and drop the sums that cancel.  The reference for
+    straighten.push_E_through."""
+    if a == 0:
+        return {word: LaurentPoly.one()}
+    out = {}
+    if word:
+        (i, c), prefix = word[-1], word[:-1]
+        if i != j:
+            for w, coeff in push_E_through(ctx, j, a, prefix).items():
+                _add_alive(ctx, out, w, i, c, coeff)
+        else:
+            pair = ctx.datum.pairing(j, ctx.weight_of(prefix))
+            for t in range(min(a, c) + 1):
+                qb = quantum_binomial(a - c + pair, t, ctx.datum.d[j])
+                for w, coeff in push_E_through(ctx, j, a - t, prefix).items():
+                    if c > t:
+                        _add_alive(ctx, out, w, j, c - t, qb * coeff)
+                    else:
+                        out[w] = out.get(w, LaurentPoly.zero()) + qb * coeff
+    return {w: p for w, p in out.items() if p}
+
+
+def concat_divided_vector(ctx, i, a, vec):
+    """F_i^{(a)} on a word vector, every extended word tested by is_alive:
+    the reference for straighten.concat_divided_vector."""
+    out = {}
+    for word, coeff in vec.items():
+        _add_alive(ctx, out, word, i, a, coeff)
+    return {w: p for w, p in out.items() if p}
+
+
+def _add_alive(ctx, out, word, i, a, coeff):
+    w, c = concat_divided(ctx.datum, word, i, a)
+    if is_alive(ctx, w):
+        out[w] = out.get(w, LaurentPoly.zero()) + coeff * c

@@ -18,6 +18,7 @@ from qschur.cli import (
     COMMANDS,
     MAX_CAPS,
     MAX_CYCLOTOMIC_ORDER,
+    MAX_Q_DIGITS,
     JobConfig,
     SparseRows,
     main,
@@ -380,6 +381,45 @@ def test_cyclotomic_order_is_bounded(capsys, cfg_a1):
     assert err.startswith("error: ") and str(bound) in err
 
 
+def test_rational_point_digits_are_bounded(capsys, tmp_path, cfg_a1):
+    # str() of a Fraction past the bound raises, so the report could not
+    # name its field; a huge exponent is refused before it is expanded
+    bound = MAX_Q_DIGITS
+    for spec in ("q=1e%d" % bound, "q=1e-%d" % bound, "q=-1e4400",
+                 "q=%s.5" % ("9" * bound), {"q": "1e-4400"},
+                 "q=1e99999999999999999999"):
+        with pytest.raises(ConfigError, match=str(bound)):
+            parse_field(spec)
+    for spec in ("q=1e%d" % (bound - 1), "q=5e-%d" % bound, {"q": 1e308}):
+        assert parse_field(spec).q
+    for command in ("specialize", "decomp"):
+        rc, out, err = run(capsys, command, "--config", cfg_a1,
+                           "--field", "q=1e4400")
+        assert rc == 2 and out == ""
+        assert err.startswith("error: ") and str(bound) in err
+    for field in ("q=1e4000", {"q": 1e308}):
+        cfg = tmp_path / "a1.json"
+        cfg.write_text(json.dumps({"datum": {"preset": "A1"},
+                                   "pi": {"seeds": [[2]]}, "field": field}))
+        rc, out, _ = run(capsys, "specialize", "--config", str(cfg))
+        assert rc == 0
+        assert json.loads(out)["config"]["field"] == field
+
+
+def test_huge_rational_exponent_exits_promptly(cfg_a1):
+    # Fraction("1e100000000") alone would take minutes to expand
+    src = os.path.dirname(os.path.dirname(qschur.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "qschur.cli", "specialize", "--config", cfg_a1,
+         "--field", "q=1e100000000"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: ")
+    assert str(MAX_Q_DIGITS) in proc.stderr
+
+
 @pytest.mark.parametrize("caps, extra", [
     ({"depth": 10 ** 6}, []),
     ({}, ["--depth", "1000000"]),
@@ -544,7 +584,8 @@ FIELDS = ["generic", "q=2", "q=1", "q=-1", "q=1/2", "cyclotomic=2",
           {"q": "3", "char": 0}, {"q": 0.5}, {"q": "2", "char": 0.0}]
 BAD_FIELDS = ["q=0", "q=x", "cyclotomic=1", "cyclotomic=x", "galois", 7,
               None, {}, {"cyclotomic": "x"}, {"q": 1, "char": 2},
-              "cyclotomic=1000003", {"cyclotomic": 1000003}]
+              "cyclotomic=1000003", {"cyclotomic": 1000003}, "q=1e4400",
+              {"q": "1e-4400"}]
 CAPS = st.fixed_dictionaries({}, optional={
     "depth": st.integers(0, 2), "samples": st.integers(0, 3),
     "cyclotomic_scan": st.integers(0, 60), "rank": st.integers(0, 4),

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from qschur.linalg import hnf_column_basis, express_in_column_basis
+from qschur.linalg import hnf_column_basis
 from qschur.scalars import (
     FieldContext,
     LaurentPoly,
@@ -108,7 +108,7 @@ def test_hnf_column_module_property(rows):
     basis = dense.column_view(columns, g.rows)
     assert (g * dense.column_view(transform, g.cols)).entries == basis.entries
     for j in range(g.cols):
-        express_in_column_basis(columns, dense.column(g, j))
+        dense.express_in_column_basis(columns, dense.column(g, j))
     assert dense.rank(dense.to_field(basis, GEN)) == basis.cols == \
         dense.rank(dense.to_field(g, GEN))
 

@@ -21,6 +21,8 @@ from qschur.straighten import (
     word_weight,
 )
 
+import dense
+
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
 
@@ -108,17 +110,19 @@ def _gram_by_push_chain(ctx, b, d):
     return vec.get(EMPTY_WORD, LaurentPoly.zero())
 
 
+def _datum(name):
+    return (build_root_datum(cartan=[[2]], alpha=[[1, -1]], alphav=[[1, -1]])
+            if name == "GL2" else build_root_datum(name))
+
+
 ORACLE_CONFIGS = [("A2", (2, 2)), ("B2", (1, 1)), ("G2", (2, 0)),
                   ("A1xA1", (3, 3)), ("GL2", (2, 0))]
+ORACLE_IDS = ["%s-%s" % (n, "".join(map(str, l))) for n, l in ORACLE_CONFIGS]
 
 
-@pytest.mark.parametrize("name,lam", ORACLE_CONFIGS,
-                         ids=["%s-%s" % (n, "".join(map(str, l)))
-                              for n, l in ORACLE_CONFIGS])
+@pytest.mark.parametrize("name,lam", ORACLE_CONFIGS, ids=ORACLE_IDS)
 def test_gram_recursion_matches_push_chain(name, lam):
-    datum = (build_root_datum(cartan=[[2]], alpha=[[1, -1]],
-                              alphav=[[1, -1]])
-             if name == "GL2" else build_root_datum(name))
+    datum = _datum(name)
     ref_ctx = ModuleContext(datum, lam)
     words = [w for group in enumerate_words(ref_ctx).values() for w in group]
     ref = {(b, d): _gram_by_push_chain(ref_ctx, b, d)
@@ -137,6 +141,42 @@ def test_gram_recursion_matches_push_chain(name, lam):
         assert gram_entry(forward, b, d) == p == gram_entry(backward, b, d)
         if word_weight(datum, b) != word_weight(datum, d):
             assert p.is_zero()
+
+
+@pytest.mark.parametrize("name,lam", ORACLE_CONFIGS, ids=ORACLE_IDS)
+def test_push_and_concat_match_per_term_reference(name, lam):
+    # the engine decides zero once per image, by its weight; the reference
+    # tests every term with is_alive, with no memo
+    datum = _datum(name)
+    ctx = ModuleContext(datum, lam)
+    words = [w for group in enumerate_words(ctx).values() for w in group
+             if len(w) <= 3]
+    empty = 0
+    for word in words:
+        for j in range(datum.rank):
+            for a in (1, 2, 3):
+                out = push_E_through(ctx, j, a, word)
+                assert out == dense.push_E_through(ctx, j, a, word), \
+                    (word, j, a)
+                empty += not out
+                # a single word and an image are each of a single weight
+                for vec in ({word: ONE}, out):
+                    for i in range(datum.rank):
+                        assert concat_divided_vector(ctx, i, a, vec) == \
+                            dense.concat_divided_vector(ctx, i, a, vec), \
+                            (vec, i, a)
+    assert empty
+
+
+def test_push_zero_image_of_alive_prefix():
+    # E_0 sends the prefix to x0, but the word's image has the weight
+    # lambda - alpha_1, outside W pi_lambda of A2 (1,0)
+    ctx = ModuleContext(A2, (1, 0))
+    word = ((0, 1), (1, 1))
+    assert is_alive(ctx, word)
+    assert push_E_through(ctx, 0, 1, word[:1]) == {EMPTY_WORD: ONE}
+    assert push_E_through(ctx, 0, 1, word) == {}
+    assert dense.push_E_through(ctx, 0, 1, word) == {}
 
 
 def test_gram_symmetry_a2():
