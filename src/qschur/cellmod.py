@@ -4,17 +4,18 @@ and exact generator action matrices.
 Each weight space keeps the overcomplete list of alive divided words and a
 Basis: the generic one and, on demand, an integral basis of the
 Q[v,v^-1]-lattice extracted by Hermite column reduction of the Gram matrix
-of all the words.  The generic basis is picked greedily over Q(v) from a
-few candidate words, the extensions of the picks one factor shorter, so
-only the candidates' Gram matrix is built with it; the Gram matrix of all
-the words is built when a report or the integral basis first reads it.  A
-Basis is a list of word combinations with its Gram matrix; coordinates and
-generator actions are computed the same way in either basis, through the
-Gram inverse applied to pairings phi(b_j, w) cached per word.  Every matrix
-here is sparse rows {row: {col: nonzero}} (the Gram matrices, the Gram
-inverse, the actions; the Hermite basis and transform hold one sparse
-column per key), and pairings and coordinates are sparse columns
-{index: nonzero}.  The ambient algebra is never materialized.
+of all the words.  The generic basis is picked greedily, by fraction-free
+elimination of the Laurent Gram rows, from a few candidate words, the
+extensions of the picks one factor shorter, so only the candidates' Gram
+matrix is built with it; the Gram matrix of all the words is built when a
+report or the integral basis first reads it.  A Basis is a list of word
+combinations with its Gram matrix; coordinates and generator actions are
+computed the same way in either basis, through the Gram inverse applied to
+pairings phi(b_j, w) cached per word.  Every matrix here is sparse rows
+{row: {col: nonzero}} (the Gram matrices, the Gram inverse, the actions;
+the Hermite basis and transform hold one sparse column per key), and
+pairings and coordinates are sparse columns {index: nonzero}.  The ambient
+algebra is never materialized.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 from .errors import CoordinateFailureError, RankMismatchError
 from .linalg import (
     add_scaled,
-    forward_eliminate,
+    fraction_free_eliminate,
     hnf_column_basis,
     invert,
     sparse_product,
@@ -238,12 +239,13 @@ class CellModule:
 
     def _greedy_basis_words(self, gram: dict, n: int) -> tuple:
         """Greedy: keep a word of the n when its Gram column grows the
-        column rank over Q(v).  The Gram matrix is symmetric, so its
-        columns are its rows; a zero row is absent, and is walked as an
-        empty row so the later indices stay in place."""
-        rows = to_field(gram, GENERIC)
-        return tuple(index for index, _ in
-                     forward_eliminate(rows.get(i, {}) for i in range(n)))
+        column rank over Q(v), decided by fraction_free_eliminate on the
+        Laurent rows (the rank profile is the same over Z[v,v^-1]).  The
+        Gram matrix is symmetric, so its columns are its rows; a zero row
+        is absent, and is walked as an empty row so the later indices stay
+        in place."""
+        return tuple(index for index, _ in fraction_free_eliminate(
+            gram.get(i, {}) for i in range(n)))
 
     def character(self) -> dict:
         return {mu: self.spaces[mu].rank for mu in self.weights}

@@ -4,12 +4,14 @@ Every matrix the engine passes around is sparse rows: no stored zero entry
 and no empty row, so a zero row is an absent key and shapes travel as
 explicit arguments.  One sparse product loop, sparse_product, behind every
 matrix product; over a field, one sparse elimination loop,
-forward_eliminate (rank, determinant, every greedy independence test), and
-the reduced echelon form read from it (solve, nullspace, inverse); over
-Q[v,v^-1], Hermite-style column reduction, used to extract bases of
-integral lattices.  Pivoting is always "first nonzero in index order" --
-the arithmetic is exact, so determinism beats conditioning.  FieldMatrix
-and LaurentMatrix are dense views, built only to export a block.
+forward_eliminate (rank, determinant, the span rank), and the reduced
+echelon form read from it (solve, nullspace, inverse); over Q[v,v^-1],
+one fraction-free elimination loop, fraction_free_eliminate (the generic
+basis greedy, Laurent determinants), and Hermite-style column reduction,
+used to extract bases of integral lattices.  Pivoting is always "first
+nonzero in index order" -- the arithmetic is exact, so determinism beats
+conditioning.  FieldMatrix and LaurentMatrix are dense views, built only
+to export a block.
 """
 
 from __future__ import annotations
@@ -19,8 +21,10 @@ from .scalars import (
     FieldContext,
     FieldValue,
     LaurentPoly,
+    _ONE,
     _quo,
     laurent_divmod,
+    laurent_exact_div,
 )
 
 
@@ -140,6 +144,46 @@ def forward_eliminate(rows) -> list:
     return out
 
 
+def fraction_free_eliminate(rows) -> list:
+    """Row-wise Bareiss elimination on sparse rows {column: nonzero
+    LaurentPoly}, taken in order; the contract of forward_eliminate over
+    Q[v,v^-1], without a quotient field and without mutating the input.
+
+    Each row is reduced against the pivot rows P_j, pivot p_j at column
+    c_j, in order by r <- (p_j r - r[c_j] P_j) / p_(j-1), p_0 = 1, and
+    pivots at its first nonzero column unless it vanishes.  By Sylvester's
+    identity each entry is then a minor of the input, so every division
+    is exact (laurent_exact_div raises otherwise), and the last pivot is
+    the determinant up to the sign of the pivot-column permutation.
+    Returns (row index, reduced row) for the pivot rows: the indices
+    greedily pick a maximal independent set of rows.
+    """
+    pivots: list = []
+    out = []
+    for index, row in enumerate(rows):
+        prev = _ONE
+        for col, piv, prow in pivots:
+            f = row.get(col)
+            if f is None and piv == prev:
+                continue  # the rescaling by p_j / p_(j-1) = 1
+            new = {k: piv * x for k, x in row.items()}
+            if f is not None:
+                add_scaled(new, -f, prow)
+            if prev != _ONE:
+                new = {k: laurent_exact_div(x, prev) for k, x in new.items()}
+            row = new
+            prev = piv
+            if not row:
+                break
+        else:
+            if row:
+                col = min(row)
+                row = dict(row)
+                pivots.append((col, row[col], row))
+                out.append((index, row))
+    return out
+
+
 def add_scaled(row: dict, f, other: dict) -> None:
     """row += f * other on sparse rows {column: nonzero scalar}, in place;
     cancelled entries go.  f is nonzero."""
@@ -227,9 +271,12 @@ def determinant(m: dict, n: int, ctx: FieldContext) -> FieldValue:
         col = min(row)
         cols.append(col)
         det = det * row[col]
-    inversions = sum(1 for i, a in enumerate(cols) for b in cols[i + 1:]
-                     if a > b)
-    return -det if inversions % 2 else det
+    return -det if _odd_permutation(cols) else det
+
+
+def _odd_permutation(cols: list) -> bool:
+    return sum(1 for i, a in enumerate(cols) for b in cols[i + 1:]
+               if a > b) % 2 == 1
 
 
 def invert(m: dict, n: int, ctx: FieldContext) -> dict:
@@ -315,7 +362,13 @@ def _in_order(vec: dict) -> dict:
 
 
 def laurent_determinant(m: dict, n: int) -> LaurentPoly:
-    """Exact determinant of an n x n sparse Laurent matrix (via Q(v)
-    elimination)."""
-    generic = FieldContext.generic()
-    return determinant(to_field(m, generic), n, generic).to_laurent()
+    """Exact determinant of an n x n sparse Laurent matrix: the last
+    fraction-free pivot times the sign of the pivot-column permutation."""
+    if not n:
+        return LaurentPoly.one()
+    reduced = fraction_free_eliminate(m.get(i, {}) for i in range(n))
+    if len(reduced) < n:
+        return LaurentPoly.zero()
+    cols = [min(row) for _, row in reduced]
+    det = reduced[-1][1][cols[-1]]
+    return -det if _odd_permutation(cols) else det

@@ -13,6 +13,7 @@ from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate
+from math import gcd
 from operator import sub
 
 from .errors import DenominatorVanishes, ExactDivisionError
@@ -113,11 +114,22 @@ class LaurentPoly:
         return self + -other
 
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if not self.coeffs or not other.coeffs:
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
             return _ZERO
+        if len(a) == 1 or len(b) == 1:
+            # a single term c*v^k is a shift and scale; 1 is the identity
+            term, rest = (a, other) if len(a) == 1 else (b, self)
+            ((k, c),) = term.items()
+            if k == 0 and c == 1:
+                return rest
+            out = LaurentPoly.__new__(LaurentPoly)
+            out.coeffs = {e + k: c * x for e, x in rest.coeffs.items()}
+            out._hash = None
+            return out
         d: dict = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
+        for e1, c1 in a.items():
+            for e2, c2 in b.items():
                 e = e1 + e2
                 s = d.get(e, 0) + c1 * c2
                 if s:
@@ -272,13 +284,77 @@ def laurent_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return q
 
 
+# Evaluation points the heuristic gcd tries before it falls back to Euclid.
+HEUGCD_TRIES = 6
+
+
 def laurent_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Gcd in Q[v,v^-1], normalized to lowest exponent 0 and top coefficient 1."""
-    while not b.is_zero():
+    """Gcd in Q[v,v^-1], normalized to lowest exponent 0 and top coefficient 1.
+
+    Integer inputs go through the heuristic gcd of Char, Geddes & Gonnet
+    (J. Symbolic Comput. 7 (1989)): the primitive parts A, B are evaluated
+    at an integer xi >= 2 min(|A|, |B|) + 2, the integer gcd of the two
+    values is read back as symmetric xi-adic digits, and the candidate is
+    the gcd exactly when its primitive part divides both A and B.  After
+    HEUGCD_TRIES evaluation points, and for Fraction coefficients, Euclid
+    over Q decides.
+    """
+    if a and b:
+        if len(a.coeffs) == 1 or len(b.coeffs) == 1:
+            return _ONE
+        if _all_int(a) and _all_int(b):
+            g = _heuristic_gcd(_primitive(a.to_dense()[1]),
+                               _primitive(b.to_dense()[1]))
+            if g is not None:
+                if len(g) == 1:
+                    return _ONE
+                return LaurentPoly.from_dense(0, g).unit_normalize()[0]
+    while b:
         a, b = b, laurent_divmod(a, b)[1]
-    if a.is_zero():
-        return _ZERO
     return a.unit_normalize()[0]
+
+
+def _all_int(p: LaurentPoly) -> bool:
+    return all(type(c) is int for c in p.coeffs.values())
+
+
+def _heuristic_gcd(a: list, b: list) -> list | None:
+    """The primitive gcd, positive lead, of two primitive dense integer
+    polynomials with nonzero constant terms, or None when no evaluation
+    point of HEUGCD_TRIES certified a candidate."""
+    xi = 2 * min(max(map(abs, a)), max(map(abs, b))) + 2
+    for _ in range(HEUGCD_TRIES):
+        h = gcd(_eval(a, xi), _eval(b, xi))
+        digits = []
+        half = xi // 2
+        while h:
+            c = h % xi
+            if c > half:
+                c -= xi
+            digits.append(c)
+            h = (h - c) // xi
+        g = _primitive(digits)
+        # g is primitive, so (Gauss) it divides over Z when it does over Q
+        if not _dense_divmod(a, g)[1] and not _dense_divmod(b, g)[1]:
+            return g
+        xi = xi * 73794 // 27011  # grow xi by about 1 + sqrt(3)
+    return None
+
+
+def _eval(dense: list, x: int) -> int:
+    acc = 0
+    for c in reversed(dense):
+        acc = acc * x + c
+    return acc
+
+
+def _primitive(dense: list) -> list:
+    """Dense integer coefficients over their content, with a positive
+    lead."""
+    content = gcd(*dense)
+    if dense[-1] < 0:
+        content = -content
+    return [c // content for c in dense]
 
 
 class RatFunc:
@@ -300,7 +376,7 @@ class RatFunc:
             self.num, self.den = _ZERO, _ONE
             return
         g = laurent_gcd(num, den)
-        if not g.is_unit() or g != _ONE:
+        if g != _ONE:
             num = laurent_exact_div(num, g)
             den = laurent_exact_div(den, g)
         monic, unit = den.unit_normalize()

@@ -10,6 +10,8 @@ straightening reference tests every term of an image for liveness, with
 no memo, where the engine decides zero once per image by its weight.
 """
 
+import itertools
+
 from qschur import linalg
 from qschur.errors import ExactDivisionError
 from qschur.linalg import FieldMatrix, LaurentMatrix, add_scaled, dense_rows
@@ -223,6 +225,30 @@ def express_in_column_basis(basis, y):
     if y:
         raise ExactDivisionError("column outside the generated module")
     return coeffs
+
+
+def laurent_gcd(a, b):
+    """Gcd in Q[v,v^-1] by Euclid over Q, normalized to lowest exponent 0
+    and top coefficient 1: the reference for scalars.laurent_gcd."""
+    while not b.is_zero():
+        a, b = b, laurent_divmod(a, b)[1]
+    if a.is_zero():
+        return LaurentPoly.zero()
+    return a.unit_normalize()[0]
+
+
+def leibniz(rows, zero, one):
+    """The determinant of dense square rows as the signed sum over all
+    permutations: the reference for every determinant."""
+    total = zero
+    for perm in itertools.permutations(range(len(rows))):
+        term = one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        inversions = sum(1 for a, b in itertools.combinations(perm, 2)
+                         if a > b)
+        total = total - term if inversions % 2 else total + term
+    return total
 
 
 # -- straightening -----------------------------------------------------------

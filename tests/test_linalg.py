@@ -10,9 +10,12 @@ from qschur.errors import ExactDivisionError, NoSolutionError
 from qschur.linalg import (
     FieldMatrix,
     LaurentMatrix,
+    forward_eliminate,
+    fraction_free_eliminate,
     hnf_column_basis,
     laurent_determinant,
     sparse_product,
+    to_field,
 )
 from qschur.scalars import FieldContext, LaurentPoly, quantum_integer
 
@@ -82,18 +85,6 @@ def test_determinant_and_invert():
         invert(fm(GEN, [[1, 2], [2, 4]]))
 
 
-def _leibniz(ctx, m):
-    """The determinant as the signed sum over all permutations."""
-    total = ctx.zero()
-    for perm in itertools.permutations(range(m.rows)):
-        term = ctx.one()
-        for i, j in enumerate(perm):
-            term = term * m.entries[i][j]
-        inversions = sum(1 for a, b in itertools.combinations(perm, 2) if a > b)
-        total = total - term if inversions % 2 else total + term
-    return total
-
-
 def _shaped_rows(rng, r, c):
     """Random Laurent rows, often made singular (a repeated row) or given
     zero leading entries that force elimination to reorder rows."""
@@ -146,7 +137,7 @@ def test_determinant_and_rank_oracle(ctx):
             n = rng.randint(1, 4)
             m = fm(ctx, shaped(rng, n, n))
             det = determinant(m)
-            assert det == _leibniz(ctx, m)
+            assert det == dense.leibniz(m.entries, ctx.zero(), ctx.one())
             assert (rank(m) == n) == bool(det)
             r, c = rng.randint(1, 4), rng.randint(1, 4)
             m = fm(ctx, shaped(rng, r, c))
@@ -204,7 +195,7 @@ def test_invert_oracle(ctx):
         for _ in range(30):
             n = rng.randint(1, 4)
             m = fm(ctx, shaped(rng, n, n))
-            if _leibniz(ctx, m):
+            if dense.leibniz(m.entries, ctx.zero(), ctx.one()):
                 mi = invert(m)
                 assert mi * m == dense.identity(ctx, n)
                 assert m * mi == dense.identity(ctx, n)
@@ -379,3 +370,85 @@ def test_laurent_determinant():
     two = quantum_integer(2)
     m = dense.sparse([[two, L.one()], [L.zero(), two]])
     assert laurent_determinant(m, 2) == two * two
+
+
+# -- fraction-free elimination over Q[v,v^-1] ---------------------------------
+
+def _random_entry(rng, rational):
+    p = _random_laurent(rng)
+    if rational and p and rng.random() < 0.5:
+        p = p.scale(Fraction(rng.choice([-1, 1, 2]), rng.choice([2, 3, 5])))
+    return p
+
+
+def _random_sparse_rows(rng, r, c, rational):
+    """Random sparse Laurent rows: some zero, some Laurent combinations of
+    earlier rows, the rest random, so pivots are rarely monic."""
+    rows = []
+    for _ in range(r):
+        kind = rng.randrange(5)
+        if kind == 0:
+            row = {}
+        elif kind == 1 and rows:
+            dense_row = [L.zero()] * c
+            for earlier in rng.sample(rows, rng.randint(1, len(rows))):
+                f = _random_entry(rng, rational)
+                for j, x in earlier.items():
+                    dense_row[j] = dense_row[j] + f * x
+            row = dense.sparse_vector(dense_row)
+        else:
+            row = dense.sparse_vector([_random_entry(rng, rational)
+                                       for _ in range(c)])
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("rational", [False, True],
+                         ids=["integer", "rational"])
+def test_fraction_free_picks_match_field_elimination(rational):
+    rng = random.Random(59 + rational)
+    for _ in range(150):
+        r, c = rng.randint(1, 6), rng.randint(1, 5)
+        rows = _random_sparse_rows(rng, r, c, rational)
+        before = [dict(row) for row in rows]
+        picks = fraction_free_eliminate(rows)
+        assert rows == before
+        field = to_field(dict(enumerate(rows)), GEN)
+        expected = forward_eliminate(field.get(i, {}) for i in range(r))
+        assert [i for i, _ in picks] == [i for i, _ in expected]
+        # the pivot columns are the rank profile, whatever the scaling
+        assert [min(row) for _, row in picks] == \
+            [min(row) for _, row in expected]
+
+
+def test_fraction_free_generic_picks_differ_from_picks_at_a_point():
+    # c2 = (0, v - 2) is independent of c1 over Q(v), but zero at v = 2
+    rows = [{0: L.one()}, {1: L({1: 1, 0: -2})}, {1: L.one()}]
+    assert [i for i, _ in fraction_free_eliminate(rows)] == [0, 1]
+    at_two = to_field(dict(enumerate(rows)), FieldContext.rational_point(2))
+    assert [i for i, _ in forward_eliminate(
+        at_two.get(i, {}) for i in range(3))] == [0, 2]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_laurent_determinant_matches_leibniz(n):
+    rng = random.Random(61 + n)
+    z, one = L.zero(), L.one()
+    matrices = []
+    for shaped in _shapes(1061 + n):
+        matrices += [shaped(rng, n, n) for _ in range(12)]
+    for rational in (False, True):
+        for _ in range(12):
+            rows = _random_sparse_rows(rng, n, n, rational)
+            matrices.append(
+                dense.laurent_view(dict(enumerate(rows)), n, n).entries)
+    # scaled permutation matrices: the determinant is the sign of the
+    # pivot-column permutation times the product of the entries
+    for perm in itertools.islice(itertools.permutations(range(n)), 24):
+        matrices.append([[L.var(i - 1, i + 2) if j == perm[i] else z
+                          for j in range(n)] for i in range(n)])
+    for rows in matrices:
+        m = dense.sparse(rows)
+        before = {i: dict(row) for i, row in m.items()}
+        assert laurent_determinant(m, n) == dense.leibniz(rows, z, one)
+        assert m == before

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qschur import scalars
 from qschur.cellmod import CellModule
 from qschur.errors import DenominatorVanishes, ExactDivisionError
 from qschur.rootdata import build_root_datum
@@ -27,6 +28,8 @@ from qschur.scalars import (
     quantum_integer,
     specialize,
 )
+
+import dense
 
 L = LaurentPoly
 
@@ -184,6 +187,87 @@ def test_laurent_divmod_and_gcd():
     assert g2 == quantum_integer(2).unit_normalize()[0]
     with pytest.raises(ExactDivisionError):
         laurent_exact_div(quantum_integer(3), quantum_integer(2))
+
+
+def _random_poly(rng, rational=False, span=4):
+    p = L({rng.randint(-3, 3): rng.randint(-6, 6)
+           for _ in range(rng.randint(1, span))})
+    if rational and p:
+        p = p.scale(Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([2, 5, 7])))
+    return p
+
+
+def _gcd_pairs(seed):
+    """Seeded Laurent pairs for the gcd oracle: a shared random factor
+    times cofactors, scaled by nontrivial contents and negative leads,
+    integer and rational; single terms, zero and coprime pairs."""
+    rng = random.Random(seed)
+    pairs = []
+    for k in range(240):
+        rational = k % 4 == 3
+        common = _random_poly(rng, rational)
+        if k % 5 == 0:
+            common = common * common
+        a = common * _random_poly(rng, rational)
+        b = common * _random_poly(rng, rational)
+        content = rng.choice([1, 2, -3, 6, -12])
+        pairs.append((a.scale(content), b.scale(rng.choice([1, -1, 4]))))
+        pairs.append((_random_poly(rng), _random_poly(rng, rational)))
+    for x in (L.var(-2, 3), L.var(1, Fraction(-1, 2)), L.one(), L.zero()):
+        for y in (quantum_integer(3), L({2: Fraction(1, 3), 0: 1}),
+                  L.var(4, -7), L.zero()):
+            pairs += [(x, y), (y, x)]
+    pairs.append((quantum_integer(4) * quantum_integer(6),
+                  quantum_integer(6) * quantum_integer(9)))
+    return pairs
+
+
+def _typed(p):
+    return sorted((e, c, type(c)) for e, c in p.coeffs.items())
+
+
+def test_laurent_gcd_matches_euclid_reference():
+    for a, b in _gcd_pairs(71):
+        assert _typed(laurent_gcd(a, b)) == _typed(dense.laurent_gcd(a, b)), \
+            (a, b)
+
+
+def test_laurent_gcd_fallback_matches_heuristic(monkeypatch):
+    pairs = _gcd_pairs(73)
+    heuristic = [laurent_gcd(a, b) for a, b in pairs]
+    divisions = []
+    original = scalars.laurent_divmod
+
+    def counting(a, b):
+        divisions.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(scalars, "HEUGCD_TRIES", 0)
+    monkeypatch.setattr(scalars, "laurent_divmod", counting)
+    assert [_typed(laurent_gcd(a, b)) for a, b in pairs] == \
+        [_typed(g) for g in heuristic]
+    assert divisions  # Euclid ran
+
+
+def _double_loop(a, b):
+    """The product of two Laurent polynomials term by term."""
+    d = {}
+    for e1, c1 in a.coeffs.items():
+        for e2, c2 in b.coeffs.items():
+            d[e1 + e2] = d.get(e1 + e2, 0) + c1 * c2
+    return L(d)
+
+
+@pytest.mark.parametrize("term", [
+    L.one(), L.var(0, -1), L.var(-3, 2), L.var(2, Fraction(-2, 3)),
+    L.var(-1, Fraction(1)), L.var(5, 7)], ids=str)
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_single_term_product_matches_double_loop(term, side):
+    others = [quantum_integer(3), L({-2: Fraction(1, 2), 1: -3, 4: 1}),
+              L.var(-1, 4), L.var(0, Fraction(3, 4)), L.one(), L.zero()]
+    for other in others:
+        a, b = (term, other) if side == "left" else (other, term)
+        assert _typed(a * b) == _typed(_double_loop(a, b)), (a, b)
 
 
 def test_ratfunc_canonical():
