@@ -9,13 +9,15 @@ elimination of the Laurent Gram rows, from a few candidate words, the
 extensions of the picks one factor shorter, so only the candidates' Gram
 matrix is built with it; the Gram matrix of all the words is built when a
 report or the integral basis first reads it.  A Basis is a list of word
-combinations with its Gram matrix; coordinates and generator actions are
-computed the same way in either basis, through the Gram inverse applied to
-pairings phi(b_j, w) cached per word.  Every matrix here is sparse rows
-{row: {col: nonzero}} (the Gram matrices, the Gram inverse, the actions;
-the Hermite basis and transform hold one sparse column per key), and
-pairings and coordinates are sparse columns {index: nonzero}.  The ambient
-algebra is never materialized.
+combinations with its Gram matrix, and basis_of builds both kinds from
+their word coefficients and pairings with the words: a selection of the
+candidates for the generic basis, the Hermite transform and basis for the
+integral one.  Coordinates and generator actions are computed the same way
+in either basis, through the Gram inverse applied to pairings phi(b_j, w)
+cached per word.  Every matrix here is sparse rows {row: {col: nonzero}}
+(the Gram matrices, the Gram inverse, the actions; basis_of reads one
+sparse column per key), and pairings and coordinates are sparse columns
+{index: nonzero}.  The ambient algebra is never materialized.
 """
 
 from __future__ import annotations
@@ -44,31 +46,43 @@ from .straighten import (
 GENERIC = FieldContext.generic()
 
 
+def extensions(ctx: ModuleContext, mu: Weight, above: dict) -> list:
+    """The words at mu built from the word lists of above, sorted by
+    (length, factor sequence): the empty word at lambda, elsewhere each
+    b + ((i, a),) that does not merge, for b in above[mu + a alpha_i].
+
+    The alpha_i-strings of W pi_lambda are unbroken, so the walk up each
+    one ends at the first weight missing from above.
+    """
+    if mu == ctx.lam:
+        return [EMPTY_WORD]
+    out = []
+    for i, root in enumerate(ctx.datum.alpha):
+        nu, a = mu, 0
+        while (nu := tuple(m + x for m, x in zip(nu, root))) in above:
+            a += 1
+            out.extend(b + ((i, a),) for b in above[nu]
+                       if not b or b[-1][0] != i)
+    out.sort(key=lambda w: (len(w), w))
+    return out
+
+
 def enumerate_words(ctx: ModuleContext) -> dict:
     """All alive divided words of Delta(lambda), grouped by weight.
 
-    Depth-first search that carries each prefix's weight forward.  The
-    alpha_i-strings of W pi_lambda are unbroken, so the exponent of a new
-    factor F_i^(a) grows only until the weight first leaves W pi_lambda.
-    Each group is sorted by (length, factor sequence).
+    One pass over W pi_lambda in height order: depth below lambda, then
+    lexicographically, so every weight above mu on an alpha_i-string comes
+    before mu.  An alive word is an alive word one factor shorter extended
+    without merging, so each group is the extensions of the groups above.
     """
     by_weight: dict = {}
-    weights = ctx.weights
-
-    def visit(word: Word, mu: Weight):
-        by_weight.setdefault(mu, []).append(word)
-        last = word[-1][0] if word else None
-        for i, root in enumerate(ctx.datum.alpha):
-            if i == last:
-                continue
-            nu, a = mu, 0
-            while (nu := tuple(m - x for m, x in zip(nu, root))) in weights:
-                a += 1
-                visit(word + ((i, a),), nu)
-
-    visit(EMPTY_WORD, ctx.lam)
-    for group in by_weight.values():
-        group.sort(key=lambda w: (len(w), w))
+    level = [ctx.lam]
+    while level:
+        for mu in level:
+            by_weight[mu] = extensions(ctx, mu, by_weight)
+        level = sorted({nu for mu in level for root in ctx.datum.alpha
+                        if (nu := tuple(m - x for m, x in zip(mu, root)))
+                        in ctx.weights})
     return by_weight
 
 
@@ -77,23 +91,18 @@ class Basis:
 
     combos[j] lists the (word, coefficient) terms of b_j and the sparse
     rows gram hold phi(b_j, b_l) under the contravariant form.  columns
-    maps a word w to the sparse column {j: phi(b_j, w)}; CellModule fills
-    it on first use.  An integral basis also keeps its Hermite certificate
-    hnf_basis = word_gram * transform, both one sparse column per key;
-    column j of transform holds the word coefficients of b_j.
+    maps a word w to the sparse column {j: phi(b_j, w)}; basis_of fills it
+    for the words the basis is built from, CellModule for others on first
+    use.
     """
 
-    __slots__ = ("combos", "gram", "columns", "hnf_basis", "transform",
-                 "_inverse")
+    __slots__ = ("combos", "gram", "columns", "_inverse")
 
     def __init__(self, combos: tuple, gram: dict, columns: dict,
-                 hnf_basis: dict | None = None, transform: dict | None = None,
                  _inverse: dict | None = None):
         self.combos = combos
         self.gram = gram
         self.columns = columns
-        self.hnf_basis = hnf_basis
-        self.transform = transform
         self._inverse = _inverse
 
     def inverse(self) -> dict:
@@ -105,20 +114,31 @@ class Basis:
         return self._inverse
 
 
+def basis_of(words: tuple, transform: dict, pairing: dict) -> Basis:
+    """The basis whose b_j has the word coefficients transform[j], given
+    pairing = word_gram * transform; both hold one sparse column per key.
+    The word Gram matrix is symmetric, so entry k of pairing[j] is
+    phi(b_j, words[k])."""
+    by_word = sparse_transpose(pairing)
+    return Basis(
+        tuple(tuple((words[k], x) for k, x in col.items())
+              for col in transform.values()),
+        sparse_product(pairing, sparse_transpose(transform)),
+        {w: by_word.get(k, {}) for k, w in enumerate(words)})
+
+
 class WeightSpaceData:
     """One weight space of Delta(lambda): all its alive words, the candidate
     words the generic basis was picked from, the generic basis and, once
     ensure_integral has run, the integral one.  The Gram matrix of all the
     words is built on first read; the candidates' entries are memo hits."""
 
-    __slots__ = ("mu", "words", "candidates", "generic", "rank", "ctx",
-                 "integral", "_gram")
+    __slots__ = ("words", "candidates", "generic", "rank", "ctx", "integral",
+                 "_gram")
 
-    def __init__(self, mu: Weight, words: tuple, candidates: tuple,
-                 generic: Basis, rank: int, ctx: ModuleContext,
-                 integral: Basis | None = None,
+    def __init__(self, words: tuple, candidates: tuple, generic: Basis,
+                 rank: int, ctx: ModuleContext, integral: Basis | None = None,
                  _gram: dict | None = None):
-        self.mu = mu
         self.words = words
         self.candidates = candidates
         self.generic = generic
@@ -169,73 +189,43 @@ class CellModule:
         if set(by_weight) != set(char):
             raise RankMismatchError(
                 "word support does not match the character oracle at %r" % (lam,))
-        # weights sorted by depth below lambda, then lexicographically,
-        # so the x0 space comes first and every space above mu precedes it
-        self.weights = tuple(sorted(
-            by_weight,
-            key=lambda mu: (self._height(mu), mu)))
+        # height order: the x0 space comes first and every space above mu
+        # precedes it
+        self.weights = tuple(by_weight)
         self.spaces: dict = {}
         self._offsets = {}
+        picks: dict = {}
+        one = LaurentPoly.one()
         off = 0
         for mu in self.weights:
-            candidates = self._candidates(mu)
+            # The greedy basis is prefix-closed: if the prefix p of a word
+            # w = p + ((i, a),) were a combination of earlier words, F_i^(a)
+            # would make w a combination of earlier or shorter merged
+            # words.  So every pick at mu extends, without merging, a pick
+            # at mu + a alpha_i, a space already built, and each such
+            # extension lands at mu, in W pi_lambda, so it is alive.  The
+            # greedy over this sorted superset of the picks picks what the
+            # greedy over all the words picks.
+            candidates = tuple(extensions(self.ctx, mu, picks))
             gram = gram_matrix(self.ctx, candidates)
             picked = self._greedy_basis_words(gram, len(candidates))
             if len(picked) != char[mu]:
                 raise RankMismatchError(
                     "Gram rank %d != multiplicity %d at weight %r of %r"
                     % (len(picked), char[mu], mu, lam))
-            rows = [gram[k] for k in picked]
-            generic = Basis(
-                tuple(((candidates[k], LaurentPoly.one()),) for k in picked),
-                {a: {b: row[k] for b, k in enumerate(picked) if k in row}
-                 for a, row in enumerate(rows)},
-                {w: {a: row[m] for a, row in enumerate(rows) if m in row}
-                 for m, w in enumerate(candidates)})
-            self.spaces[mu] = WeightSpaceData(mu, tuple(by_weight[mu]),
+            picks[mu] = [candidates[k] for k in picked]
+            generic = basis_of(candidates,
+                               {j: {k: one} for j, k in enumerate(picked)},
+                               {j: gram[k] for j, k in enumerate(picked)})
+            self.spaces[mu] = WeightSpaceData(tuple(by_weight[mu]),
                                               candidates, generic,
                                               len(picked), self.ctx)
             self._offsets[mu] = off
             off += len(picked)
         self.dim = off
-        self.basis_index = tuple(
-            (mu, combo[0][0])
-            for mu in self.weights for combo in self.spaces[mu].generic.combos)
+        self.basis_index = tuple((mu, w) for mu in self.weights
+                                 for w in picks[mu])
         self._action_cache: dict = {}
-
-    def _height(self, mu: Weight) -> int:
-        coords = self.datum.alpha_coords(
-            tuple(a - b for a, b in zip(self.lam, mu)))
-        return int(sum(coords))
-
-    def _candidates(self, mu: Weight) -> tuple:
-        """The words the generic basis at mu is picked from, sorted by
-        (length, factor sequence).
-
-        The greedy basis is prefix-closed: if the prefix p of a word
-        w = p + ((i, a),) were a combination of earlier words, F_i^(a)
-        would make w a combination of earlier or shorter merged words.  So
-        every pick at mu extends, without merging, a pick at
-        mu + a alpha_i, a space of smaller height already built; that
-        alpha_i-string is unbroken, so the walk up it ends at the first
-        absent space.  Each such extension lands at mu, in W pi_lambda, so
-        it is alive.  The greedy result over this sorted superset of the
-        picks equals the one over all the words.
-        """
-        if mu == self.lam:
-            return (EMPTY_WORD,)
-        out = []
-        spaces = self.spaces
-        for i, root in enumerate(self.datum.alpha):
-            nu, a = mu, 0
-            while (nu := tuple(m + x for m, x in zip(nu, root))) in spaces:
-                a += 1
-                for combo in spaces[nu].generic.combos:
-                    b = combo[0][0]
-                    if not b or b[-1][0] != i:
-                        out.append(b + ((i, a),))
-        out.sort(key=lambda w: (len(w), w))
-        return tuple(out)
 
     def _greedy_basis_words(self, gram: dict, n: int) -> tuple:
         """Greedy: keep a word of the n when its Gram column grows the
@@ -275,14 +265,7 @@ class CellModule:
                 raise RankMismatchError(
                     "integral rank %d != generic rank %d at %r"
                     % (len(hnf_basis), sp.rank, mu))
-            combos = tuple(tuple((sp.words[k], x) for k, x in col.items())
-                           for col in transform.values())
-            # the Gram matrix is symmetric, so phi(b_j, w_k) is entry k of
-            # column j of hnf_basis = word_gram * transform
-            by_word = sparse_transpose(hnf_basis)
-            columns = {w: by_word.get(k, {}) for k, w in enumerate(sp.words)}
-            gram = sparse_product(hnf_basis, sparse_transpose(transform))
-            sp.integral = Basis(combos, gram, columns, hnf_basis, transform)
+            sp.integral = basis_of(sp.words, transform, hnf_basis)
 
     def _pairings(self, basis: Basis, word: Word) -> dict:
         """The sparse column {j: phi(b_j, word)}, from gram_entry on the

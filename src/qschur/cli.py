@@ -484,12 +484,13 @@ def cmd_specialize(p: Pipeline, args) -> dict:
     for lam in p.lambdas(args.lam):
         cm = p.module(lam)
         spec = specialize_module(cm, ctx)
+        radical_dims = spec.radical_dims()
         out.append({
             "lambda": weight_json(lam),
             "dim_delta": spec.dim_delta,
             "dim_simple": spec.dim_simple,
             "char_simple": char_json(spec.char_simple()),
-            "radical_dims": [[weight_json(mu), len(spec.radicals[mu])]
+            "radical_dims": [[weight_json(mu), radical_dims[mu]]
                              for mu in cm.weights],
         })
     return {"field": ctx.label(), "specializations": out}

@@ -563,16 +563,32 @@ class CosaturatedFlag:
 
 
 def build_flag(pi: SaturatedSet) -> CosaturatedFlag:
-    """Repeatedly remove the lexicographically least maximal element.  The
-    strictly larger weights of each weight are found once, up front."""
+    """Repeatedly remove the lexicographically least maximal element.
+
+    Kahn's algorithm over positive-root steps nu -> nu - beta inside pi.
+    The removed weights are closed upward, so every weight between mu and a
+    remaining larger weight remains; Stembridge's chain of root steps
+    inside pi (Adv. Math. 136 (1998), Cor. 2.7) then makes "a larger weight
+    remains" the same test as "a root-step predecessor remains".
+    """
     datum = pi.datum
-    larger = {mu: {nu for nu in pi.elements
-                   if nu != mu and datum.dominance_leq(mu, nu)}
-              for mu in pi.elements}
-    remaining = set(pi.elements)
+    elements = set(pi.elements)
+    below = {mu: [] for mu in pi.elements}
+    above = dict.fromkeys(pi.elements, 0)
+    for nu in pi.elements:
+        for rt, _ in datum.positive_roots:
+            mu = tuple(n - r for n, r in zip(nu, rt))
+            if mu in elements:
+                below[nu].append(mu)
+                above[mu] += 1
+    ready = {mu for mu, count in above.items() if not count}
     ordering = []
-    while remaining:
-        pick = min(mu for mu in remaining if remaining.isdisjoint(larger[mu]))
+    while ready:
+        pick = min(ready)
+        ready.remove(pick)
         ordering.append(pick)
-        remaining.remove(pick)
+        for mu in below[pick]:
+            above[mu] -= 1
+            if not above[mu]:
+                ready.add(mu)
     return CosaturatedFlag(datum, tuple(ordering))

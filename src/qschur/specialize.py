@@ -1,9 +1,10 @@
 """Specialization at v = q in characteristic-zero fields.
 
 The integral-basis Gram matrices specialize exactly; their ranks give the
-weight multiplicities of the simple head L_q(lambda), their nullspaces the
-radical.  Decomposition numbers come from the unitriangular character
-solve.  Semisimplicity is read from the same radicals: a radical is
+weight multiplicities of the simple head L_q(lambda), and each weight's
+multiplicity in Delta(lambda) less that rank is the dimension of the
+radical there.  Decomposition numbers come from the unitriangular
+character solve.  Semisimplicity is read from the same ranks: a radical is
 nonzero exactly where its integral Gram determinant (the paper's f(v)
 certificate) vanishes, as specialization is a ring homomorphism and so
 commutes with the determinant.
@@ -15,7 +16,7 @@ from functools import lru_cache
 
 from .cellmod import CellModule
 from .errors import InconsistentCharactersError
-from .linalg import (laurent_determinant, nullspace, sparse_product,
+from .linalg import (laurent_determinant, nullspace, rank, sparse_product,
                      sparse_transpose, to_field)
 from .rootdata import CosaturatedFlag, Weight
 from .scalars import (
@@ -29,29 +30,35 @@ from .scalars import (
 
 
 class SpecializedModule:
-    """Delta_q(lambda) with its radical data at a specialization point.
+    """Delta_q(lambda) at a specialization point, by the ranks of its
+    specialized integral Grams.
 
-    weight_ranks[mu] is the mu-multiplicity of L_q(lambda); radicals[mu]
-    is a basis of the radical's mu-component, each vector the sparse
-    column {index: nonzero} of its integral-basis coordinates over the
-    specialized field.  charDelta is unchanged by specialization.
+    weight_ranks[mu] is the mu-multiplicity of L_q(lambda), the rank of
+    the specialized integral Gram at mu.  charDelta is unchanged by
+    specialization.
     """
 
-    __slots__ = ("lam", "ctx", "weight_ranks", "radicals", "char_delta",
-                 "dim_delta")
+    __slots__ = ("lam", "ctx", "weight_ranks", "char_delta")
 
     def __init__(self, lam: Weight, ctx: FieldContext, weight_ranks: dict,
-                 radicals: dict, char_delta: dict, dim_delta: int):
+                 char_delta: dict):
         self.lam = lam
         self.ctx = ctx
         self.weight_ranks = weight_ranks
-        self.radicals = radicals
         self.char_delta = char_delta
-        self.dim_delta = dim_delta
+
+    @property
+    def dim_delta(self) -> int:
+        return sum(self.char_delta.values())
 
     @property
     def dim_simple(self) -> int:
         return sum(self.weight_ranks.values())
+
+    def radical_dims(self) -> dict:
+        """The dimension of the radical's mu-component, for every mu."""
+        return {mu: m - self.weight_ranks[mu]
+                for mu, m in self.char_delta.items()}
 
     def char_simple(self) -> dict:
         return {mu: r for mu, r in self.weight_ranks.items() if r}
@@ -64,16 +71,9 @@ def specialize_module(cm: CellModule, ctx: FieldContext) -> SpecializedModule:
     contravariant form pairs only equal weights, so the radical is
     weight-graded.  Integral entries cannot hit a vanishing denominator.
     """
-    weight_ranks = {}
-    radicals = {}
-    for mu in cm.weights:
-        basis = cm.basis(mu, integral=True)
-        n = len(basis.combos)
-        radicals[mu] = nullspace(to_field(basis.gram, ctx), n, ctx)
-        weight_ranks[mu] = n - len(radicals[mu])
-    return SpecializedModule(
-        lam=cm.lam, ctx=ctx, weight_ranks=weight_ranks, radicals=radicals,
-        char_delta=cm.character(), dim_delta=cm.dim)
+    weight_ranks = {mu: rank(to_field(cm.basis(mu, integral=True).gram, ctx))
+                    for mu in cm.weights}
+    return SpecializedModule(cm.lam, ctx, weight_ranks, cm.character())
 
 
 class GramDeterminantRecord:
@@ -265,12 +265,13 @@ class SemisimplicityReport:
 
 def semisimplicity_report(specs: dict, flag: CosaturatedFlag,
                           ctx: FieldContext) -> SemisimplicityReport:
-    """The witnesses read from the radicals of specs[lam] =
-    specialize_module(Delta(lam), ctx), in flag order."""
+    """The witnesses read from the radical dimensions of specs[lam] =
+    specialize_module(Delta(lam), ctx), in flag order: the weights whose
+    rank is below their multiplicity."""
     witnesses = []
     for lam in flag:
-        witnesses.extend((lam, mu) for mu, rad in specs[lam].radicals.items()
-                         if rad)
+        witnesses.extend((lam, mu)
+                         for mu, d in specs[lam].radical_dims().items() if d)
     return SemisimplicityReport(ctx, not witnesses, tuple(witnesses))
 
 
@@ -282,13 +283,13 @@ def radical_is_submodule(cm: CellModule, ctx: FieldContext,
     G X R == 0 with the radical vectors as the columns of R.  R is laid
     out block-diagonally too: the radical at mu has at most rank(mu)
     vectors, so its columns fit in mu's block."""
-    spec = specialize_module(cm, ctx)
-    gram = cm.block_diagonal({
-        mu: to_field(cm.basis(mu, integral=True).gram, ctx)
-        for mu in cm.weights})
+    grams = {mu: to_field(cm.basis(mu, integral=True).gram, ctx)
+             for mu in cm.weights}
     rad = cm.block_diagonal({
-        mu: sparse_transpose(dict(enumerate(spec.radicals[mu])))
-        for mu in cm.weights})
+        mu: sparse_transpose(dict(enumerate(
+            nullspace(g, cm.spaces[mu].rank, ctx))))
+        for mu, g in grams.items()})
+    gram = cm.block_diagonal(grams)
     for i in range(cm.datum.rank):
         for a in range(1, depth + 1):
             for kind in ("E", "F"):

@@ -60,23 +60,6 @@ def word_weight(datum: RootDatum, word: Word) -> Weight:
     return tuple(out)
 
 
-def is_alive(ctx: ModuleContext, word: Word) -> bool:
-    """True iff every prefix weight lambda - wt(prefix) stays in W pi_lambda.
-
-    Factor granularity suffices: W pi is string-convex, so a divided power
-    cannot jump over a gap in the weight set.
-    """
-    cur = list(ctx.lam)
-    if tuple(cur) not in ctx.weights:
-        return False
-    for i, a in word:
-        for k in range(ctx.datum.n):
-            cur[k] -= a * ctx.datum.alpha[i][k]
-        if tuple(cur) not in ctx.weights:
-            return False
-    return True
-
-
 def concat_divided(datum: RootDatum, word: Word, i: int, a: int) -> tuple:
     """F_i^{(a)} * (word), as (new_word, coefficient).
 

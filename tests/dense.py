@@ -22,7 +22,7 @@ from qschur.scalars import (
     laurent_exact_div,
     quantum_binomial,
 )
-from qschur.straighten import concat_divided, is_alive
+from qschur.straighten import concat_divided
 
 
 # -- views -------------------------------------------------------------------
@@ -73,6 +73,22 @@ def column_view(columns, rows):
     """The dense LaurentMatrix whose column j is columns[j] (the form of
     hnf_column_basis), with the given number of rows."""
     return laurent_view(linalg.sparse_transpose(columns), rows, len(columns))
+
+
+def hnf_certificate(sp):
+    """(hnf_basis, transform) of the integral basis of a weight space, one
+    sparse column per key as hnf_column_basis returns them, rebuilt from
+    the basis: column j of transform holds the word coefficients of b_j,
+    and column j of hnf_basis its pairings with the words."""
+    basis = sp.integral
+    index = {w: k for k, w in enumerate(sp.words)}
+    transform = {j: {index[w]: x for w, x in combo}
+                 for j, combo in enumerate(basis.combos)}
+    hnf = {j: {} for j in range(len(basis.combos))}
+    for k, w in enumerate(sp.words):
+        for j, x in basis.columns[w].items():
+            hnf[j][k] = x
+    return hnf, transform
 
 
 def to_field(m, ctx):
@@ -252,6 +268,24 @@ def leibniz(rows, zero, one):
 
 
 # -- straightening -----------------------------------------------------------
+
+def is_alive(ctx, word):
+    """True iff every prefix weight lambda - wt(prefix) stays in W pi_lambda:
+    the liveness test of the word oracle and of the references below.
+
+    Factor granularity suffices: W pi is string-convex, so a divided power
+    cannot jump over a gap in the weight set.
+    """
+    cur = list(ctx.lam)
+    if tuple(cur) not in ctx.weights:
+        return False
+    for i, a in word:
+        for k in range(ctx.datum.n):
+            cur[k] -= a * ctx.datum.alpha[i][k]
+        if tuple(cur) not in ctx.weights:
+            return False
+    return True
+
 
 def push_E_through(ctx, j, a, word):
     """E_j^{(a)} . (word x0) term by term, with no memo: commute the divided

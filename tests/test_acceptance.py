@@ -195,8 +195,12 @@ def test_criterion_9_hnf_module_equality(alg_a1_6, alg_a1_4, alg_a2, alg_b2):
             cm.ensure_integral()
             for mu in cm.weights:
                 sp = cm.spaces[mu]
-                hnf = sp.integral.hnf_basis
+                hnf, transform = dense.hnf_certificate(sp)
                 n = len(sp.words)
+                # the certificate hnf = word_gram * transform
+                ok &= (dense.laurent_view(sp.gram, n, n)
+                       * dense.column_view(transform, n)).entries == \
+                    dense.column_view(hnf, n).entries
                 # the Gram matrix is symmetric: column j is row j
                 for j in range(n):
                     dense.express_in_column_basis(hnf, sp.gram.get(j, {}))

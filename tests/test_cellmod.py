@@ -13,7 +13,7 @@ from qschur.scalars import (
     quantum_factorial,
     quantum_integer,
 )
-from qschur.straighten import EMPTY_WORD, ModuleContext, gram_entry, is_alive
+from qschur.straighten import EMPTY_WORD, ModuleContext, gram_entry
 
 import dense
 
@@ -52,7 +52,7 @@ def _brute_force_words(ctx, height):
     out = {}
 
     def extend(word, left):
-        if is_alive(ctx, word):
+        if dense.is_alive(ctx, word):
             wt = list(ctx.lam)
             for i, a in word:
                 wt = [w - a * x for w, x in zip(wt, datum.alpha[i])]
@@ -86,7 +86,22 @@ def test_enumerate_words_matches_brute_force(name, lam):
     height = int(sum(datum.alpha_coords(
         tuple(a - b for a, b in zip(lam, datum.w0(lam))))))
     expected = _brute_force_words(ctx, height)
-    assert list(enumerate_words(ctx).items()) == list(expected.items())
+    assert enumerate_words(ctx) == expected
+
+
+@pytest.mark.parametrize("name,lam", WORD_CONFIGS, ids=_ids(WORD_CONFIGS))
+def test_enumerate_words_lists_weights_above_first(name, lam):
+    # CellModule picks each space's basis from the spaces above it on the
+    # alpha_i-strings, so those come first
+    datum = _datum(name)
+    position = {mu: k for k, mu in
+                enumerate(enumerate_words(ModuleContext(datum, lam)))}
+    for mu, k in position.items():
+        for root in datum.alpha:
+            nu = tuple(m + x for m, x in zip(mu, root))
+            while nu in position:
+                assert position[nu] < k, (nu, mu)
+                nu = tuple(m + x for m, x in zip(nu, root))
 
 
 @pytest.mark.parametrize("name,lam", COORDINATE_CONFIGS,
@@ -315,8 +330,8 @@ def test_integral_gram_certificate():
         for mu in cm.weights:
             sp = cm.spaces[mu]
             n = len(sp.words)
-            hnf = dense.column_view(sp.integral.hnf_basis, n)
-            transform = dense.column_view(sp.integral.transform, n)
+            hnf, transform = (dense.column_view(m, n)
+                              for m in dense.hnf_certificate(sp))
             assert (dense.laurent_view(sp.gram, n, n) * transform).entries \
                 == hnf.entries
             assert hnf.cols == sp.rank

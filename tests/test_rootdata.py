@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -267,13 +268,32 @@ def _naive_flag(pi):
     return tuple(ordering)
 
 
+def _random_saturated_sets(rng, count):
+    """Seeded random seeds, one to three dominant weights with small
+    entries, on root data from A1 to F4, products and GL2 included."""
+    names = ["A1", "A2", "A3", "B2", "B3", "C3", "D4", "G2", "F4", "A1xA1",
+             "A2xB2", "GL2"]
+    out = []
+    for k in range(count):
+        name = names[k % len(names)]
+        datum = _gl2() if name == "GL2" else build_root_datum(name)
+        top = {1: 12, 2: 5, 3: 3}.get(datum.rank, 1)
+        seeds, size = [], rng.randint(1, 3)
+        while len(seeds) < size:
+            mu = tuple(rng.randint(-2, top) for _ in range(datum.n))
+            if datum.is_dominant(mu):
+                seeds.append(mu)
+        out.append(pytest.param(datum, seeds, id="random-%s-%d" % (name, k)))
+    return out
+
+
 @pytest.mark.parametrize("datum, seeds", [
-    (B2, [(0, 4), (3, 0)]),
-    (G2, [(3, 2)]),
-    (A2, [(2, 2), (4, 1)]),
-    (build_root_datum("D4"), [(0, 2, 0, 0)]),
-    (_gl2(), [(3, 0), (2, 2), (4, -1)]),
-], ids=["B2", "G2", "A2", "D4", "GL2"])
+    pytest.param(B2, [(0, 4), (3, 0)], id="B2"),
+    pytest.param(G2, [(3, 2)], id="G2"),
+    pytest.param(A2, [(2, 2), (4, 1)], id="A2"),
+    pytest.param(build_root_datum("D4"), [(0, 2, 0, 0)], id="D4"),
+    pytest.param(_gl2(), [(3, 0), (2, 2), (4, -1)], id="GL2"),
+] + _random_saturated_sets(random.Random(1998), 36))
 def test_flag_is_quadratic_and_lex_least_maximal(monkeypatch, datum, seeds):
     pi = saturate(datum, seeds)
     calls = []
@@ -287,6 +307,20 @@ def test_flag_is_quadratic_and_lex_least_maximal(monkeypatch, datum, seeds):
     ordering = build_flag(pi).ordering
     assert len(calls) <= len(pi) ** 2
     assert ordering == _naive_flag(pi)
+
+
+def test_flag_of_a_long_chain_is_small():
+    # 5,000 weights in one chain: a table of every larger weight would
+    # hold 12.5 million entries
+    pi = saturate(A1, [(9998,)])
+    tracemalloc.start()
+    try:
+        ordering = build_flag(pi).ordering
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ordering == tuple((n,) for n in range(9998, -1, -2))
+    assert peak < 50 * 2 ** 20
 
 
 LADDER = [

@@ -8,7 +8,7 @@ import pytest
 
 from qschur import scalars, specialize
 from qschur.cellmod import CellModule
-from qschur.linalg import laurent_determinant
+from qschur.linalg import laurent_determinant, nullspace, to_field
 from qschur.rootdata import build_flag, build_root_datum, saturate
 from qschur.scalars import (
     FieldContext,
@@ -58,12 +58,45 @@ def test_specialize_module_fixture():
     # [2] |-> 0 at a primitive 4th root: weight ranks (1, 0, 1)
     assert spec.weight_ranks == {(2,): 1, (0,): 0, (-2,): 1}
     assert spec.dim_simple == 2
-    assert len(spec.radicals[(0,)]) == 1
+    assert spec.radical_dims() == {(2,): 0, (0,): 1, (-2,): 0}
     spec3 = specialize_module(cm, CYC3)
     assert spec3.weight_ranks == {(2,): 1, (0,): 1, (-2,): 1}
     assert spec3.dim_simple == 3
     gen = specialize_module(cm, GENERIC)
     assert gen.dim_simple == cm.dim
+
+
+def _gl2():
+    return build_root_datum(cartan=[[2]], alpha=[[1, -1]], alphav=[[1, -1]])
+
+
+# the saturated sets of the benchmark's jobs
+BENCHMARK_SETS = [
+    ("A1", [(16,)]), ("A1xA1", [(3, 3)]), ("A2", [(2, 1), (2, 2), (3, 1)]),
+    ("A3", [(1, 0, 1)]), ("B2", [(1, 1)]), ("G2", [(0, 1), (2, 0)]),
+    ("GL2", [(2, 0)]),
+]
+
+
+@pytest.mark.parametrize("name, seeds", BENCHMARK_SETS,
+                         ids=[name for name, _ in BENCHMARK_SETS])
+def test_radical_dims_are_nullspace_lengths(name, seeds):
+    # oracle: the nullspace of each specialized integral Gram matrix
+    datum = _gl2() if name == "GL2" else build_root_datum(name)
+    modules, flag = modules_for(datum, seeds)
+    points = [Q1] + [FieldContext.cyclotomic_point(ell)
+                     for ell in range(2, 9)]
+    nonzero = 0
+    for lam in flag:
+        cm = modules[lam]
+        for ctx in points:
+            dims = specialize_module(cm, ctx).radical_dims()
+            for mu in cm.weights:
+                gram = to_field(cm.basis(mu, integral=True).gram, ctx)
+                assert dims[mu] == len(
+                    nullspace(gram, cm.spaces[mu].rank, ctx)), (lam, mu, ctx)
+                nonzero += dims[mu] > 0
+    assert nonzero
 
 
 def test_char_simple_leading_coefficient():
@@ -164,16 +197,18 @@ def test_radical_submodule_negative_control(monkeypatch):
     # lies outside rad_q at the point, so G X R != 0 must be reported
     for datum, lam, ctx in [(A1, (2,), CYC3), (A2, (1, 1), CYC4)]:
         cm = CellModule(datum, lam)
-        spec = specialize_module(cm, ctx)
         assert radical_is_submodule(cm, ctx)
-        radicals = {mu: [] for mu in cm.weights}
-        radicals[cm.lam] = [{0: ctx.one()}]
-        forged = specialize.SpecializedModule(
-            spec.lam, ctx, spec.weight_ranks, radicals, spec.char_delta,
-            spec.dim_delta)
-        monkeypatch.setattr(specialize, "specialize_module",
-                            lambda cm, ctx: forged)
+        # the weights are taken in order, the x0 space first
+        assert cm.weights[0] == cm.lam
+        calls = []
+
+        def forged(m, n, ctx):
+            calls.append(m)
+            return [{0: ctx.one()}] if len(calls) == 1 else []
+
+        monkeypatch.setattr(specialize, "nullspace", forged)
         assert not radical_is_submodule(cm, ctx)
+        assert len(calls) == len(cm.weights)
         monkeypatch.undo()
 
 

@@ -15,7 +15,6 @@ from qschur.straighten import (
     concat_divided_vector,
     gram_entry,
     idempotent_straighten,
-    is_alive,
     push_E_through,
     push_E_through_vector,
     word_weight,
@@ -46,9 +45,9 @@ def test_concat_divided():
 
 def test_is_alive():
     ctx = ModuleContext(A1, (2,))
-    assert is_alive(ctx, EMPTY_WORD)
-    assert is_alive(ctx, ((0, 2),))
-    assert not is_alive(ctx, ((0, 3),))
+    assert dense.is_alive(ctx, EMPTY_WORD)
+    assert dense.is_alive(ctx, ((0, 2),))
+    assert not dense.is_alive(ctx, ((0, 3),))
 
 
 def test_push_rank1_formulas():
@@ -76,7 +75,7 @@ def test_push_weight_homogeneity():
     ctx = ModuleContext(A2, (1, 1))
     words = [((0, 1),), ((0, 1), (1, 1)), ((1, 1), (0, 1)), ((0, 1), (1, 1), (0, 1))]
     for word in words:
-        if not is_alive(ctx, word):
+        if not dense.is_alive(ctx, word):
             continue
         for j in range(2):
             for a in (1, 2):
@@ -173,7 +172,7 @@ def test_push_zero_image_of_alive_prefix():
     # lambda - alpha_1, outside W pi_lambda of A2 (1,0)
     ctx = ModuleContext(A2, (1, 0))
     word = ((0, 1), (1, 1))
-    assert is_alive(ctx, word)
+    assert dense.is_alive(ctx, word)
     assert push_E_through(ctx, 0, 1, word[:1]) == {EMPTY_WORD: ONE}
     assert push_E_through(ctx, 0, 1, word) == {}
     assert dense.push_E_through(ctx, 0, 1, word) == {}
@@ -181,7 +180,8 @@ def test_push_zero_image_of_alive_prefix():
 
 def test_gram_symmetry_a2():
     ctx = ModuleContext(A2, (1, 1))
-    words = [w for w in [((0, 1), (1, 1)), ((1, 1), (0, 1))] if is_alive(ctx, w)]
+    words = [w for w in [((0, 1), (1, 1)), ((1, 1), (0, 1))]
+             if dense.is_alive(ctx, w)]
     assert len(words) == 2
     for b, d in itertools.product(words, repeat=2):
         assert gram_entry(ctx, b, d) == gram_entry(ctx, d, b)
@@ -217,7 +217,7 @@ def _alive_words_up_to(ctx, depth):
                     continue
                 for a in range(1, depth - used + 1):
                     w2 = w + ((i, a),)
-                    if is_alive(ctx, w2):
+                    if dense.is_alive(ctx, w2):
                         nxt.append(w2)
         out.extend(nxt)
         frontier = nxt

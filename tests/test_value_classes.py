@@ -37,12 +37,11 @@ CASES = [
     (SaturatedSet, _fields("datum", "elements")),
     (CosaturatedFlag, _fields("datum", "ordering")),
     (IdempotentSandwich, _fields("word", "exponents", "end_weight")),
-    (Basis, _fields("combos", "gram", "columns", "hnf_basis", "transform",
-                    "_inverse")),
-    (WeightSpaceData, _fields("mu", "words", "candidates", "generic", "rank",
+    (Basis, _fields("combos", "gram", "columns", "_inverse")),
+    (WeightSpaceData, _fields("words", "candidates", "generic", "rank",
                               "ctx", "integral", "_gram")),
-    (SpecializedModule, _fields("lam", "ctx", "weight_ranks", "radicals",
-                                "char_delta", "dim_delta")),
+    (SpecializedModule, _fields("lam", "ctx", "weight_ranks",
+                                "char_delta")),
     (GramDeterminantRecord, _fields("lam", "mu", "det", "factors",
                                     "cofactor")),
     (DecompositionMatrix, _fields("ctx", "order", "entries")),
@@ -55,8 +54,8 @@ CASES = [
 # the required fields, then the defaults of the rest
 DEFAULTS = [
     (FieldContext, 1, {"q": None, "ell": None}),
-    (Basis, 3, {"hnf_basis": None, "transform": None, "_inverse": None}),
-    (WeightSpaceData, 6, {"integral": None, "_gram": None}),
+    (Basis, 3, {"_inverse": None}),
+    (WeightSpaceData, 5, {"integral": None, "_gram": None}),
     (CheckResult, 2, {"detail": ""}),
     (VerificationReport, 0, {"checks": []}),
 ]
