@@ -11,7 +11,6 @@ check every defining identity exactly; there are no tolerances.
 from __future__ import annotations
 
 import random
-from functools import cached_property
 
 from .cellmod import CellModule
 from .linalg import (FieldMatrix, add_scaled, dense_rows, forward_eliminate,
@@ -157,12 +156,12 @@ class SchurAlgebra:
 
     def gen(self, symbol: tuple) -> BlockMatrix:
         """Block matrix of E_i^{(a)}, F_i^{(a)} or 1_mu (symbol ("P", mu)).
-        Every 1_mu with mu outside W pi is one shared, uncached zero.  The
-        blocks are the modules' cached action rows, shared without a copy."""
+        Each generator is built once from the modules' action rows and
+        cached; every 1_mu with mu outside W pi is an uncached zero."""
         if symbol[0] == "P":
             symbol = ("P", tuple(symbol[1]))
             if symbol[1] not in self._orbit:
-                return self._off_orbit_zero
+                return self.zero()
         cached = self._gen_cache.get(symbol)
         if cached is None:
             blocks = ((lam, cm.action_matrix(symbol))
@@ -171,10 +170,6 @@ class SchurAlgebra:
                                  {lam: blk for lam, blk in blocks if blk})
             self._gen_cache[symbol] = cached
         return cached
-
-    @cached_property
-    def _off_orbit_zero(self) -> BlockMatrix:
-        return self.zero()
 
     def identity(self) -> BlockMatrix:
         one = GENERIC.one()
@@ -498,11 +493,9 @@ def _flatten(s: SchurAlgebra, bm: BlockMatrix) -> dict:
     base = 0
     for lam in s.flag:
         n = s.dims[lam]
-        blk = bm.block(lam)
-        for i in sorted(blk):
-            row = blk[i]
-            for j in sorted(row):
-                out[base + i * n + j] = row[j]
+        for i, row in bm.block(lam).items():
+            for j, x in row.items():
+                out[base + i * n + j] = x
         base += n * n
     return out
 

@@ -133,19 +133,22 @@ class WeightSpaceData:
     ensure_integral has run, the integral one.  The Gram matrix of all the
     words is built on first read; the candidates' entries are memo hits."""
 
-    __slots__ = ("words", "candidates", "generic", "rank", "ctx", "integral",
-                 "_gram")
+    __slots__ = ("words", "candidates", "generic", "ctx", "integral", "_gram")
 
     def __init__(self, words: tuple, candidates: tuple, generic: Basis,
-                 rank: int, ctx: ModuleContext, integral: Basis | None = None,
+                 ctx: ModuleContext, integral: Basis | None = None,
                  _gram: dict | None = None):
         self.words = words
         self.candidates = candidates
         self.generic = generic
-        self.rank = rank
         self.ctx = ctx
         self.integral = integral
         self._gram = _gram
+
+    @property
+    def rank(self) -> int:
+        """The multiplicity of the weight: the size of the generic basis."""
+        return len(self.generic.combos)
 
     @property
     def gram(self) -> dict:
@@ -218,14 +221,12 @@ class CellModule:
                                {j: {k: one} for j, k in enumerate(picked)},
                                {j: gram[k] for j, k in enumerate(picked)})
             self.spaces[mu] = WeightSpaceData(tuple(by_weight[mu]),
-                                              candidates, generic,
-                                              len(picked), self.ctx)
+                                              candidates, generic, self.ctx)
             self._offsets[mu] = off
             off += len(picked)
         self.dim = off
         self.basis_index = tuple((mu, w) for mu in self.weights
                                  for w in picks[mu])
-        self._action_cache: dict = {}
 
     def _greedy_basis_words(self, gram: dict, n: int) -> tuple:
         """Greedy: keep a word of the n when its Gram column grows the
@@ -311,11 +312,7 @@ class CellModule:
     def _action(self, symbol: tuple, integral: bool) -> dict:
         """Sparse rows {row: {col: nonzero}} over Q(v) of a generator in the
         chosen basis; symbol is ("F", i, a), ("E", i, a) or ("P", mu) for
-        the weight projector.  The cached rows are shared, never mutated."""
-        key = (symbol, integral)
-        cached = self._action_cache.get(key)
-        if cached is not None:
-            return cached
+        the weight projector.  Each call builds fresh rows."""
         one = GENERIC.one()
         m: dict = {}
         if symbol[0] == "P":
@@ -341,7 +338,6 @@ class CellModule:
                         for r, c in coords.items():
                             m.setdefault(r, {})[col] = c
                     col += 1
-        self._action_cache[key] = m
         return m
 
     def action_matrix(self, symbol: tuple) -> dict:

@@ -88,9 +88,8 @@ class RootDatum:
 
     alpha[i] and alphav[i] are the coordinate vectors of the simple roots
     and coroots; the pairing <h, mu> is the standard dot product of
-    coordinate vectors.  Immutable; the orbit machinery caches eagerly at
-    construction (positive roots, Weyl order), characters per weight on
-    first request.
+    coordinate vectors.  Immutable; the positive roots and the Weyl order
+    are computed at construction, and Weyl orbits are cached per weight.
     """
 
     def __init__(self, cartan: CartanDatum, n: int, alpha: tuple, alphav: tuple,
@@ -108,7 +107,6 @@ class RootDatum:
                     raise PairingMismatchError(
                         "<alpha_%d^vee, alpha_%d> != a_%d%d" % (i, j, i, j))
         self.d = cartan.d
-        self._char_cache: dict = {}
         self._orbit_cache: dict = {}
         self._alpha_rows = _alpha_rows(self.alpha, n)
         self.positive_roots = self._find_positive_roots()
@@ -242,9 +240,6 @@ class RootDatum:
         lam = tuple(lam)
         if not self.is_dominant(lam):
             raise NonDominantSeedError("highest weight must be dominant")
-        cached = self._char_cache.get(lam)
-        if cached is not None:
-            return dict(cached)
         # descend from lam by simple roots, carrying the root coordinates of
         # lam - mu: each weight mu != lam has a weight mu + alpha_j one level
         # up, and the recursion gives 0 on candidates that are not weights
@@ -281,8 +276,7 @@ class RootDatum:
                 if q:
                     mult[mu] = q
                     level.append((mu, dcoords))
-        self._char_cache[lam] = dict(mult)
-        return dict(mult)
+        return mult
 
     def weyl_dimension(self, lam: Weight) -> int:
         """dim of the irreducible of highest weight lam by the Weyl product
@@ -333,7 +327,7 @@ def _alpha_rows(alpha: tuple, n: int) -> tuple:
 # -- presets -----------------------------------------------------------------
 
 def _preset_cartan(series: str, r: int) -> tuple:
-    """(cartan matrix, d vector) for the standard series."""
+    """The Cartan matrix of the standard series."""
     if r < 1:
         raise ValueError("rank must be positive")
 
@@ -342,26 +336,26 @@ def _preset_cartan(series: str, r: int) -> tuple:
                  for j in range(rnk)] for i in range(rnk)]
 
     if series == "A":
-        return chain(r), [1] * r
+        return chain(r)
     if series == "B":
         if r < 2:
             raise ValueError("B requires rank >= 2")
         a = chain(r)
         a[r - 1][r - 2] = -2  # short alpha_r; its row carries the -2
-        return a, [2] * (r - 1) + [1]
+        return a
     if series == "C":
         if r < 2:
             raise ValueError("C requires rank >= 2")
         a = chain(r)
         a[r - 2][r - 1] = -2
-        return a, [1] * (r - 1) + [2]
+        return a
     if series == "D":
         if r < 3:
             raise ValueError("D requires rank >= 3")
         a = chain(r)
         a[r - 1][r - 2] = a[r - 2][r - 1] = 0
         a[r - 1][r - 3] = a[r - 3][r - 1] = -1
-        return a, [1] * r
+        return a
     if series == "E":
         if r not in (6, 7, 8):
             raise ValueError("E requires rank 6, 7 or 8")
@@ -370,18 +364,18 @@ def _preset_cartan(series: str, r: int) -> tuple:
         edges = [(0, 2), (1, 3)] + [(k, k + 1) for k in range(2, r - 1)]
         for i, j in edges:
             a[i][j] = a[j][i] = -1
-        return a, [1] * r
+        return a
     if series == "F":
         if r != 4:
             raise ValueError("F requires rank 4")
         a = chain(4)
         a[2][1] = -2  # short alpha_3 adjacent to long alpha_2
         a[1][2] = -1
-        return a, [2, 2, 1, 1]
+        return a
     if series == "G":
         if r != 2:
             raise ValueError("G requires rank 2")
-        return [[2, -3], [-1, 2]], [1, 3]
+        return [[2, -3], [-1, 2]]
     raise ValueError("unknown series %r" % series)
 
 
@@ -407,49 +401,45 @@ def build_root_datum(preset: str | None = None, rank: int | None = None,
                      cartan=None, alpha=None, alphav=None) -> RootDatum:
     """Construct a root datum from a preset name or explicit matrices.
 
-    Presets ("A2", "B3", ..., products like "A1xA1"; or series letter plus
-    separate rank) realize the simply connected datum.  Explicit input
-    takes the Cartan matrix plus alpha/alphav coordinate rows and derives
-    the minimal symmetrizer; the pairing axiom is checked.
+    A preset ("A2", "B3", ..., products like "A1xA1"; or series letter plus
+    separate rank) is the simply connected datum: its block-diagonal Cartan
+    matrix, alpha the columns of that matrix and alphav the identity.
+    Presets and explicit cartan/alpha/alphav rows then share one
+    construction: the minimal symmetrizer of each connected component, the
+    symmetrized matrix (i.j) = d_i a_ij, and the pairing axiom checked.
     """
+    name = "explicit"
     if preset is not None:
-        preset, factors = parse_preset(preset, rank)
-        blocks = [_preset_cartan(s, r) for s, r in factors]
+        name, factors = parse_preset(preset, rank)
         total = sum(r for _, r in factors)
-        a = [[0] * total for _ in range(total)]
-        d = []
+        cartan = [[0] * total for _ in range(total)]
         off = 0
-        for (block_a, block_d), (_, r) in zip(blocks, factors):
-            for i in range(r):
-                for j in range(r):
-                    a[off + i][off + j] = block_a[i][j]
-            d.extend(block_d)
+        for series, r in factors:
+            for i, row in enumerate(_preset_cartan(series, r)):
+                cartan[off + i][off:off + r] = row
             off += r
-        dot = tuple(tuple(d[i] * a[i][j] for j in range(total)) for i in range(total))
-        cd = CartanDatum(dot)
-        alpha_vecs = tuple(tuple(a[i][j] for i in range(total)) for j in range(total))
-        alphav_vecs = tuple(tuple(1 if i == j else 0 for i in range(total))
-                            for j in range(total))
-        return RootDatum(cd, total, alpha_vecs, alphav_vecs, name=preset)
-
-    if cartan is None or alpha is None or alphav is None:
+        alpha = [[row[j] for row in cartan] for j in range(total)]
+        alphav = [[int(i == j) for i in range(total)] for j in range(total)]
+    elif cartan is None or alpha is None or alphav is None:
         raise ValueError("need a preset or explicit cartan/alpha/alphav")
     a = [list(map(int, row)) for row in cartan]
     d = _minimal_symmetrizer(a)
     dot = tuple(tuple(d[i] * a[i][j] for j in range(len(a))) for i in range(len(a)))
-    cd = CartanDatum(dot)
-    n = len(alpha[0])
-    return RootDatum(cd, n, tuple(map(tuple, alpha)), tuple(map(tuple, alphav)))
+    return RootDatum(CartanDatum(dot), len(alpha[0]), tuple(map(tuple, alpha)),
+                     tuple(map(tuple, alphav)), name=name)
 
 
 def _minimal_symmetrizer(a) -> list:
-    """Minimal positive integers d with d_i a_ij = d_j a_ji (per component)."""
+    """Minimal positive integers d with d_i a_ij = d_j a_ji, per connected
+    component: a walk from the component's first node fixes the ratios
+    d_j / d_i = a_ij / a_ji, which are cleared of denominators and divided
+    by their gcd within the component."""
     r = len(a)
     d = [None] * r
     for start in range(r):
         if d[start] is not None:
             continue
-        d[start] = Fraction(1)
+        ratio = {start: Fraction(1)}
         stack = [start]
         while stack:
             i = stack.pop()
@@ -458,16 +448,18 @@ def _minimal_symmetrizer(a) -> list:
                     if not a[j][i]:
                         raise NotFiniteTypeError(
                             "Cartan matrix is not symmetrizable")
-                    val = d[i] * Fraction(a[i][j], a[j][i])
-                    if d[j] is None:
-                        d[j] = val
+                    val = ratio[i] * Fraction(a[i][j], a[j][i])
+                    if j not in ratio:
+                        ratio[j] = val
                         stack.append(j)
-                    elif d[j] != val:
+                    elif ratio[j] != val:
                         raise NotFiniteTypeError("Cartan matrix is not symmetrizable")
-    denom = lcm(*(x.denominator for x in d))
-    ints = [int(x * denom) for x in d]
-    g = reduce(gcd, ints)
-    return [x // g for x in ints]
+        denom = lcm(*(x.denominator for x in ratio.values()))
+        ints = {j: int(x * denom) for j, x in ratio.items()}
+        g = reduce(gcd, ints.values())
+        for j, x in ints.items():
+            d[j] = x // g
+    return d
 
 
 def _order_from_heights(positive_root_coords) -> int:

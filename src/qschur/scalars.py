@@ -576,10 +576,9 @@ def _phi_binomials(ell: int) -> tuple:
     return tuple(up), tuple(down)
 
 
-@lru_cache(maxsize=None)
 def cyclotomic_polynomial(ell: int) -> LaurentPoly:
-    """The ell-th cyclotomic polynomial Phi_ell(v), exact over Z; repeated
-    calls return the same (immutable) object.
+    """The ell-th cyclotomic polynomial Phi_ell(v), exact over Z; built on
+    each call (_modulus caches the dense form the engine reads).
 
     No other Phi_d is divided out: Phi_ell is the quotient of binomials
     v^D - 1 given by _phi_binomials, and multiplying or exactly dividing

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from .errors import NonReducedWordError
 from .linalg import add_scaled
-from .rootdata import RootDatum, SaturatedSet, Weight, saturate
+from .rootdata import RootDatum, Weight, saturate
 from .scalars import LaurentPoly, quantum_binomial
 
 Word = tuple  # tuple[tuple[int, int], ...], adjacent indices distinct
@@ -33,16 +33,15 @@ EMPTY_WORD: Word = ()
 
 
 class ModuleContext:
-    """Ambient data for Delta(lambda): the saturated hull pi_lambda, the
-    weight set W pi_lambda, and the memo caches of straightening and of
+    """Ambient data for Delta(lambda): the weight set W pi_lambda of the
+    saturated hull pi_lambda, and the memo caches of straightening and of
     the contravariant form."""
 
     def __init__(self, datum: RootDatum, lam: Weight):
         lam = tuple(lam)
         self.datum = datum
         self.lam = lam
-        self.pi_lambda: SaturatedSet = saturate(datum, [lam])
-        self.weights = self.pi_lambda.orbit_weights()
+        self.weights = saturate(datum, [lam]).orbit_weights()
         self._push_memo: dict = {}
         self._gram_memo: dict = {}
 

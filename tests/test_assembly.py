@@ -186,47 +186,40 @@ def test_verify_relations_pass():
         assert rep.ok, [c.name for c in rep.failures()]
 
 
-def test_projectors_off_orbit_share_one_zero():
+def test_projectors_off_orbit_are_uncached_zeros():
     s = build(A2, [(1, 1)])
     verify_relations(s, depth=2, samples=4)
     weights = set(s.orbit_weights)
     keys = [key for key in s._gen_cache if key[0] == "P"]
-    keys += [key[0] for cm in s.modules.values() for key in cm._action_cache
-             if key[0][0] == "P"]
     assert keys and all(key[1] in weights for key in keys)
     off = [(3, 3), (-4, 0), (0, 5)]
     assert all(mu not in weights for mu in off)
-    zeros = [s.gen(("P", mu)) for mu in off]
-    assert all(z.is_zero() and z is zeros[0] for z in zeros)
+    assert all(s.gen(("P", mu)).is_zero() for mu in off)
+    assert all(("P", mu) not in s._gen_cache for mu in off)
 
 
 def test_shared_action_blocks_stay_canonical_and_unmutated():
-    # gen's blocks are the modules' cached action rows, shared without a
-    # copy, so no block-matrix operation may write into them
+    # gen caches each generator once, its blocks the modules' action rows
+    # without a copy, so no block-matrix operation may write into them
     s = build(A2, [(1, 1)])
-    for cm in s.modules.values():
-        for i in range(2):
-            for a in range(4):
-                for kind in ("E", "F"):
-                    cm.action_matrix((kind, i, a))
-                    cm.integral_action_matrix((kind, i, a))
-        for mu in s.orbit_weights:
-            cm.action_matrix(("P", mu))
-    for lam, cm in s.modules.items():
-        shared = s.gen(("E", 0, 1)).block(lam)
-        assert not shared or shared is cm._action_cache[(("E", 0, 1), False)]
-    snapshot = {(lam, key): copy.deepcopy(rows)
-                for lam, cm in s.modules.items()
-                for key, rows in cm._action_cache.items()}
+    symbols = [(kind, i, a) for i in range(2) for a in range(4)
+               for kind in ("E", "F")]
+    symbols += [("P", mu) for mu in s.orbit_weights]
+    blocks = {sym: dict(s.gen(sym).sparse) for sym in symbols}
+    for sym, first in blocks.items():
+        again = s.gen(sym).sparse
+        assert again.keys() == first.keys(), sym
+        assert all(again[lam] is blk for lam, blk in first.items()), sym
     elements = s.cellular_basis()
+    snapshot = {sym: copy.deepcopy(x.sparse) for sym, x in s._gen_cache.items()}
     assert verify_relations(s, depth=3, samples=4).ok
     assert verify_cellularity(s, elements).ok
     assert verify_cellularity(s, integral=True).ok
-    for (lam, key), rows in snapshot.items():
-        assert s.modules[lam]._action_cache[key] == rows, (lam, key)
-    for cm in s.modules.values():
-        for key, rows in cm._action_cache.items():
-            assert all(row and all(row.values()) for row in rows.values()), key
+    for sym, sparse in snapshot.items():
+        assert s._gen_cache[sym].sparse == sparse, sym
+    for sym, x in s._gen_cache.items():
+        assert all(blk and all(row and all(row.values()) for row in blk.values())
+                   for blk in x.sparse.values()), sym
 
 
 def test_serre_checked_only_in_higher_rank():

@@ -466,6 +466,26 @@ def test_non_finite_type_exit_code(tmp_path, capsys):
     assert rc == 2 and "error" in err
 
 
+@pytest.mark.parametrize("datum", [
+    {"preset": "A1xB2"},
+    {"cartan": [[2, 0, 0], [0, 2, -1], [0, -2, 2]],
+     "alpha": [[2, 0, 0], [0, 2, -2], [0, -1, 2]],
+     "alphav": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]},
+], ids=["preset", "explicit"])
+def test_gram_of_a_product_datum_does_not_depend_on_its_input(
+        tmp_path, capsys, datum):
+    # the A1 factor has d = 1 whether the product is named or spelled out
+    cfg = tmp_path / "a1xb2.json"
+    cfg.write_text(json.dumps({"datum": datum, "pi": {"seeds": [[2, 0, 0]]}}))
+    rc, out, _ = run(capsys, "gram", "--config", str(cfg))
+    assert rc == 0
+    cell = json.loads(out)["payload"]["gram"][0]
+    assert cell["lambda"] == [2, 0, 0]
+    dets = {tuple(sp["weight"]): sp["determinant"]
+            for sp in cell["weight_spaces"]}
+    assert dets[(0, 0, 0)] == "v^2 + 1"
+
+
 @pytest.mark.parametrize("doc, extra", [
     ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1, 1, 5]]}}, []),
     ({"datum": {"preset": "A2"}, "pi": {"seeds": [[1]]}}, []),

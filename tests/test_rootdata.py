@@ -61,6 +61,11 @@ def test_preset_products_and_bigger():
     assert d4.weyl_order == 192
     f4 = build_root_datum("F4")
     assert f4.weyl_order == 1152 and len(f4.positive_roots) == 24
+    # the short simple roots of each factor have d_i = 1
+    assert f4.d == (2, 2, 1, 1) and d4.d == (1, 1, 1, 1)
+    for preset, d in (("B3", (2, 2, 1)), ("C3", (1, 1, 2)),
+                      ("A1xB2", (1, 2, 1)), ("G2xC3", (1, 3, 1, 1, 2))):
+        assert build_root_datum(preset).d == d, preset
 
 
 def test_preset_rank_must_match_the_name():
@@ -114,6 +119,33 @@ def test_explicit_datum_and_pairing_mismatch():
     with pytest.raises(PairingMismatchError):
         # <alpha^vee, alpha> = 3 here, violating the root-datum axiom
         build_root_datum(cartan=[[2]], alpha=[[1, -1]], alphav=[[2, -1]])
+
+
+PRESETS = (["A%d" % r for r in range(1, 9)] + ["B%d" % r for r in range(2, 9)]
+           + ["C%d" % r for r in range(2, 9)] + ["D%d" % r for r in range(3, 9)]
+           + ["E6", "E7", "E8", "F4", "G2", "A1xB2", "B2xA1", "G2xC3", "A1xA1",
+              "B3xC2xG2", "F4xA2"])
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_preset_equals_its_explicit_matrices(preset):
+    datum = build_root_datum(preset)
+    explicit = build_root_datum(cartan=datum.cartan.cartan_matrix(),
+                                alpha=datum.alpha, alphav=datum.alphav)
+    assert explicit.d == datum.d
+    assert explicit.cartan.dot == datum.cartan.dot
+    assert explicit.positive_roots == datum.positive_roots
+    assert explicit.weyl_order == datum.weyl_order
+
+
+def test_symmetrizer_is_minimal_per_interleaved_component():
+    # nodes 0 and 2 form a B2 (alpha_2 short), node 1 is apart
+    cartan = [[2, 0, -1], [0, 2, 0], [-2, 0, 2]]
+    datum = build_root_datum(
+        cartan=cartan, alpha=[[row[j] for row in cartan] for j in range(3)],
+        alphav=[[int(i == j) for i in range(3)] for j in range(3)])
+    assert datum.d == (2, 1, 1)
+    assert datum.weyl_order == 16
 
 
 def test_not_finite_type():

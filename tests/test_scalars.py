@@ -309,11 +309,6 @@ def test_cyclotomic_polynomials():
         assert prod == lp({n: 1, 0: -1}), n
 
 
-def test_cyclotomic_polynomial_is_memoized():
-    for ell in (1, 7, 12, 30, 97, 210):
-        assert cyclotomic_polynomial(ell) is cyclotomic_polynomial(ell)
-
-
 # -- specialization ----------------------------------------------------------
 
 def test_specialize_examples():

@@ -327,8 +327,8 @@ def test_binomial_and_scan_make_no_long_division(monkeypatch):
         if name.split(".")[0] == "qschur" and getattr(module, "laurent_divmod", None) is original:
             monkeypatch.setattr(module, "laurent_divmod", counted)
     for cached in (scalars.quantum_integer, scalars.quantum_factorial,
-                   scalars.quantum_binomial, scalars.cyclotomic_polynomial,
-                   scalars._phi_binomials, specialize._scan):
+                   scalars.quantum_binomial, scalars._phi_binomials,
+                   specialize._scan):
         cached.cache_clear()
     det = _normalize_det(quantum_binomial(16, 8))
     _cyclotomic_scan(det, 50)
