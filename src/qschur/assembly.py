@@ -2,10 +2,13 @@
 
 The algebra acts on the direct sum of its cell modules; a generator is
 stored as one matrix block per lambda in pi.  Semisimplicity over Q(v)
-makes this model faithful, and the engine certifies that numerically:
-the glued cellular basis must consist of sum_lambda (dim Delta(lambda))^2
-linearly independent matrices.  The relation and cellularity suites below
-check every defining identity exactly; there are no tolerances.
+makes this model faithful, and the engine certifies that exactly: the
+glued cellular basis must consist of sum_lambda (dim Delta(lambda))^2
+linearly independent matrices.  A full rank of the flattened matrices at
+one point of Z/p certifies this, as specialization cannot raise a rank;
+any shorter rank there is decided again by elimination over Q(v).  The
+relation and cellularity suites below check every defining identity
+exactly; there are no tolerances.
 """
 
 from __future__ import annotations
@@ -14,12 +17,13 @@ import random
 
 from .cellmod import CellModule
 from .linalg import (FieldMatrix, add_scaled, dense_rows, forward_eliminate,
-                     sparse_product, sparse_transpose, to_field)
+                     point_rank, sparse_product, sparse_transpose, to_field)
 from .rootdata import CosaturatedFlag, SaturatedSet, Weight, build_flag
 from .scalars import (
     FieldContext,
     FieldValue,
     LaurentPoly,
+    RatFunc,
     quantum_binomial,
     quantum_integer,
 )
@@ -35,13 +39,18 @@ class BlockMatrix:
     empty block is ever stored, and the scalars are canonical, so equality
     is plain dict equality and every operation touches nonzeros only.
     Instances are treated as immutable; every operation returns new dicts.
+    A weight projector 1_mu carries its slices, lambda -> (lo, hi) with
+    its block the identity on the indices lo..hi-1, so a product with it
+    keeps the rows or columns of the other factor in the slice and does no
+    scalar arithmetic.
     """
 
-    __slots__ = ("dims", "sparse")
+    __slots__ = ("dims", "sparse", "slices")
 
-    def __init__(self, dims: dict, sparse: dict):
+    def __init__(self, dims: dict, sparse: dict, slices: dict | None = None):
         self.dims = dims      # lambda -> block size, in flag order
         self.sparse = sparse  # lambda -> {row: {col: nonzero scalar}}
+        self.slices = slices  # lambda -> (lo, hi) for a weight projector
 
     @property
     def blocks(self) -> dict:
@@ -70,8 +79,15 @@ class BlockMatrix:
             for lam, blk in self.sparse.items()})
 
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
-        blocks = ((lam, sparse_product(a, other.block(lam)))
-                  for lam, a in self.sparse.items())
+        if other.slices is not None:  # x 1_mu: the columns of x in the slice
+            blocks = ((lam, _columns(a, *other.slices[lam]))
+                      for lam, a in self.sparse.items() if lam in other.slices)
+        elif self.slices is not None:  # 1_mu x: the rows of x in the slice
+            blocks = ((lam, _rows(other.block(lam), lo, hi))
+                      for lam, (lo, hi) in self.slices.items())
+        else:
+            blocks = ((lam, sparse_product(a, other.block(lam)))
+                      for lam, a in self.sparse.items())
         return BlockMatrix(self.dims, {lam: b for lam, b in blocks if b})
 
     def is_zero(self) -> bool:
@@ -81,6 +97,19 @@ class BlockMatrix:
         if not isinstance(other, BlockMatrix):
             return NotImplemented
         return self.sparse == other.sparse
+
+
+def _columns(a: dict, lo: int, hi: int) -> dict:
+    """a times the identity on lo..hi-1: the entries of a in those
+    columns, rows and entries in the order sparse_product gives them."""
+    return {i: r for i, row in a.items()
+            if (r := {j: x for j, x in row.items() if lo <= j < hi})}
+
+
+def _rows(b: dict, lo: int, hi: int) -> dict:
+    """The identity on lo..hi-1 times b: fresh copies of the rows of b
+    with those indices, in the order sparse_product gives them."""
+    return {i: dict(b[i]) for i in range(lo, hi) if i in b}
 
 
 def _accumulate(out: dict, sparse: dict, c: FieldValue) -> None:
@@ -157,7 +186,9 @@ class SchurAlgebra:
     def gen(self, symbol: tuple) -> BlockMatrix:
         """Block matrix of E_i^{(a)}, F_i^{(a)} or 1_mu (symbol ("P", mu)).
         Each generator is built once from the modules' action rows and
-        cached; every 1_mu with mu outside W pi is an uncached zero."""
+        cached; every 1_mu with mu outside W pi is an uncached zero.  A
+        cached 1_mu records its slices: each block is the identity on the
+        rows of the weight space mu, consecutive from its offset."""
         if symbol[0] == "P":
             symbol = ("P", tuple(symbol[1]))
             if symbol[1] not in self._orbit:
@@ -166,8 +197,11 @@ class SchurAlgebra:
         if cached is None:
             blocks = ((lam, cm.action_matrix(symbol))
                       for lam, cm in self.modules.items())
-            cached = BlockMatrix(self.dims,
-                                 {lam: blk for lam, blk in blocks if blk})
+            sparse = {lam: blk for lam, blk in blocks if blk}
+            slices = None if symbol[0] != "P" else \
+                {lam: (min(blk), min(blk) + len(blk))
+                 for lam, blk in sparse.items()}
+            cached = BlockMatrix(self.dims, sparse, slices)
             self._gen_cache[symbol] = cached
         return cached
 
@@ -212,12 +246,17 @@ class SchurAlgebra:
         return g
 
     def star(self, x: BlockMatrix) -> BlockMatrix:
-        """The anti-involution: per block, G^-1 x^T G."""
+        """The anti-involution: per block, G^-1 x^T G, with G^-1 = A / d
+        read from the adjugate of each weight space's Gram matrix."""
         out = {}
         for lam, blk in x.sparse.items():  # G is invertible: a nonzero image
             cm = self.modules[lam]
-            ginv = cm.block_diagonal(
-                {mu: cm.basis(mu).inverse() for mu in cm.weights})
+            ginv = {}
+            for mu in cm.weights:
+                adj, det = cm.basis(mu).adjugate()
+                ginv[mu] = {i: {j: RatFunc(a, det) for j, a in row.items()}
+                            for i, row in adj.items()}
+            ginv = cm.block_diagonal(ginv)
             out[lam] = sparse_product(sparse_product(
                 ginv, sparse_transpose(blk)), self.full_gram(lam))
         return BlockMatrix(self.dims, out)
@@ -232,13 +271,11 @@ class SchurAlgebra:
         key = (kind, word)
         cached = self._word_cache.get(key)
         if cached is None:
-            cached = self.identity()
-            if kind == "F":
-                for (i, a) in reversed(word):
-                    cached = cached * self.gen(("F", i, a))
-            else:
-                for (i, a) in word:
-                    cached = cached * self.gen(("E", i, a))
+            factors = [self.gen((kind, i, a)) for i, a in
+                       (reversed(word) if kind == "F" else word)]
+            cached = factors[0] if factors else self.identity()
+            for g in factors[1:]:
+                cached = cached * g
             self._word_cache[key] = cached
         return cached
 
@@ -355,9 +392,10 @@ def verify_relations(s: SchurAlgebra, depth: int = 3, samples: int = 8,
                              for t in range(m + 1))
 
     def swapped(x, u, y, v, top, i, p):
-        """sum_t [top; t]_i X_i^{(u-t)} Y_i^{(v-t)} p over nonzero terms."""
+        """sum_t [top; t]_i X_i^{(u-t)} (Y_i^{(v-t)} p) over nonzero terms,
+        each product taken from the right, so it touches only p's slice."""
         return s.combination(
-            (c, s.gen((x, i, u - t)) * s.gen((y, i, v - t)) * p)
+            (c, s.gen((x, i, u - t)) * (s.gen((y, i, v - t)) * p))
             for t in range(min(u, v) + 1)
             if (c := quantum_binomial(top, t, d[i])))
 
@@ -399,10 +437,10 @@ def verify_relations(s: SchurAlgebra, depth: int = 3, samples: int = 8,
                         n, p = datum.pairing(i, mu), P(mu)
                         w = {"i": i, "a": a, "b": b, "mu": mu}
                         yield (dict(w, identity="E^(a) F^(b) 1"),
-                               E(i, a) * F(i, b) * p,
+                               E(i, a) * (F(i, b) * p),
                                swapped("F", b, "E", a, a - b + n, i, p))
                         yield (dict(w, identity="F^(b) E^(a) 1"),
-                               F(i, b) * E(i, a) * p,
+                               F(i, b) * (E(i, a) * p),
                                swapped("E", a, "F", b, b - a - n, i, p))
 
     _expect(rep, "relation.divided_power_commutation", divided_powers())
@@ -501,8 +539,14 @@ def _flatten(s: SchurAlgebra, bm: BlockMatrix) -> dict:
 
 
 def matrix_span_rank(s: SchurAlgebra, mats: list) -> int:
-    """Rank of the span of block matrices, by sparse exact elimination."""
-    return len(forward_eliminate(_flatten(s, bm) for bm in mats))
+    """Rank of the span of block matrices over Q(v).  A point rank equal
+    to the number of matrices certifies it (point_rank); a shorter one, or
+    a denominator vanishing at the point, leaves the decision to exact
+    sparse elimination over Q(v)."""
+    rows = [_flatten(s, bm) for bm in mats]
+    if point_rank(rows) == len(rows):
+        return len(rows)
+    return len(forward_eliminate(rows))
 
 
 def verify_cellularity(s: SchurAlgebra, elements: list = None,

@@ -13,11 +13,13 @@ combinations with its Gram matrix, and basis_of builds both kinds from
 their word coefficients and pairings with the words: a selection of the
 candidates for the generic basis, the Hermite transform and basis for the
 integral one.  Coordinates and generator actions are computed the same way
-in either basis, through the Gram inverse applied to pairings phi(b_j, w)
-cached per word.  Every matrix here is sparse rows {row: {col: nonzero}}
-(the Gram matrices, the Gram inverse, the actions; basis_of reads one
-sparse column per key), and pairings and coordinates are sparse columns
-{index: nonzero}.  The ambient algebra is never materialized.
+in either basis, through the adjugate (A, d) of the basis Gram matrix,
+G^-1 = A / d with Laurent A and d, applied to pairings phi(b_j, w) cached
+per word: each coordinate is one Laurent quotient by d, or one RatFunc
+when d does not divide.  Every matrix here is sparse rows {row: {col:
+nonzero}} (the Gram matrices, the adjugates, the actions; basis_of reads
+one sparse column per key), and pairings and coordinates are sparse
+columns {index: nonzero}.  The ambient algebra is never materialized.
 """
 
 from __future__ import annotations
@@ -25,12 +27,12 @@ from __future__ import annotations
 from .errors import CoordinateFailureError, RankMismatchError
 from .linalg import (
     add_scaled,
+    adjugate_solve,
     fraction_free_eliminate,
     hnf_column_basis,
-    invert,
+    laurent_adjugate,
     sparse_product,
     sparse_transpose,
-    to_field,
 )
 from .rootdata import RootDatum, Weight
 from .scalars import FieldContext, LaurentPoly
@@ -96,22 +98,21 @@ class Basis:
     use.
     """
 
-    __slots__ = ("combos", "gram", "columns", "_inverse")
+    __slots__ = ("combos", "gram", "columns", "_adjugate")
 
     def __init__(self, combos: tuple, gram: dict, columns: dict,
-                 _inverse: dict | None = None):
+                 _adjugate: tuple | None = None):
         self.combos = combos
         self.gram = gram
         self.columns = columns
-        self._inverse = _inverse
+        self._adjugate = _adjugate
 
-    def inverse(self) -> dict:
-        """The sparse rows of the Gram inverse over Q(v), computed on first
-        use."""
-        if self._inverse is None:
-            self._inverse = invert(to_field(self.gram, GENERIC),
-                                   len(self.combos), GENERIC)
-        return self._inverse
+    def adjugate(self) -> tuple:
+        """(A, d) with gram^-1 = A / d, A sparse Laurent rows and d a
+        Laurent polynomial (laurent_adjugate), computed on first use."""
+        if self._adjugate is None:
+            self._adjugate = laurent_adjugate(self.gram, len(self.combos))
+        return self._adjugate
 
 
 def basis_of(words: tuple, transform: dict, pairing: dict) -> Basis:
@@ -293,7 +294,8 @@ class CellModule:
                     integral: bool = False) -> dict:
         """The sparse column {index: nonzero} over the whole basis of the
         coordinates over Q(v) of a word vector of weight mu in the chosen
-        basis: solve gram * x = (phi(b_j, vec))_j by the Gram inverse."""
+        basis: solve gram * x = (phi(b_j, vec))_j through the adjugate,
+        x = A rhs / d, each entry a Laurent quotient when d divides it."""
         if mu not in self.spaces:
             if vec:
                 raise CoordinateFailureError("vector at absent weight %r" % (mu,))
@@ -302,10 +304,9 @@ class CellModule:
         rhs: dict = {}
         for w, coeff in vec.items():
             add_scaled(rhs, coeff, self._pairings(basis, w))
-        x = sparse_product(basis.inverse(), {
-            j: {0: GENERIC.from_laurent(y)} for j, y in rhs.items()})
         off = self._offsets[mu]
-        return {off + i: row[0] for i, row in x.items()}
+        return {off + i: c for i, c in
+                adjugate_solve(*basis.adjugate(), rhs).items()}
 
     # -- generator action ----------------------------------------------------
 

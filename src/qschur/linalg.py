@@ -4,14 +4,17 @@ Every matrix the engine passes around is sparse rows: no stored zero entry
 and no empty row, so a zero row is an absent key and shapes travel as
 explicit arguments.  One sparse product loop, sparse_product, behind every
 matrix product; over a field, one sparse elimination loop,
-forward_eliminate (rank, determinant, the span rank), and the reduced
-echelon form read from it (solve, nullspace, inverse); over Q[v,v^-1],
-one fraction-free elimination loop, fraction_free_eliminate (the generic
-basis greedy, Laurent determinants), and Hermite-style column reduction,
-used to extract bases of integral lattices.  Pivoting is always "first
-nonzero in index order" -- the arithmetic is exact, so determinism beats
-conditioning.  FieldMatrix and LaurentMatrix are dense views, built only
-to export a block.
+forward_eliminate (rank, determinant, the exact span rank), and the
+reduced echelon form read from it (solve, nullspace, inverse); one
+elimination in machine integers at a point of Z/p, point_rank, which
+certifies a full rank over Q(v); over Q[v,v^-1], one Bareiss row update
+behind the fraction-free elimination loop, fraction_free_eliminate (the
+generic basis greedy, Laurent determinants), and the fraction-free
+Gauss-Jordan loop, laurent_adjugate (coordinates and Gram inverses), and
+Hermite-style column reduction, used to extract bases of integral
+lattices.  Pivoting is always "first nonzero in index order" -- the
+arithmetic is exact, so determinism beats conditioning.  FieldMatrix and
+LaurentMatrix are dense views, built only to export a block.
 """
 
 from __future__ import annotations
@@ -21,7 +24,9 @@ from .scalars import (
     FieldContext,
     FieldValue,
     LaurentPoly,
+    RatFunc,
     _ONE,
+    _ZERO,
     _quo,
     laurent_divmod,
     laurent_exact_div,
@@ -144,34 +149,91 @@ def forward_eliminate(rows) -> list:
     return out
 
 
+# The point v = POINT of Z/POINT_PRIME at which point_rank reads ranks.
+POINT_PRIME = 2 ** 61 - 1
+POINT = 12345
+_POINT_INVERSE = pow(POINT, -1, POINT_PRIME)
+
+
+def point_rank(rows) -> int | None:
+    """The rank of sparse rows of LaurentPoly or RatFunc entries at v =
+    POINT modulo POINT_PRIME, by forward elimination in machine integers,
+    or None when a denominator vanishes there: a RatFunc denominator, or
+    the denominator of a Fraction coefficient.  The input is not mutated.
+
+    Reduction to the point is a ring map, so a nonzero minor at the point
+    is a nonzero minor over Q(v): the point rank never exceeds the rank
+    over Q(v), and equals it whenever it equals the number of rows.
+    (By Schwartz's lemma a short point rank is rare, but it decides
+    nothing: only a full one certifies.)
+    """
+    p = POINT_PRIME
+    pivots: dict = {}
+    for row in rows:
+        vec = {}
+        for k, x in row.items():
+            if isinstance(x, RatFunc):
+                y, den = _point_value(x.num), _point_value(x.den)
+                if y is None or not den:
+                    return None
+                y = y * pow(den, -1, p) % p
+            else:
+                y = _point_value(x)
+                if y is None:
+                    return None
+            if y:
+                vec[k] = y
+        while vec:
+            col = min(vec)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(vec[col], -1, p)
+                pivots[col] = {k: y * inv % p for k, y in vec.items()}
+                break
+            f = vec[col]
+            for k, y in piv.items():
+                z = (vec.get(k, 0) - f * y) % p
+                if z:
+                    vec[k] = z
+                else:
+                    del vec[k]
+    return len(pivots)
+
+
+def _point_value(x: LaurentPoly) -> int | None:
+    """x at v = POINT modulo POINT_PRIME, or None when the denominator of
+    a coefficient is divisible by POINT_PRIME."""
+    p = POINT_PRIME
+    acc = 0
+    for e, c in x.coeffs.items():
+        if type(c) is not int:
+            if not c.denominator % p:
+                return None
+            c = c.numerator * pow(c.denominator, -1, p)
+        acc += c * (pow(POINT, e, p) if e >= 0 else pow(_POINT_INVERSE, -e, p))
+    return acc % p
+
+
 def fraction_free_eliminate(rows) -> list:
     """Row-wise Bareiss elimination on sparse rows {column: nonzero
     LaurentPoly}, taken in order; the contract of forward_eliminate over
     Q[v,v^-1], without a quotient field and without mutating the input.
 
     Each row is reduced against the pivot rows P_j, pivot p_j at column
-    c_j, in order by r <- (p_j r - r[c_j] P_j) / p_(j-1), p_0 = 1, and
-    pivots at its first nonzero column unless it vanishes.  By Sylvester's
-    identity each entry is then a minor of the input, so every division
-    is exact (laurent_exact_div raises otherwise), and the last pivot is
-    the determinant up to the sign of the pivot-column permutation.
-    Returns (row index, reduced row) for the pivot rows: the indices
-    greedily pick a maximal independent set of rows.
+    c_j, in order by _bareiss_step, and pivots at its first nonzero column
+    unless it vanishes.  By Sylvester's identity each entry is then a
+    minor of the input, so every division is exact (laurent_exact_div
+    raises otherwise), and the last pivot is the determinant up to the
+    sign of the pivot-column permutation.  Returns (row index, reduced
+    row) for the pivot rows: the indices greedily pick a maximal
+    independent set of rows.
     """
     pivots: list = []
     out = []
     for index, row in enumerate(rows):
         prev = _ONE
         for col, piv, prow in pivots:
-            f = row.get(col)
-            if f is None and piv == prev:
-                continue  # the rescaling by p_j / p_(j-1) = 1
-            new = {k: piv * x for k, x in row.items()}
-            if f is not None:
-                add_scaled(new, -f, prow)
-            if prev != _ONE:
-                new = {k: laurent_exact_div(x, prev) for k, x in new.items()}
-            row = new
+            row = _bareiss_step(row, col, piv, prow, prev)
             prev = piv
             if not row:
                 break
@@ -182,6 +244,61 @@ def fraction_free_eliminate(rows) -> list:
                 pivots.append((col, row[col], row))
                 out.append((index, row))
     return out
+
+
+def _bareiss_step(row: dict, col, piv: LaurentPoly, prow: dict,
+                  prev: LaurentPoly) -> dict:
+    """The Bareiss update (piv * row - row[col] * prow) / prev of a sparse
+    Laurent row against the pivot row prow, pivot piv at col, prev the
+    pivot before it (1 for the first); a fresh row, or row itself when
+    the update is the identity (row[col] = 0 and piv = prev)."""
+    f = row.get(col)
+    if f is None and piv == prev:
+        return row
+    new = {k: piv * x for k, x in row.items()}
+    if f is not None:
+        add_scaled(new, -f, prow)
+    if prev != _ONE:
+        new = {k: laurent_exact_div(x, prev) for k, x in new.items()}
+    return new
+
+
+def laurent_adjugate(m: dict, n: int) -> tuple[dict, LaurentPoly]:
+    """(A, d) with m^-1 = A / d for an invertible n x n sparse Laurent
+    matrix: fraction-free Gauss-Jordan on [m | I], every row updated by
+    _bareiss_step at each pivot, leaves d (the last pivot, the determinant
+    up to sign) at each pivot column and d m^-1, an adjugate up to the
+    same sign, on the right.  A is sparse rows in column order; raises
+    NoSolutionError when m is singular."""
+    rows = [{**m.get(i, {}), n + i: _ONE} for i in range(n)]
+    prev = _ONE
+    for k in range(n):
+        prow = rows[k]
+        col = min(prow)
+        if col >= n:
+            raise NoSolutionError("matrix not invertible")
+        piv = prow[col]
+        for i in range(n):
+            if i != k:
+                rows[i] = _bareiss_step(rows[i], col, piv, prow, prev)
+        prev = piv
+    adj = sorted(((min(row), {j - n: x for j, x in row.items() if j >= n})
+                  for row in rows), key=lambda pr: pr[0])
+    return dict(adj), prev
+
+
+def adjugate_solve(adj: dict, det: LaurentPoly, rhs: dict) -> dict:
+    """The sparse solution x = A rhs / d over Q(v) of m x = rhs, for (A, d)
+    = laurent_adjugate(m, n) and a sparse Laurent column rhs, in index
+    order: each entry the Laurent quotient when d divides A rhs there, a
+    RatFunc otherwise, so each is the canonical value over Q(v)."""
+    x = {}
+    for i, row in adj.items():
+        num = sum((a * rhs[j] for j, a in row.items() if j in rhs), _ZERO)
+        if num:
+            quo, rem = laurent_divmod(num, det)
+            x[i] = RatFunc(num, det) if rem else RatFunc.from_laurent(quo)
+    return x
 
 
 def add_scaled(row: dict, f, other: dict) -> None:

@@ -3,8 +3,10 @@
 import copy
 import random
 
+from qschur import assembly
 from qschur.assembly import (
     BlockMatrix,
+    CellBasisElement,
     VerificationReport,
     assemble,
     matrix_span_rank,
@@ -12,6 +14,7 @@ from qschur.assembly import (
     verify_cellularity,
     verify_relations,
 )
+from qschur.linalg import POINT, sparse_product
 from qschur.rootdata import CosaturatedFlag, build_flag, build_root_datum, saturate
 from qschur.scalars import FieldContext, LaurentPoly, RatFunc
 
@@ -19,6 +22,7 @@ import dense
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
+B2 = build_root_datum("B2")
 GEN = FieldContext.generic()
 
 
@@ -344,3 +348,83 @@ def test_idempotent_straightening_example():
         lhs = s.gen(("F", 0, n)) * s.gen(("P", lam)) * s.gen(("E", 0, n))
         rhs = s.gen(("P", (-n,)))
         assert lhs.blocks[lam] == rhs.blocks[lam]
+
+
+def _counting_forward_eliminate(monkeypatch):
+    """Count the exact eliminations matrix_span_rank falls back to."""
+    calls = []
+    exact = assembly.forward_eliminate
+
+    def counted(rows):
+        calls.append(len(rows))
+        return exact(rows)
+
+    monkeypatch.setattr(assembly, "forward_eliminate", counted)
+    return calls
+
+
+def test_full_span_rank_is_certified_at_the_point(monkeypatch):
+    calls = _counting_forward_eliminate(monkeypatch)
+    s = build(A2, [(1, 1)])
+    rep = verify_cellularity(s)
+    assert rep.ok
+    assert calls == []
+
+
+def test_duplicated_element_falls_back_to_exact_rank(monkeypatch):
+    calls = _counting_forward_eliminate(monkeypatch)
+    s = build(A2, [(1, 1)])
+    elements = s.cellular_basis()
+    n = len(elements)
+    # element 1 takes element 0's matrix: n elements spanning n - 1
+    first, second = elements[0], elements[1]
+    elements[1] = CellBasisElement(second.lam, second.left, second.right,
+                                   first.matrix)
+    rep = verify_cellularity(s, elements)
+    checks = {c.name: c for c in rep.checks}
+    assert not checks["cellular.independent"].passed
+    assert checks["cellular.independent"].detail == \
+        "span rank %d of %d" % (n - 1, n)
+    assert checks["cellular.count"].passed
+    assert calls == [n]
+
+
+def test_span_rank_with_a_denominator_vanishing_at_the_point(monkeypatch):
+    calls = _counting_forward_eliminate(monkeypatch)
+    s = build(A1, [(1,)])
+    lam = (1,)
+    v = LaurentPoly.var(1)
+    pole = RatFunc(LaurentPoly.one(), v - LaurentPoly.const(POINT))
+    one = GEN.one()
+    mats = [BlockMatrix(s.dims, {lam: {0: {0: pole}}}),
+            BlockMatrix(s.dims, {lam: {0: {1: one}}}),
+            BlockMatrix(s.dims, {lam: {1: {0: one, 1: pole}}})]
+    assert matrix_span_rank(s, mats) == 3
+    assert calls == [3]
+
+
+def _product_trace(bm):
+    """A block matrix with the insertion order of its blocks and rows."""
+    return [(lam, [(i, list(row.items())) for i, row in blk.items()])
+            for lam, blk in bm.sparse.items()]
+
+
+def _plain_product(x, y):
+    return BlockMatrix(x.dims, {lam: b for lam, a in x.sparse.items()
+                                if (b := sparse_product(a, y.block(lam)))})
+
+
+def test_projector_products_are_index_slices():
+    # x 1_mu, 1_mu x and 1_mu 1_nu equal the per-block sparse_product,
+    # entries and insertion order alike, for every generator and weight
+    for s in (build(A2, [(2, 1)]), build(B2, [(1, 1)])):
+        gens = [s.gen((kind, i, a)) for kind in ("E", "F")
+                for i in range(s.datum.rank) for a in range(4)]
+        projectors = [s.gen(("P", mu)) for mu in s.orbit_weights]
+        assert all(p.slices for p in projectors)
+        for p in projectors:
+            for x in gens + projectors:
+                for prod, plain in ((x * p, _plain_product(x, p)),
+                                    (p * x, _plain_product(p, x))):
+                    assert prod == plain
+                    assert _product_trace(prod) == _product_trace(plain)

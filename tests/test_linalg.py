@@ -5,19 +5,26 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qschur import linalg
 from qschur.errors import ExactDivisionError, NoSolutionError
 from qschur.linalg import (
+    POINT,
+    POINT_PRIME,
     FieldMatrix,
     LaurentMatrix,
+    adjugate_solve,
     forward_eliminate,
     fraction_free_eliminate,
     hnf_column_basis,
+    laurent_adjugate,
     laurent_determinant,
+    point_rank,
     sparse_product,
     to_field,
 )
-from qschur.scalars import FieldContext, LaurentPoly, quantum_integer
+from qschur.scalars import FieldContext, LaurentPoly, RatFunc, quantum_integer
 
 import dense
 from dense import determinant, invert, nullspace, rank, solve
@@ -452,3 +459,161 @@ def test_laurent_determinant_matches_leibniz(n):
         before = {i: dict(row) for i, row in m.items()}
         assert laurent_determinant(m, n) == dense.leibniz(rows, z, one)
         assert m == before
+
+
+# -- fraction-free Gauss-Jordan: adjugate coordinates --------------------------
+
+def _invertible_with_denominators(seed):
+    """Invertible sparse Laurent matrices of sizes 1..4, shaped as in the
+    determinant oracles or with Fraction coefficients; most of their
+    inverses have entries that are not Laurent polynomials."""
+    rng = random.Random(seed)
+    out = []
+    for shaped in _shapes(seed + 1000):
+        for _ in range(60):
+            n = rng.randint(1, 4)
+            out.append((dense.sparse(shaped(rng, n, n)), n))
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        out.append((dict(enumerate(_random_sparse_rows(rng, n, n, True))), n))
+    return [(m, n) for m, n in out if laurent_determinant(m, n)]
+
+
+def test_adjugate_solve_matches_the_field_inverse():
+    true_denominators = 0
+    rng = random.Random(67)
+    for m, n in _invertible_with_denominators(67):
+        before = {i: dict(row) for i, row in m.items()}
+        adj, det = laurent_adjugate(m, n)
+        assert m == before
+        inverse = linalg.invert(to_field(m, GEN), n, GEN)
+        # m^-1 = A / d entry by entry, with the same sparsity
+        assert {i: {j: RatFunc(a, det) for j, a in row.items()}
+                for i, row in adj.items()} == inverse
+        assert det in (laurent_determinant(m, n), -laurent_determinant(m, n))
+        true_denominators += any(not x.is_laurent()
+                                 for row in inverse.values()
+                                 for x in row.values())
+        for _ in range(3):
+            rhs = dense.sparse_vector([_random_laurent(rng) for _ in range(n)])
+            x = adjugate_solve(adj, det, rhs)
+            expected = sparse_product(inverse, {
+                j: {0: GEN.from_laurent(y)} for j, y in rhs.items()})
+            assert x == {i: row[0] for i, row in expected.items()}
+            assert list(x) == sorted(x)
+            # a Laurent solution is a Laurent RatFunc, so lattice
+            # coordinates are recognized as integral
+            assert all(c.is_laurent() == (c.den == L.one())
+                       for c in x.values())
+    assert true_denominators >= 20
+
+
+def test_adjugate_of_a_unit_and_of_a_singular_matrix():
+    two = quantum_integer(2)
+    adj, det = laurent_adjugate({0: {0: two}}, 1)
+    assert (adj, det) == ({0: {0: L.one()}}, two)
+    assert adjugate_solve(adj, det, {0: two * two}) == \
+        {0: RatFunc.from_laurent(two)}
+    assert adjugate_solve(adj, det, {0: L.one()}) == {0: RatFunc(L.one(), two)}
+    assert laurent_adjugate({}, 0) == ({}, L.one())
+    with pytest.raises(NoSolutionError):
+        laurent_adjugate({0: {0: two, 1: L.one()}, 1: {0: two, 1: L.one()}},
+                         2)
+
+
+# -- rank at a point of Z/p -----------------------------------------------------
+
+def _exact_rank(rows):
+    """The rank over Q(v), by forward_eliminate."""
+    return len(forward_eliminate(
+        {j: x if isinstance(x, RatFunc) else GEN.from_laurent(x)
+         for j, x in row.items()} for row in rows))
+
+
+def test_point_rank_drops_where_the_point_is_a_root():
+    v = L.var(1)
+    # rows (1, v) and (1, POINT) are independent over Q(v), not at v = POINT
+    rows = [{0: L.one(), 1: v}, {0: L.one(), 1: L.const(POINT)}]
+    assert _exact_rank(rows) == 2
+    assert point_rank(rows) == 1
+    # so is a determinant v - POINT in Fraction coefficients
+    rows = [{0: L({1: Fraction(1, 3), 0: -Fraction(POINT, 3)})}, {1: v}]
+    assert (_exact_rank(rows), point_rank(rows)) == (2, 1)
+
+
+def test_point_rank_refuses_vanishing_denominators():
+    at_point = L({1: 1, 0: -POINT})  # v - POINT
+    assert point_rank([{0: RatFunc(L.one(), at_point)}]) is None
+    assert point_rank([{0: L.one()},
+                       {1: L.one(), 2: RatFunc(L.var(1), at_point)}]) is None
+    for den in (POINT_PRIME, 2 * POINT_PRIME):
+        assert point_rank([{0: L({0: Fraction(1, den)})}]) is None
+    # a denominator divisible by p in a numerator's coefficient too
+    assert point_rank([{0: RatFunc(L({0: Fraction(1, POINT_PRIME)}),
+                                   L.var(1, 1) + L.one())}]) is None
+    # denominators that do not vanish there are fine
+    assert point_rank([{0: RatFunc(L.one(), at_point + L.one())},
+                       {0: L({0: Fraction(1, POINT_PRIME + 1)})}]) == 1
+
+
+def test_point_rank_of_negative_exponents():
+    v, vinv = L.var(1), L.var(-1)
+    # (v^-1, 1) and (1, v) are proportional; (v^-2, v^-1 + 1) is not
+    rows = [{0: vinv, 1: L.one()}, {0: L.one(), 1: v},
+            {0: L.var(-2), 1: vinv + L.one()}]
+    assert point_rank(rows) == _exact_rank(rows) == 2
+    # v^-1 is the inverse of v modulo p
+    rows = [{0: v * vinv, 1: vinv}, {0: L.one(), 1: L.var(-1, Fraction(1, 2))}]
+    assert point_rank(rows) == _exact_rank(rows) == 2
+
+
+def test_point_rank_does_not_mutate_and_counts_zero_rows():
+    rows = [{}, {0: L.zero() + L.one()}, {}, {0: L.var(2)}]
+    before = [dict(row) for row in rows]
+    assert point_rank(rows) == _exact_rank(rows) == 1
+    assert rows == before
+    assert point_rank([]) == 0
+
+
+_coeffs = st.one_of(st.integers(min_value=-9, max_value=9),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=5))
+_polys = st.dictionaries(st.integers(min_value=-3, max_value=3), _coeffs,
+                         max_size=3).map(L)
+_monic = st.dictionaries(st.integers(min_value=0, max_value=2),
+                         st.integers(min_value=-9, max_value=9),
+                         min_size=1, max_size=3).map(L).filter(bool)
+_entries = st.one_of(_polys, st.builds(RatFunc, _polys, _monic))
+
+
+@st.composite
+def _rows(draw):
+    """Up to 5 sparse rows over up to 5 columns, with rows that are
+    Laurent combinations of earlier rows, so ranks fall short."""
+    cols = draw(st.integers(min_value=1, max_value=5))
+    rows = []
+    for _ in range(draw(st.integers(min_value=0, max_value=5))):
+        if rows and draw(st.booleans()):
+            row = {}
+            for earlier in rows:
+                f = GEN.from_laurent(draw(_polys))
+                for j, x in earlier.items():
+                    y = row.get(j, GEN.zero()) + f * (
+                        x if isinstance(x, RatFunc) else GEN.from_laurent(x))
+                    row[j] = y
+            row = {j: x for j, x in row.items() if x}
+        else:
+            row = {j: x for j in range(cols) if (x := draw(_entries))}
+        rows.append(row)
+    return rows
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_rows())
+def test_point_rank_matches_forward_eliminate(rows):
+    # The point is a root of none of these small entries' minors (a chance
+    # of about deg/p each), so the ranks agree; a vanishing denominator is
+    # refused, and a full point rank is the exact rank.
+    got = point_rank(rows)
+    exact = _exact_rank(rows)
+    assert got is not None
+    assert got == exact

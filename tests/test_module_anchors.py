@@ -1,6 +1,6 @@
 """Byte-identity anchors for `qschur module` on cell modules larger than the
-benchmark's, for `qschur verify` on A2 (2,2) at depth 2, and for `qschur
-gram` and `qschur decomp` (at cyclotomic=4) on B2 (2,1).
+benchmark's, for `qschur verify` on A2 (2,2) at depth 2 and on B2 (2,1),
+and for `qschur gram` and `qschur decomp` (at cyclotomic=4) on B2 (2,1).
 
 Each report runs as a fresh ``python -m qschur.cli`` process and its sha256
 must equal a recorded digest.  The module digests were recorded before the
@@ -31,6 +31,11 @@ ANCHORS = [
 
 VERIFY_A2_22_DEPTH_2 = \
     "2f6b47115a79f670c82325d66603e16b11814844e08c47ceb4d3d79df396d847"
+
+# recorded while the span rank and the coordinates were eliminations over
+# Q(v), when this job took about 2.3 s
+VERIFY_B2_21 = \
+    "f61753a9e688ae3575858cab77a03dc38fca5aa1126de143e2a07dc46962cb34"
 
 # recorded while every Gram entry was read off a chain of vector pushes,
 # when each of these jobs took about 5 s
@@ -69,6 +74,12 @@ def test_verify_report_matches_anchor(tmp_path):
     assert _report_digest(tmp_path, "verify", {
         "datum": {"preset": "A2"}, "pi": {"seeds": [[2, 2]]},
         "caps": {"depth": 2}}) == VERIFY_A2_22_DEPTH_2
+
+
+def test_verify_b2_21_report_matches_anchor(tmp_path):
+    # S(pi) of dimension 2272: the glued basis has span rank 2272
+    assert _report_digest(tmp_path, "verify", {
+        "datum": {"preset": "B2"}, "pi": {"seeds": [[2, 1]]}}) == VERIFY_B2_21
 
 
 @pytest.mark.parametrize("command,doc,digest", WORD_GRAM_ANCHORS,

@@ -37,7 +37,7 @@ CASES = [
     (SaturatedSet, _fields("datum", "elements")),
     (CosaturatedFlag, _fields("datum", "ordering")),
     (IdempotentSandwich, _fields("word", "exponents", "end_weight")),
-    (Basis, _fields("combos", "gram", "columns", "_inverse")),
+    (Basis, _fields("combos", "gram", "columns", "_adjugate")),
     (WeightSpaceData, _fields("words", "candidates", "generic", "ctx",
                               "integral", "_gram")),
     (SpecializedModule, _fields("lam", "ctx", "weight_ranks",
@@ -54,7 +54,7 @@ CASES = [
 # the required fields, then the defaults of the rest
 DEFAULTS = [
     (FieldContext, 1, {"q": None, "ell": None}),
-    (Basis, 3, {"_inverse": None}),
+    (Basis, 3, {"_adjugate": None}),
     (WeightSpaceData, 4, {"integral": None, "_gram": None}),
     (CheckResult, 2, {"detail": ""}),
     (VerificationReport, 0, {"checks": []}),
