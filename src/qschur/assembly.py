@@ -126,6 +126,27 @@ def _accumulate(out: dict, sparse: dict, c: FieldValue) -> None:
             del out[lam]
 
 
+def _add_diagonal(out: dict, slices: dict, c: FieldValue) -> None:
+    """out += c 1_mu for the projector with these slices, in place: c added
+    on the diagonal lo..hi-1 of each block, in the order _accumulate adds
+    the projector's rows; entries, rows and blocks that cancel go."""
+    for lam, (lo, hi) in slices.items():
+        oblk = out.setdefault(lam, {})
+        for i in range(lo, hi):
+            orow = oblk.setdefault(i, {})
+            y = orow.get(i)
+            if y is None:
+                orow[i] = c
+            elif (y := y + c):
+                orow[i] = y
+            else:
+                del orow[i]
+                if not orow:
+                    del oblk[i]
+        if not oblk:
+            del out[lam]
+
+
 class CellBasisElement:
     """One glued cellular basis element b' 1_lambda b^*."""
 
@@ -214,11 +235,17 @@ class SchurAlgebra:
         return BlockMatrix(self.dims, {})
 
     def combination(self, terms) -> BlockMatrix:
-        """The sum of c x over (Laurent c, block matrix x), skipping zero c."""
+        """The sum of c x over (Laurent c, block matrix x), skipping zero c.
+        A term c 1_mu adds c on the diagonal of its slices, with no
+        products."""
         out: dict = {}
         for c, x in terms:
             if c:
-                _accumulate(out, x.sparse, GENERIC.from_laurent(c))
+                c = GENERIC.from_laurent(c)
+                if x.slices is None:
+                    _accumulate(out, x.sparse, c)
+                else:
+                    _add_diagonal(out, x.slices, c)
         return BlockMatrix(self.dims, out)
 
     def k_element(self, h) -> BlockMatrix:

@@ -4,13 +4,17 @@ Parses a JSON job configuration, runs the requested pipeline stage, and
 writes a deterministic JSON report to stdout (and optionally to a file):
 identical configurations produce byte-identical reports.  Human
 diagnostics, including timing, go to stderr.  Exit codes: 0 success,
-1 verification failure, 2 configuration error.
+1 verification failure, 2 configuration error or a report that cannot be
+written.  Run as a program, the process ends as soon as the report and
+stderr are flushed, without the interpreter's teardown.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import re
 import sys
 import time
@@ -568,6 +572,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(text: str) -> None:
+    """Write text to stdout whole and flush it.  An unbuffered stdout
+    (python -u, PYTHONUNBUFFERED) writes straight to its raw file, which
+    takes only part of a write when a pipe's reader closes, and the text
+    layer drops that count; its bytes go out in a loop instead, so the
+    next write raises."""
+    out = sys.stdout
+    raw = getattr(out, "buffer", None)
+    if isinstance(raw, io.RawIOBase):
+        out.flush()
+        data = memoryview(text.encode(out.encoding))
+        while data:
+            data = data[raw.write(data):]
+    else:
+        out.write(text)
+    out.flush()
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     start = time.monotonic()
@@ -614,7 +636,11 @@ def main(argv=None) -> int:
         except OSError as exc:
             print("error: %s" % exc, file=sys.stderr)
             return 2
-    sys.stdout.write(text)
+    try:
+        _write_stdout(text)
+    except OSError as exc:  # a closed pipe or a full disk
+        print("error: cannot write the report: %s" % exc, file=sys.stderr)
+        return 2
     elapsed = time.monotonic() - start
     print("%s finished in %.3f s" % (args.command, elapsed), file=sys.stderr)
     if args.command == "verify" and not payload["passed"]:
@@ -623,4 +649,14 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    # End as soon as the report and stderr are flushed, skipping the
+    # interpreter's teardown: qschur registers no atexit hook, starts no
+    # thread and has closed its --out file.  An exception escaping main
+    # still ends the normal way, with its traceback.
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        try:
+            stream.flush()
+        except OSError:  # a stdout main could not write: it returned 2
+            pass
+    os._exit(code)

@@ -428,3 +428,50 @@ def test_projector_products_are_index_slices():
                                     (p * x, _plain_product(p, x))):
                     assert prod == plain
                     assert _product_trace(prod) == _product_trace(plain)
+
+
+def _accumulated(s, terms):
+    """The sum of c x term by term through _accumulate, projectors too."""
+    out = {}
+    for c, x in terms:
+        if c:
+            assembly._accumulate(out, x.sparse, GEN.from_laurent(c))
+    return BlockMatrix(s.dims, out)
+
+
+ALGEBRA_CONFIGS = [(build_root_datum("A1"), [(6,)]),
+                   (A2, [(2, 1)]),
+                   (build_root_datum("G2"), [(0, 1)]),
+                   (B2, [(1, 1)]),
+                   (A2, [(1, 1)])]
+
+
+def test_combination_of_projectors_adds_on_their_slices():
+    # K_h, a combination of the cached projectors, and mixed combinations
+    # with cancelling terms equal the sums built by _accumulate, entries
+    # and insertion order alike
+    rng = random.Random(22)
+    for datum, seeds in ALGEBRA_CONFIGS:
+        s = build(datum, seeds)
+        projectors = [s.gen(("P", mu)) for mu in s.orbit_weights]
+        assert all(p.slices is not None for p in projectors)
+        others = [s.identity()] + [s.gen((kind, i, 1)) for kind in ("E", "F")
+                                   for i in range(datum.rank)]
+        for _ in range(8):
+            h = [rng.randint(-3, 3) for _ in range(datum.n)]
+            terms = [(LaurentPoly.var(sum(a * b for a, b in zip(h, mu))),
+                      s.gen(("P", mu))) for mu in s.orbit_weights]
+            k = s.k_element(h)
+            assert k == _accumulated(s, terms)
+            assert _product_trace(k) == _product_trace(_accumulated(s, terms))
+            mixed = []
+            for _ in range(rng.randint(1, 12)):
+                c = LaurentPoly({rng.randint(-2, 2): rng.choice([-1, 1, 2])})
+                x = rng.choice(projectors + others)
+                mixed.append((c, x))
+                if rng.random() < 0.4:  # cancel it again, maybe in part
+                    mixed.append((-c, rng.choice([x, rng.choice(projectors)])))
+            got = s.combination(mixed)
+            _assert_canonical(got)
+            assert got == _accumulated(s, mixed)
+            assert _product_trace(got) == _product_trace(_accumulated(s, mixed))

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -709,3 +710,142 @@ def test_decomp_specializes_each_module_once(tmp_path, capsys, monkeypatch):
     flag = [tuple(lam) for lam in json.loads(out)["payload"]["order"]]
     assert len(flag) == 4
     assert sorted(calls) == sorted(flag)
+
+
+# -- the process exit path: run as a program, the CLI ends with os._exit once
+# the report and stderr are flushed ------------------------------------------
+
+SRC = os.path.dirname(os.path.dirname(qschur.__file__))
+SRC_ENV = dict(os.environ, PYTHONPATH=SRC)
+
+FAILING_CHECK = """
+import runpy, sys
+from qschur import assembly
+real = assembly.verify_cellularity
+
+def patched(s):
+    rep = real(s)
+    %s
+    return rep
+
+assembly.verify_cellularity = patched
+sys.argv = ["qschur", *sys.argv[1:]]
+runpy.run_module("qschur.cli", run_name="__main__")
+"""
+
+
+def _process(*argv, **kwargs):
+    return subprocess.run([sys.executable, "-m", "qschur.cli", *argv],
+                          env=SRC_ENV, timeout=60, **kwargs)
+
+
+@pytest.fixture
+def cfg_g2(tmp_path):
+    path = tmp_path / "g2.json"
+    path.write_text(json.dumps({"datum": {"preset": "G2"},
+                                "pi": {"seeds": [[0, 1]]}}))
+    return str(path)
+
+
+def test_process_writes_a_large_report_whole(capsys, tmp_path, cfg_g2):
+    # about 1.5 MB: stdout and --out hold every byte the in-process run
+    # renders, and the timing line still reaches stderr
+    argv = ["cellbasis", "--matrices", "--config", cfg_g2]
+    rc, expected, _ = run(capsys, *argv)
+    assert rc == 0 and len(expected) > 10 ** 6
+    target = tmp_path / "report.json"
+    proc = _process(*argv, "--out", str(target), capture_output=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected.encode("ascii")
+    assert target.read_bytes() == proc.stdout
+    assert re.fullmatch(rb"cellbasis finished in \d+\.\d{3} s\n", proc.stderr)
+
+
+def test_process_bad_config_exits_2(tmp_path):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text("{not json")
+    proc = _process("datum", "--config", str(cfg), capture_output=True,
+                    text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr.startswith("error: config parse error")
+    assert "Traceback" not in proc.stderr
+
+
+def test_process_failed_verify_exits_1_with_the_full_report(
+        capsys, monkeypatch, cfg_a1):
+    # the same check fails in-process and in a child that runs the module
+    # as __main__, so both reports must be the same bytes
+    from qschur import cli
+
+    def patched(s, real=cli.verify_cellularity):
+        rep = real(s)
+        rep.checks[0].passed = False
+        return rep
+
+    monkeypatch.setattr(cli, "verify_cellularity", patched)
+    rc, expected, _ = run(capsys, "verify", "--config", cfg_a1)
+    assert rc == 1 and json.loads(expected)["payload"]["passed"] is False
+    proc = subprocess.run(
+        [sys.executable, "-c", FAILING_CHECK % "rep.checks[0].passed = False",
+         "verify", "--config", cfg_a1],
+        capture_output=True, text=True, env=SRC_ENV, timeout=60)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stdout == expected
+    assert proc.stderr.startswith("verify finished in ")
+
+
+def test_process_exception_escaping_main_prints_its_traceback(cfg_a1):
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         FAILING_CHECK % "raise RuntimeError('check crashed')",
+         "verify", "--config", cfg_a1],
+        capture_output=True, text=True, env=SRC_ENV, timeout=60)
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("Traceback (most recent call last):")
+    assert proc.stderr.endswith("RuntimeError: check crashed\n")
+
+
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("reader", ["closed", "reads_100_bytes"])
+def test_process_closed_stdout_exits_2(tmp_path, reader, unbuffered):
+    # qschur gram ... | head -c 100: the report cannot be written whole, so
+    # the job ends in exit 2 with an error line, not a traceback, also when
+    # stdout is unbuffered and takes part of the report first
+    cfg = tmp_path / "g2.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "G2"},
+                               "pi": {"seeds": [[2, 0]]}}))
+    env = {k: v for k, v in SRC_ENV.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    r, w = os.pipe()
+    if reader == "closed":
+        os.close(r)
+    try:
+        child = subprocess.Popen(
+            [sys.executable, "-m", "qschur.cli", "gram", "--config", str(cfg)],
+            stdout=w, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(w)
+    with child:
+        if reader != "closed":  # the report is larger than the pipe buffer
+            assert os.read(r, 100)
+            os.close(r)
+        err = child.stderr.read()
+        rc = child.wait(timeout=60)
+    assert rc == 2
+    assert err.startswith("error: cannot write the report: ")
+    assert "Broken pipe" in err and "Traceback" not in err
+
+
+def test_unwritable_stdout_exits_2_in_process(capsys, monkeypatch, cfg_a1):
+    class Closed(io.StringIO):
+        def flush(self):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", Closed())
+    rc = main(["datum", "--config", cfg_a1])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "error: cannot write the report: [Errno 32] Broken pipe\n"
