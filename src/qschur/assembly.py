@@ -4,11 +4,11 @@ The algebra acts on the direct sum of its cell modules; a generator is
 stored as one matrix block per lambda in pi.  Semisimplicity over Q(v)
 makes this model faithful, and the engine certifies that exactly: the
 glued cellular basis must consist of sum_lambda (dim Delta(lambda))^2
-linearly independent matrices.  A full rank of the flattened matrices at
-one point of Z/p certifies this, as specialization cannot raise a rank;
-any shorter rank there is decided again by elimination over Q(v).  The
-relation and cellularity suites below check every defining identity
-exactly; there are no tolerances.
+linearly independent matrices.  linalg.rank decides this: a full rank
+of the flattened matrices at one point of Z/p certifies it, as
+specialization cannot raise a rank, and only a shorter one is decided
+again by elimination over Q(v).  The relation and cellularity suites
+below check every defining identity exactly; there are no tolerances.
 """
 
 from __future__ import annotations
@@ -16,8 +16,8 @@ from __future__ import annotations
 import random
 
 from .cellmod import CellModule
-from .linalg import (FieldMatrix, add_scaled, dense_rows, forward_eliminate,
-                     point_rank, sparse_product, sparse_transpose, to_field)
+from .linalg import (FieldMatrix, add_scaled, dense_rows, rank,
+                     sparse_product, sparse_transpose, to_field)
 from .rootdata import CosaturatedFlag, SaturatedSet, Weight, build_flag
 from .scalars import (
     FieldContext,
@@ -335,15 +335,12 @@ class SchurAlgebra:
         return elements
 
 
-def assemble(pi: SaturatedSet, flag: CosaturatedFlag = None,
-             built: dict = None) -> SchurAlgebra:
-    """Build the cell modules of S(pi) not already in built (lambda ->
-    CellModule), in flag order, and the block generator model."""
+def assemble(pi: SaturatedSet, flag: CosaturatedFlag = None) -> SchurAlgebra:
+    """Build the cell modules of S(pi), in flag order, and the block
+    generator model."""
     if flag is None:
         flag = build_flag(pi)
-    built = built or {}
-    modules = {lam: built[lam] if lam in built else CellModule(pi.datum, lam)
-               for lam in flag}
+    modules = {lam: CellModule(pi.datum, lam) for lam in flag}
     return SchurAlgebra(pi, flag, modules)
 
 
@@ -566,18 +563,13 @@ def _flatten(s: SchurAlgebra, bm: BlockMatrix) -> dict:
 
 
 def matrix_span_rank(s: SchurAlgebra, mats: list) -> int:
-    """Rank of the span of block matrices over Q(v).  A point rank equal
-    to the number of matrices certifies it (point_rank); a shorter one, or
-    a denominator vanishing at the point, leaves the decision to exact
-    sparse elimination over Q(v)."""
-    rows = [_flatten(s, bm) for bm in mats]
-    if point_rank(rows) == len(rows):
-        return len(rows)
-    return len(forward_eliminate(rows))
+    """Rank of the span of block matrices over Q(v): the exact rank of
+    their flattened entries."""
+    return rank(dict(enumerate(_flatten(s, bm) for bm in mats)))
 
 
-def verify_cellularity(s: SchurAlgebra, elements: list = None,
-                       integral: bool = False) -> VerificationReport:
+def verify_cellularity(s: SchurAlgebra,
+                       elements: list = None) -> VerificationReport:
     """Certify the cellular structure of the assembled algebra.
 
     (1) the glued basis is linearly independent with the semisimple count,
@@ -592,7 +584,7 @@ def verify_cellularity(s: SchurAlgebra, elements: list = None,
     rep = VerificationReport()
     datum = s.datum
     if elements is None:
-        elements = s.cellular_basis(integral=integral)
+        elements = s.cellular_basis()
 
     rank_span = matrix_span_rank(s, [el.matrix for el in elements])
     rep.add("cellular.count", len(elements) == s.dim,

@@ -358,7 +358,8 @@ def _check_json(rep) -> list:
 # -- pipeline ------------------------------------------------------------------
 
 class Pipeline:
-    """Shared lazily-built state for one job."""
+    """The root datum, pi and flag of one job.  Each command builds the
+    cell modules or the algebra it reads, each at most once."""
 
     def __init__(self, config: JobConfig):
         self.config = config
@@ -371,21 +372,6 @@ class Pipeline:
         self.pi = saturate(self.datum, config.seeds,
                            orbit_cap=config.caps["orbit"])
         self.flag = build_flag(self.pi)
-        self._modules: dict = {}
-        self._algebra = None
-
-    def algebra(self):
-        if self._algebra is None:
-            self._algebra = assemble(self.pi, self.flag, self._modules)
-            self._modules = self._algebra.modules
-        return self._algebra
-
-    def module(self, lam):
-        """The cell module Delta(lambda) alone, built on first use."""
-        cm = self._modules.get(lam)
-        if cm is None:
-            cm = self._modules[lam] = CellModule(self.datum, lam)
-        return cm
 
     def lambdas(self, lam):
         if lam is None:
@@ -424,7 +410,7 @@ def cmd_saturate(p: Pipeline, args) -> dict:
 def cmd_module(p: Pipeline, args) -> dict:
     out = []
     for lam in p.lambdas(args.lam):
-        cm = p.module(lam)
+        cm = CellModule(p.datum, lam)
         out.append({
             "lambda": weight_json(lam),
             "dim": cm.dim,
@@ -442,7 +428,7 @@ def cmd_gram(p: Pipeline, args) -> dict:
     scan = p.config.caps["cyclotomic_scan"]
     out = []
     for lam in p.lambdas(args.lam):
-        cm = p.module(lam)
+        cm = CellModule(p.datum, lam)
         spaces = []
         for mu in cm.weights:
             sp = cm.spaces[mu]
@@ -462,7 +448,7 @@ def cmd_gram(p: Pipeline, args) -> dict:
 
 
 def cmd_cellbasis(p: Pipeline, args) -> dict:
-    s = p.algebra()
+    s = assemble(p.pi, p.flag)
     elements = s.cellular_basis(integral=args.integral)
     payload = {
         "basis_kind": "integral" if args.integral else "generic",
@@ -486,7 +472,7 @@ def cmd_specialize(p: Pipeline, args) -> dict:
     ctx = p.config.field
     out = []
     for lam in p.lambdas(args.lam):
-        cm = p.module(lam)
+        cm = CellModule(p.datum, lam)
         spec = specialize_module(cm, ctx)
         radical_dims = spec.radical_dims()
         out.append({
@@ -502,7 +488,8 @@ def cmd_specialize(p: Pipeline, args) -> dict:
 
 def cmd_decomp(p: Pipeline, args) -> dict:
     ctx = p.config.field
-    specs = {lam: specialize_module(p.module(lam), ctx) for lam in p.flag}
+    specs = {lam: specialize_module(CellModule(p.datum, lam), ctx)
+             for lam in p.flag}
     dm = decomposition_matrix(specs, p.flag, ctx)
     ss = semisimplicity_report(specs, p.flag, ctx)
     return {
@@ -517,7 +504,7 @@ def cmd_decomp(p: Pipeline, args) -> dict:
 
 
 def cmd_verify(p: Pipeline, args) -> dict:
-    s = p.algebra()
+    s = assemble(p.pi, p.flag)
     caps = p.config.caps
     relations = verify_relations(s, depth=caps["depth"],
                                  samples=caps["samples"])

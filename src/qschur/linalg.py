@@ -2,19 +2,25 @@
 
 Every matrix the engine passes around is sparse rows: no stored zero entry
 and no empty row, so a zero row is an absent key and shapes travel as
-explicit arguments.  One sparse product loop, sparse_product, behind every
-matrix product; over a field, one sparse elimination loop,
-forward_eliminate (rank, determinant, the exact span rank), and the
-reduced echelon form read from it (solve, nullspace, inverse); one
-elimination in machine integers at a point of Z/p, point_rank, which
-certifies a full rank over Q(v); over Q[v,v^-1], one Bareiss row update
-behind the fraction-free elimination loop, fraction_free_eliminate (the
-generic basis greedy, Laurent determinants), and the fraction-free
-Gauss-Jordan loop, laurent_adjugate (coordinates and Gram inverses), and
-Hermite-style column reduction, used to extract bases of integral
-lattices.  Pivoting is always "first nonzero in index order" -- the
-arithmetic is exact, so determinism beats conditioning.  FieldMatrix and
-LaurentMatrix are dense views, built only to export a block.
+explicit arguments.  One sparse product loop, sparse_product, is behind
+every matrix product.
+
+Over a field there is one sparse elimination loop, forward_eliminate
+(rank, determinant), and the reduced echelon form read from it (solve,
+nullspace, inverse).  One elimination in machine integers at a point of
+Z/p, point_rank, certifies a full rank over Q(v).  So rank, the one
+exact rank for every field, eliminates over Q(v) only when the point
+rank falls short.
+
+Over Q[v,v^-1] one Bareiss row update is behind the fraction-free
+elimination loop, fraction_free_eliminate (the generic basis greedy,
+Laurent determinants), and the fraction-free Gauss-Jordan loop,
+laurent_adjugate (coordinates and Gram inverses).  Hermite-style column
+reduction extracts bases of integral lattices.
+
+Pivoting is always "first nonzero in index order" -- the arithmetic is
+exact, so determinism beats conditioning.  FieldMatrix and LaurentMatrix
+are dense views, built only to export a block.
 """
 
 from __future__ import annotations
@@ -335,8 +341,20 @@ def reduced_echelon(rows, one) -> list:
 
 
 def rank(m: dict) -> int:
-    """Rank over the context field, by exact forward elimination."""
-    return len(forward_eliminate(dict(row) for row in m.values()))
+    """The exact rank of sparse rows over their field, chosen by the type
+    of the entries.  Over Q(v), LaurentPoly or RatFunc entries, a point
+    rank equal to the number of rows certifies it (point_rank); a shorter
+    one, or a denominator vanishing at the point, leaves the decision to
+    forward elimination over Q(v).  Rows of Fraction or Residue entries
+    go straight to forward elimination."""
+    rows = m.values()
+    x = next((x for row in rows for x in row.values()), None)
+    if isinstance(x, (LaurentPoly, RatFunc)):
+        if point_rank(rows) == len(rows):
+            return len(rows)
+        rows = ({k: RatFunc.from_laurent(y) if type(y) is LaurentPoly else y
+                 for k, y in row.items()} for row in rows)
+    return len(forward_eliminate(dict(row) for row in rows))
 
 
 def solve(m: dict, b: dict, n: int, ctx: FieldContext) -> dict:

@@ -3,11 +3,14 @@
 The integral-basis Gram matrices specialize exactly; their ranks give the
 weight multiplicities of the simple head L_q(lambda), and each weight's
 multiplicity in Delta(lambda) less that rank is the dimension of the
-radical there.  Decomposition numbers come from the unitriangular
-character solve.  Semisimplicity is read from the same ranks: a radical is
-nonzero exactly where its integral Gram determinant (the paper's f(v)
-certificate) vanishes, as specialization is a ring homomorphism and so
-commutes with the determinant.
+radical there.  At the generic field each integral Gram is nonsingular,
+and linalg.rank certifies that at a point of Z/p; it eliminates over Q(v)
+only if the point is a root of the Gram determinant.  Decomposition
+numbers come from the unitriangular character solve.  Semisimplicity is
+read from the same ranks: a radical is nonzero exactly where its integral
+Gram determinant (the paper's f(v) certificate) vanishes, as
+specialization is a ring homomorphism and so commutes with the
+determinant.
 """
 
 from __future__ import annotations

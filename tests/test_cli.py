@@ -712,6 +712,51 @@ def test_decomp_specializes_each_module_once(tmp_path, capsys, monkeypatch):
     assert sorted(calls) == sorted(flag)
 
 
+@pytest.mark.parametrize("argv, preset, seed", [
+    (("decomp", "--field", "generic"), "B2", [2, 1]),
+    (("decomp", "--field", "generic"), "A2", [2, 2]),
+    (("decomp", "--field", "q=2"), "A2", [2, 2]),
+    (("decomp", "--field", "cyclotomic=5"), "A2", [2, 2]),
+    (("verify",), "A2", [1, 1]),
+    (("verify",), "G2", [2, 0]),
+    (("cellbasis", "--integral"), "A2", [1, 1]),
+    (("cellbasis", "--integral"), "G2", [2, 0]),
+], ids=lambda x: "_".join(map(str, x)) if isinstance(x, (tuple, list))
+    else x)
+def test_jobs_take_no_gcd_in_q_v(tmp_path, capsys, monkeypatch, argv,
+                                 preset, seed):
+    # every full rank over Q(v) is certified at a point, so these jobs never
+    # eliminate over Q(v) and never reduce a fraction there
+    from qschur import scalars
+
+    def refuse(a, b):
+        raise AssertionError("laurent_gcd(%s, %s)" % (a, b))
+
+    monkeypatch.setattr(scalars, "laurent_gcd", refuse)
+    cfg = tmp_path / "job.json"
+    cfg.write_text(json.dumps({"datum": {"preset": preset},
+                               "pi": {"seeds": [seed]}}))
+    rc, out, _ = run(capsys, argv[0], "--config", str(cfg), *argv[1:])
+    assert rc == 0 and out
+
+
+def test_generic_specialization_eliminates_nothing(monkeypatch):
+    # the rank of each integral Gram over Q(v) is certified at a point
+    from qschur import linalg, specialize
+    cm = CellModule(build_root_datum("B2"), (2, 1))
+    calls = []
+    original = linalg.forward_eliminate
+
+    def counting(rows):
+        calls.append(1)
+        return original(rows)
+
+    monkeypatch.setattr(linalg, "forward_eliminate", counting)
+    spec = specialize.specialize_module(cm, parse_field("generic"))
+    assert spec.dim_simple == spec.dim_delta == cm.dim
+    assert calls == []
+
+
 # -- the process exit path: run as a program, the CLI ends with os._exit once
 # the report and stderr are flushed ------------------------------------------
 

@@ -575,6 +575,73 @@ def test_point_rank_does_not_mutate_and_counts_zero_rows():
     assert point_rank([]) == 0
 
 
+def _counting(monkeypatch, name):
+    """Count the calls of linalg.name, by the number of rows passed."""
+    calls = []
+    real = getattr(linalg, name)
+
+    def counted(rows):
+        rows = list(rows)
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(linalg, name, counted)
+    return calls
+
+
+def test_rank_certified_at_the_point_skips_elimination(monkeypatch):
+    calls = _counting(monkeypatch, "forward_eliminate")
+    v = L.var(1)
+    rows = {0: {0: GEN.one(), 1: GEN.from_laurent(v)},
+            1: {1: RatFunc(L.one(), v + L.one())}}
+    assert linalg.rank(rows) == 2
+    assert linalg.rank({i: {j: x.num for j, x in row.items()}
+                        for i, row in rows.items()}) == 2
+    assert calls == []
+
+
+def test_rank_is_exact_where_the_point_rank_is_short(monkeypatch):
+    calls = _counting(monkeypatch, "forward_eliminate")
+    v = L.var(1)
+    # (1, v) and (1, POINT) are independent over Q(v), not at v = POINT
+    rows = {0: {0: L.one(), 1: v}, 4: {0: L.one(), 1: L.const(POINT)}}
+    assert point_rank(rows.values()) == 1
+    assert linalg.rank(rows) == 2
+    ratfunc = {i: {j: GEN.from_laurent(x) for j, x in row.items()}
+               for i, row in rows.items()}
+    assert linalg.rank(ratfunc) == 2
+    # a row that is v times another: short at the point and over Q(v)
+    ratfunc[5] = {0: GEN.from_laurent(v), 1: GEN.from_laurent(v * v)}
+    assert linalg.rank(ratfunc) == 2
+    assert calls == [2, 2, 3]
+    # the Laurent rows were lifted to Q(v) in copies
+    assert all(isinstance(x, LaurentPoly)
+               for row in rows.values() for x in row.values())
+
+
+def test_rank_is_exact_with_a_pole_at_the_point(monkeypatch):
+    calls = _counting(monkeypatch, "forward_eliminate")
+    pole = RatFunc(L.one(), L.var(1) - L.const(POINT))
+    rows = {0: {0: pole}, 1: {0: GEN.one(), 1: pole}, 2: {1: GEN.one()}}
+    assert point_rank(rows.values()) is None
+    assert linalg.rank(rows) == 2
+    assert linalg.rank({0: rows[0], 1: rows[1]}) == 2
+    assert calls == [3, 2]
+
+
+@pytest.mark.parametrize("ctx", ORACLE_FIELDS[1:], ids=lambda c: c.label())
+def test_field_rows_never_reach_point_rank(monkeypatch, ctx):
+    def refuse(rows):
+        raise AssertionError("point_rank on %s rows" % ctx.label())
+
+    monkeypatch.setattr(linalg, "point_rank", refuse)
+    # row 1 is [2] times row 0, and row 2 is independent of row 0 unless
+    # [2] vanishes at the point, as it does at cyclotomic=4
+    two = quantum_integer(2)
+    m = fm(ctx, [[two, 1], [two * two, two], [0, 1]])
+    assert rank(m) == (2 if ctx.from_laurent(two) else 1)
+
+
 _coeffs = st.one_of(st.integers(min_value=-9, max_value=9),
                     st.fractions(min_value=-4, max_value=4, max_denominator=5))
 _polys = st.dictionaries(st.integers(min_value=-3, max_value=3), _coeffs,

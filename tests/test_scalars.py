@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from qschur import scalars
 from qschur.cellmod import CellModule
 from qschur.errors import DenominatorVanishes, ExactDivisionError
 from qschur.rootdata import build_root_datum
@@ -230,23 +229,6 @@ def test_laurent_gcd_matches_euclid_reference():
     for a, b in _gcd_pairs(71):
         assert _typed(laurent_gcd(a, b)) == _typed(dense.laurent_gcd(a, b)), \
             (a, b)
-
-
-def test_laurent_gcd_fallback_matches_heuristic(monkeypatch):
-    pairs = _gcd_pairs(73)
-    heuristic = [laurent_gcd(a, b) for a, b in pairs]
-    divisions = []
-    original = scalars.laurent_divmod
-
-    def counting(a, b):
-        divisions.append(1)
-        return original(a, b)
-
-    monkeypatch.setattr(scalars, "HEUGCD_TRIES", 0)
-    monkeypatch.setattr(scalars, "laurent_divmod", counting)
-    assert [_typed(laurent_gcd(a, b)) for a, b in pairs] == \
-        [_typed(g) for g in heuristic]
-    assert divisions  # Euclid ran
 
 
 def _double_loop(a, b):
