@@ -624,17 +624,25 @@ def verify_cellularity(s: SchurAlgebra,
             ((witness(el), el.matrix.block(el.lam), rank_one(el))
              for el in elements))
     # star(x) = G^-1 x^T G equals y iff x^T G == G y on every block, as G
-    # is invertible; this skips G^-1, whose entries are not Laurent
+    # is invertible; this skips G^-1, whose entries are not Laurent.  G is
+    # symmetric, so x^T G = (G x)^T: each product G x is made once, and
+    # kept only between its two reads, as x and as the swapped y
     by_pair = {(el.lam, el.left, el.right): el for el in elements}
+    unread: dict = {}
+
+    def gram_times(el, lam):
+        g_block = unread.pop((id(el), lam), None)
+        if g_block is None:
+            g_block = unread[id(el), lam] = sparse_product(
+                s.full_gram(lam), el.matrix.block(lam))
+        return g_block
 
     def star_swaps():
         for el in elements:
-            x, y = el.matrix, by_pair[(el.lam, el.right, el.left)].matrix
-            for lam in x.sparse.keys() | y.sparse.keys():
-                g = s.full_gram(lam)
-                yield (witness(el),
-                       sparse_product(sparse_transpose(x.block(lam)), g),
-                       sparse_product(g, y.block(lam)))
+            swap = by_pair[(el.lam, el.right, el.left)]
+            for lam in el.matrix.sparse.keys() | swap.matrix.sparse.keys():
+                yield (witness(el), sparse_transpose(gram_times(el, lam)),
+                       gram_times(swap, lam))
 
     _expect(rep, "cellular.star_swaps", star_swaps())
 

@@ -3,21 +3,28 @@
 Parses a JSON job configuration, runs the requested pipeline stage, and
 writes a deterministic JSON report to stdout (and optionally to a file):
 identical configurations produce byte-identical reports.  Human
-diagnostics, including timing, go to stderr.  Exit codes: 0 success,
-1 verification failure, 2 configuration error or a report that cannot be
-written.  Run as a program, the process ends as soon as the report and
-stderr are flushed, without the interpreter's teardown.
+diagnostics, including timing, go to stderr.  Exit codes: 0 success or
+--help, 1 verification failure, 2 a malformed command line, a
+configuration error or a report that cannot be written.  Run as a
+program, the process ends as soon as the report and stderr are flushed,
+without the interpreter's teardown.
+
+The command line is read from one option table, OPTIONS, without argparse
+(whose import, with gettext's, every job would pay): options take their
+exact names, never an abbreviation, as --name VALUE or --name=VALUE.  A
+malformed command line writes the usage and a "qschur: error:" line to
+stderr, and main returns 2 for it as for every other error.
 """
 
 from __future__ import annotations
 
-import argparse
 import io
 import json
 import os
 import re
 import sys
 import time
+import types
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
@@ -533,30 +540,113 @@ COMMANDS = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="qschur",
-        description="Exact computations in generalized q-Schur algebras.")
-    parser.add_argument("command", choices=sorted(COMMANDS),
-                        help="pipeline stage to run")
-    parser.add_argument("--config", required=True, metavar="PATH",
-                        help="JSON job configuration document")
-    parser.add_argument("--lambda", dest="lam", metavar="C1,C2,...",
-                        help="restrict to one weight of pi")
-    parser.add_argument("--field", metavar="SPEC",
-                        help="override the config field: "
-                             "generic | q=FRACTION | cyclotomic=L")
-    parser.add_argument("--out", metavar="PATH",
-                        help="also write the report to a file")
-    parser.add_argument("--depth", type=int, metavar="N",
-                        help="override caps.depth (divided powers)")
-    parser.add_argument("--threads", type=int, default=1, metavar="N",
-                        help="accepted for compatibility; has no effect")
-    parser.add_argument("--integral", action="store_true",
-                        help="cellbasis: use the integral lattice bases")
-    parser.add_argument("--matrices", action="store_true",
-                        help="cellbasis: include the block matrices")
-    return parser
+# The options of the qschur command, in the order --help lists them:
+# name -> (dest, metavar, converter, help).  An option with a metavar takes
+# one value, given as --name VALUE or --name=VALUE and passed through its
+# converter; one without is a flag, True when given.  parse_args reads this
+# table and --help is written from it.
+OPTIONS = {
+    "--config": ("config", "PATH", str, "JSON job configuration document"),
+    "--lambda": ("lam", "C1,C2,...", str, "restrict to one weight of pi"),
+    "--field": ("field", "SPEC", str,
+                "override the config field: "
+                "generic | q=FRACTION | cyclotomic=L"),
+    "--out": ("out", "PATH", str, "also write the report to a file"),
+    "--depth": ("depth", "N", int, "override caps.depth (divided powers)"),
+    "--threads": ("threads", "N", int,
+                  "accepted for compatibility; has no effect"),
+    "--integral": ("integral", None, None,
+                   "cellbasis: use the integral lattice bases"),
+    "--matrices": ("matrices", None, None,
+                   "cellbasis: include the block matrices"),
+}
+REQUIRED = "--config"
+
+
+class UsageError(Exception):
+    """A malformed command line: main writes it under the usage line and
+    returns 2."""
+
+
+def _spelled(name: str, metavar: str | None) -> str:
+    return name if metavar is None else name + " " + metavar
+
+
+def _usage() -> str:
+    parts = ["[-h]"]
+    for name, (_, metavar, _, _) in OPTIONS.items():
+        part = _spelled(name, metavar)
+        parts.append(part if name == REQUIRED else "[%s]" % part)
+    return "usage: qschur %s COMMAND" % " ".join(parts)
+
+
+def _help() -> str:
+    rows = [("COMMAND", "pipeline stage to run: "
+             + ", ".join(sorted(COMMANDS))),
+            ("-h, --help", "show this help message and exit")]
+    rows += [(_spelled(name, metavar), text)
+             for name, (_, metavar, _, text) in OPTIONS.items()]
+    width = max(len(label) for label, _ in rows)
+    return "%s\n\n%s\n\n%s\n" % (
+        _usage(), "Exact computations in generalized q-Schur algebras.",
+        "\n".join("  %s  %s" % (label.ljust(width), text)
+                  for label, text in rows))
+
+
+def _is_value(arg: str) -> bool:
+    """Whether arg can be an option's value or the command: anything but
+    an option, where "-" and a negative integer are not options."""
+    return arg[:1] != "-" or arg == "-" or arg[1:].isdecimal()
+
+
+def parse_args(argv) -> types.SimpleNamespace | None:
+    """The command and the options of argv, or None when it asks for help.
+    Options take their exact names, never an abbreviation; the one command
+    may stand anywhere, and everything after "--" is a command.  A repeated
+    option keeps its last value.  Raises UsageError on anything else."""
+    args = {dest: False if metavar is None else None
+            for dest, metavar, _, _ in OPTIONS.values()}
+    commands = []
+    rest = iter(argv)
+    for arg in rest:
+        if arg == "--":
+            commands.extend(rest)
+        elif arg in ("-h", "--help"):
+            return None
+        elif _is_value(arg):
+            commands.append(arg)
+        else:
+            name, eq, value = arg.partition("=")
+            if name not in OPTIONS:
+                raise UsageError("unrecognized arguments: %s" % arg)
+            dest, metavar, convert, _ = OPTIONS[name]
+            if metavar is None:
+                if eq:
+                    raise UsageError("argument %s: ignored explicit "
+                                     "argument %r" % (name, value))
+                args[dest] = True
+                continue
+            if not eq:
+                value = next(rest, None)
+                if value is None or not _is_value(value):
+                    raise UsageError("argument %s: expected one argument"
+                                     % name)
+            try:
+                args[dest] = convert(value)
+            except ValueError:
+                raise UsageError("argument %s: invalid %s value: %r"
+                                 % (name, convert.__name__, value))
+    if not commands:
+        raise UsageError("the following arguments are required: COMMAND")
+    if commands[0] not in COMMANDS:
+        raise UsageError("invalid command %r (choose from %s)"
+                         % (commands[0], ", ".join(sorted(COMMANDS))))
+    if len(commands) > 1:
+        raise UsageError("unrecognized arguments: %s" % " ".join(commands[1:]))
+    if args[OPTIONS[REQUIRED][0]] is None:
+        raise UsageError("the following arguments are required: %s"
+                         % REQUIRED)
+    return types.SimpleNamespace(command=commands[0], **args)
 
 
 def _write_stdout(text: str) -> None:
@@ -578,7 +668,14 @@ def _write_stdout(text: str) -> None:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except UsageError as exc:
+        print("%s\nqschur: error: %s" % (_usage(), exc), file=sys.stderr)
+        return 2
+    if args is None:
+        sys.stdout.write(_help())
+        return 0
     start = time.monotonic()
     try:
         with open(args.config, "r", encoding="utf-8") as fh:

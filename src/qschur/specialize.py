@@ -4,13 +4,12 @@ The integral-basis Gram matrices specialize exactly; their ranks give the
 weight multiplicities of the simple head L_q(lambda), and each weight's
 multiplicity in Delta(lambda) less that rank is the dimension of the
 radical there.  At the generic field each integral Gram is nonsingular,
-and linalg.rank certifies that at a point of Z/p; it eliminates over Q(v)
-only if the point is a root of the Gram determinant.  Decomposition
-numbers come from the unitriangular character solve.  Semisimplicity is
-read from the same ranks: a radical is nonzero exactly where its integral
-Gram determinant (the paper's f(v) certificate) vanishes, as
-specialization is a ring homomorphism and so commutes with the
-determinant.
+so each rank is the weight's multiplicity and no integral basis is built.
+Decomposition numbers come from the unitriangular character solve.
+Semisimplicity is read from the same ranks: a radical is nonzero exactly
+where its integral Gram determinant (the paper's f(v) certificate)
+vanishes, as specialization is a ring homomorphism and so commutes with
+the determinant.
 """
 
 from __future__ import annotations
@@ -23,6 +22,7 @@ from .linalg import (laurent_determinant, nullspace, rank, sparse_product,
                      sparse_transpose, to_field)
 from .rootdata import CosaturatedFlag, Weight
 from .scalars import (
+    GENERIC,
     FieldContext,
     LaurentPoly,
     _over_binomial,
@@ -73,10 +73,16 @@ def specialize_module(cm: CellModule, ctx: FieldContext) -> SpecializedModule:
     Ranks assemble the character of L_q(lambda); this is valid because the
     contravariant form pairs only equal weights, so the radical is
     weight-graded.  Integral entries cannot hit a vanishing denominator.
+    Over Q(v) itself every integral Gram is nonsingular, so its rank is the
+    multiplicity: the generic field reads the character and builds no
+    integral basis.
     """
+    char = cm.character()
+    if ctx.kind == GENERIC:
+        return SpecializedModule(cm.lam, ctx, char, char)
     weight_ranks = {mu: rank(to_field(cm.basis(mu, integral=True).gram, ctx))
                     for mu in cm.weights}
-    return SpecializedModule(cm.lam, ctx, weight_ranks, cm.character())
+    return SpecializedModule(cm.lam, ctx, weight_ranks, char)
 
 
 class GramDeterminantRecord:

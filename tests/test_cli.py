@@ -679,12 +679,43 @@ def test_cli_fuzz_exit_codes(fuzz_config, job):
     fuzz_config.write_text(json.dumps(doc))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            rc = main([*argv, "--config", str(fuzz_config)])
-        except SystemExit as exc:  # argparse rejecting argv
-            rc = exc.code
+        rc = main([*argv, "--config", str(fuzz_config)])
     assert rc in (0, 1, 2), (doc, argv, err.getvalue())
     assert rc != 1 or argv[0] == "verify", (doc, argv, err.getvalue())
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_returns_0_with_the_usage_on_stdout(capsys, flag):
+    rc, out, err = run(capsys, flag)
+    assert rc == 0 and err == ""
+    assert out.startswith("usage: qschur ")
+    for name in ("--config PATH", "--lambda C1,C2,...", "--integral",
+                 *COMMANDS):
+        assert name in out
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["datum", "--conf", "CFG"], ["cellbasis", "--config", "CFG",
+                                     "--integral=1"],
+    ["verify", "--config", "CFG", "--depth", "x"],
+    ["datum", "gram", "--config", "CFG"], ["datum", "--config"],
+    ["nope", "--config", "CFG"], ["datum"]],
+    ids=["empty", "abbreviation", "flag_value", "bad_int", "two_commands",
+         "no_value", "bad_command", "no_config"])
+def test_bad_argv_returns_2_with_usage(capsys, cfg_a1, argv):
+    rc, out, err = run(capsys, *[cfg_a1 if a == "CFG" else a for a in argv])
+    assert rc == 2 and out == ""
+    assert err.startswith("usage: qschur ")
+    assert "\nqschur: error: " in err
+
+
+def test_option_value_forms_are_equal(capsys, cfg_a1):
+    reports = [run(capsys, *argv)[1] for argv in (
+        ["decomp", "--field=q=2", "--config", cfg_a1],
+        ["--config", cfg_a1, "--field", "q=2", "decomp"],
+        ["decomp", "--config=" + cfg_a1, "--field", "q=3", "--field", "q=2"])]
+    assert json.loads(reports[0])["payload"]["field"] == "q=2"
+    assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
 def test_decomp_specializes_each_module_once(tmp_path, capsys, monkeypatch):
@@ -741,7 +772,8 @@ def test_jobs_take_no_gcd_in_q_v(tmp_path, capsys, monkeypatch, argv,
 
 
 def test_generic_specialization_eliminates_nothing(monkeypatch):
-    # the rank of each integral Gram over Q(v) is certified at a point
+    # over Q(v) each integral Gram is nonsingular, so the ranks are the
+    # character and no integral basis is built
     from qschur import linalg, specialize
     cm = CellModule(build_root_datum("B2"), (2, 1))
     calls = []
@@ -755,6 +787,7 @@ def test_generic_specialization_eliminates_nothing(monkeypatch):
     spec = specialize.specialize_module(cm, parse_field("generic"))
     assert spec.dim_simple == spec.dim_delta == cm.dim
     assert calls == []
+    assert all(sp.integral is None for sp in cm.spaces.values())
 
 
 # -- the process exit path: run as a program, the CLI ends with os._exit once

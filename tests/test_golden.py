@@ -3,7 +3,9 @@
 Every job in ``qbench/golden.json`` (the datum jobs and every job any seed
 of any workload can generate) runs as a fresh ``python -m qschur.cli``
 process; each report's sha256 must equal the recorded one.  Configs and
-job keys come from ``qbench/jobs.py``, which is only read.
+job keys come from ``qbench/jobs.py``, which is only read.  On the same
+configs, the generic specialization's ranks must equal the ranks over Q(v)
+of the integral bases' Grams, which it no longer builds.
 """
 
 import hashlib
@@ -17,6 +19,11 @@ from pathlib import Path
 import pytest
 
 import qschur
+from qschur.cellmod import CellModule
+from qschur.cli import JobConfig, Pipeline
+from qschur.linalg import rank
+from qschur.scalars import FieldContext
+from qschur.specialize import specialize_module
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "qbench"
 
@@ -58,3 +65,16 @@ def test_report_matches_golden(job, config_dir):
         timeout=60)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[job.key]
+
+
+@pytest.mark.parametrize("name", sorted(JOBS.CONFIGS))
+def test_generic_ranks_are_the_integral_gram_ranks(name):
+    # every integral Gram is nonsingular over Q(v), so the generic field
+    # reads its ranks from the character; HNF and its rank check still run
+    # here, where the integral bases are built
+    p = Pipeline(JobConfig(JOBS.CONFIGS[name]))
+    for lam in p.flag:
+        cm = CellModule(p.datum, lam)
+        spec = specialize_module(cm, FieldContext.generic())
+        assert spec.weight_ranks == {
+            mu: rank(cm.basis(mu, integral=True).gram) for mu in cm.weights}
