@@ -14,12 +14,14 @@ their word coefficients and pairings with the words: a selection of the
 candidates for the generic basis, the Hermite transform and basis for the
 integral one.  Coordinates and generator actions are computed the same way
 in either basis, through the adjugate (A, d) of the basis Gram matrix,
-G^-1 = A / d with Laurent A and d, applied to pairings phi(b_j, w) cached
-per word: each coordinate is one Laurent quotient by d, or one RatFunc
-when d does not divide.  Every matrix here is sparse rows {row: {col:
-nonzero}} (the Gram matrices, the adjugates, the actions; basis_of reads
-one sparse column per key), and pairings and coordinates are sparse
-columns {index: nonzero}.  The ambient algebra is never materialized.
+G^-1 = A / d with Laurent A and d, applied to the pairings phi(b_j, w).
+Those are read from the form's own memo (gram_entry) on every request,
+with no second cache per word: for the generic basis they are the memo's
+entries themselves, for the integral one sums of them.  Each coordinate is
+one Laurent quotient by d, or one RatFunc when d does not divide.  Every
+matrix here is sparse rows {row: {col: nonzero}} (the Gram matrices, the
+adjugates, the actions), and pairings and coordinates are sparse columns
+{index: nonzero}.  The ambient algebra is never materialized.
 """
 
 from __future__ import annotations
@@ -92,19 +94,17 @@ class Basis:
     """A basis b_1..b_r of one weight space, as combinations of its words.
 
     combos[j] lists the (word, coefficient) terms of b_j and the sparse
-    rows gram hold phi(b_j, b_l) under the contravariant form.  columns
-    maps a word w to the sparse column {j: phi(b_j, w)}; basis_of fills it
-    for the words the basis is built from, CellModule for others on first
-    use.
+    rows gram hold phi(b_j, b_l) under the contravariant form.  Pairings
+    with single words are not kept here: gram_entry memoizes them per
+    module, and CellModule reads them from it.
     """
 
-    __slots__ = ("combos", "gram", "columns", "_adjugate")
+    __slots__ = ("combos", "gram", "_adjugate")
 
-    def __init__(self, combos: tuple, gram: dict, columns: dict,
+    def __init__(self, combos: tuple, gram: dict,
                  _adjugate: tuple | None = None):
         self.combos = combos
         self.gram = gram
-        self.columns = columns
         self._adjugate = _adjugate
 
     def adjugate(self) -> tuple:
@@ -119,13 +119,11 @@ def basis_of(words: tuple, transform: dict, pairing: dict) -> Basis:
     """The basis whose b_j has the word coefficients transform[j], given
     pairing = word_gram * transform; both hold one sparse column per key.
     The word Gram matrix is symmetric, so entry k of pairing[j] is
-    phi(b_j, words[k])."""
-    by_word = sparse_transpose(pairing)
+    phi(b_j, words[k]), and the basis Gram is transform^T * pairing."""
     return Basis(
         tuple(tuple((words[k], x) for k, x in col.items())
               for col in transform.values()),
-        sparse_product(pairing, sparse_transpose(transform)),
-        {w: by_word.get(k, {}) for k, w in enumerate(words)})
+        sparse_product(pairing, sparse_transpose(transform)))
 
 
 class WeightSpaceData:
@@ -270,15 +268,13 @@ class CellModule:
             sp.integral = basis_of(sp.words, transform, hnf_basis)
 
     def _pairings(self, basis: Basis, word: Word) -> dict:
-        """The sparse column {j: phi(b_j, word)}, from gram_entry on the
-        first request."""
-        col = basis.columns.get(word)
-        if col is None:
-            sums = ((j, sum((c * gram_entry(self.ctx, w, word)
-                             for w, c in combo), LaurentPoly.zero()))
-                    for j, combo in enumerate(basis.combos))
-            col = basis.columns[word] = {j: x for j, x in sums if x}
-        return col
+        """The sparse column {j: phi(b_j, word)}, from gram_entry: a memo
+        entry itself for a one-term combination with coefficient 1, a sum
+        of memo entries otherwise."""
+        sums = ((j, sum((c * gram_entry(self.ctx, w, word) for w, c in combo),
+                        LaurentPoly.zero()))
+                for j, combo in enumerate(basis.combos))
+        return {j: x for j, x in sums if x}
 
     def block_diagonal(self, blocks: dict) -> dict:
         """Sparse rows over the whole basis from sparse rows per weight

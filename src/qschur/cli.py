@@ -6,14 +6,15 @@ identical configurations produce byte-identical reports.  Human
 diagnostics, including timing, go to stderr.  Exit codes: 0 success or
 --help, 1 verification failure, 2 a malformed command line, a
 configuration error or a report that cannot be written.  Run as a
-program, the process ends as soon as the report and stderr are flushed,
-without the interpreter's teardown.
+program, through run(), the process ends as soon as the report and stderr
+are flushed, without the interpreter's teardown.
 
 The command line is read from one option table, OPTIONS, without argparse
 (whose import, with gettext's, every job would pay): options take their
-exact names, never an abbreviation, as --name VALUE or --name=VALUE.  A
-malformed command line writes the usage and a "qschur: error:" line to
-stderr, and main returns 2 for it as for every other error.
+exact names, never an abbreviation, as --name VALUE or --name=VALUE, where
+VALUE may start with "-" (--lambda -1,-1).  A malformed command line
+writes the usage and a "qschur: error:" line to stderr, and main returns 2
+for it as for every other error.
 """
 
 from __future__ import annotations
@@ -593,17 +594,13 @@ def _help() -> str:
                   for label, text in rows))
 
 
-def _is_value(arg: str) -> bool:
-    """Whether arg can be an option's value or the command: anything but
-    an option, where "-" and a negative integer are not options."""
-    return arg[:1] != "-" or arg == "-" or arg[1:].isdecimal()
-
-
 def parse_args(argv) -> types.SimpleNamespace | None:
     """The command and the options of argv, or None when it asks for help.
-    Options take their exact names, never an abbreviation; the one command
-    may stand anywhere, and everything after "--" is a command.  A repeated
-    option keeps its last value.  Raises UsageError on anything else."""
+    Options take their exact names, never an abbreviation; an option that
+    takes a value takes the next argument, whatever it starts with.  The
+    one command may stand anywhere, as an argument that does not start
+    with "-", and everything after "--" is a command.  A repeated option
+    keeps its last value.  Raises UsageError on anything else."""
     args = {dest: False if metavar is None else None
             for dest, metavar, _, _ in OPTIONS.values()}
     commands = []
@@ -613,7 +610,7 @@ def parse_args(argv) -> types.SimpleNamespace | None:
             commands.extend(rest)
         elif arg in ("-h", "--help"):
             return None
-        elif _is_value(arg):
+        elif arg[:1] != "-":
             commands.append(arg)
         else:
             name, eq, value = arg.partition("=")
@@ -628,7 +625,7 @@ def parse_args(argv) -> types.SimpleNamespace | None:
                 continue
             if not eq:
                 value = next(rest, None)
-                if value is None or not _is_value(value):
+                if value is None:
                     raise UsageError("argument %s: expected one argument"
                                      % name)
             try:
@@ -732,11 +729,12 @@ def main(argv=None) -> int:
     return 0
 
 
-if __name__ == "__main__":
-    # End as soon as the report and stderr are flushed, skipping the
-    # interpreter's teardown: qschur registers no atexit hook, starts no
-    # thread and has closed its --out file.  An exception escaping main
-    # still ends the normal way, with its traceback.
+def run() -> None:
+    """Run main on sys.argv and end the process as soon as the report and
+    stderr are flushed, skipping the interpreter's teardown: qschur
+    registers no atexit hook, starts no thread and has closed its --out
+    file.  Both `qschur` and `python -m qschur.cli` end here.  An exception
+    escaping main still ends the normal way, with its traceback."""
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:
@@ -744,3 +742,7 @@ if __name__ == "__main__":
         except OSError:  # a stdout main could not write: it returned 2
             pass
     os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

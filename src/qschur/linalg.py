@@ -470,9 +470,10 @@ def hnf_column_basis(g: dict, rows: int, cols: int) -> tuple[dict, dict]:
                     work.append((col, combo))
             live = [(piv_col, piv_combo)] + rest
         col, combo = live[0]
-        # unit-normalize the pivot entry
-        _, unit = col[row].unit_normalize()
-        inv = LaurentPoly({-unit.min_exp: _quo(1, unit.coeffs[unit.min_exp])})
+        # unit-normalize the pivot entry: divide by its unit, v^lo times
+        # its top coefficient
+        piv = col[row]
+        inv = LaurentPoly({-piv.min_exp: _quo(1, piv.coeffs[piv.max_exp])})
         basis_cols.append((row, {k: c * inv for k, c in col.items()}))
         combo_cols.append({k: c * inv for k, c in combo.items()})
     # back-reduce: entries of earlier columns at later pivot rows

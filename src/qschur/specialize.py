@@ -5,7 +5,8 @@ weight multiplicities of the simple head L_q(lambda), and each weight's
 multiplicity in Delta(lambda) less that rank is the dimension of the
 radical there.  At the generic field each integral Gram is nonsingular,
 so each rank is the weight's multiplicity and no integral basis is built.
-Decomposition numbers come from the unitriangular character solve.
+Decomposition numbers come from the unitriangular character solve, one
+pass per row down the flag.
 Semisimplicity is read from the same ranks: a radical is nonzero exactly
 where its integral Gram determinant (the paper's f(v) certificate)
 vanishes, as specialization is a ring homomorphism and so commutes with
@@ -213,9 +214,15 @@ def decomposition_matrix(specs: dict, flag: CosaturatedFlag,
     """Solve charDelta(lam) = sum_mu d[lam][mu] charL(mu), in flag order,
     from specs[lam] = specialize_module(Delta(lam), ctx).
 
-    The system is unitriangular because charL(mu) has leading weight mu
-    with coefficient 1.  A nonzero residue, a negative entry, or a
-    non-dominant leading term signals an engine bug.
+    The system is unitriangular because charL(mu) is supported below mu
+    with coefficient 1 at mu.  The flag lists every weight above mu before
+    mu, so one pass per row in flag order, subtracting d charL(mu) as it
+    goes, meets mu only after every charL that can reach mu has been
+    subtracted: the residual's coefficient there is d[lam][mu].  A
+    negative entry, an entry at a weight not below lam, or a residual left
+    after the pass signals an engine bug.  No residual left means the
+    characters agree at every weight, so summed over the weights, dim
+    Delta(lam) = sum_mu d[lam][mu] dim L(mu) holds too.
     """
     datum = flag.datum
     order = tuple(flag)
@@ -227,33 +234,21 @@ def decomposition_matrix(specs: dict, flag: CosaturatedFlag,
     entries = {}
     for lam in order:
         residual = dict(specs[lam].char_delta)
-        entries[(lam, lam)] = 1
-        for mu, m in char_l[lam].items():
-            residual[mu] = residual.get(mu, 0) - m
-        residual = {mu: m for mu, m in residual.items() if m}
-        while residual:
-            # any dominance-maximal weight of the residual support
-            support = sorted(residual)
-            nu = support[0]
-            for cand in support[1:]:
-                if datum.dominance_leq(nu, cand):
-                    nu = cand
-            d = residual[nu]
-            if d < 0 or nu not in char_l or not datum.dominance_leq(nu, lam):
+        for nu in order:
+            d = residual.get(nu, 0)
+            if not d:
+                continue
+            if d < 0 or not datum.dominance_leq(nu, lam):
                 raise InconsistentCharactersError(
                     "residual %r at %r in row %r" % (d, nu, lam))
             entries[(lam, nu)] = d
             for mu, m in char_l[nu].items():
                 residual[mu] = residual.get(mu, 0) - d * m
-            residual = {mu: m for mu, m in residual.items() if m}
-    dm = DecompositionMatrix(ctx, order, entries)
-    for lam in order:
-        total = sum(entries.get((lam, mu), 0) * specs[mu].dim_simple
-                    for mu in order)
-        if total != specs[lam].dim_delta:
+        left = {mu: m for mu, m in residual.items() if m}
+        if left:
             raise InconsistentCharactersError(
-                "dimension identity fails in row %r" % (lam,))
-    return dm
+                "residual %r left in row %r" % (left, lam))
+    return DecompositionMatrix(ctx, order, entries)
 
 
 class SemisimplicityReport:

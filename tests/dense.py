@@ -7,13 +7,15 @@ dense FieldMatrix and LaurentMatrix views of them and back, do plain loops
 over dense entries, and call the engine's linear algebra on a dense view,
 so that tests can compare the engine against the dense reference.  The
 straightening reference tests every term of an image for liveness, with
-no memo, where the engine decides zero once per image by its weight.
+no memo, where the engine decides zero once per image by its weight; the
+decomposition reference searches each residual for a dominance-maximal
+weight, where the engine walks the flag once.
 """
 
 import itertools
 
 from qschur import linalg
-from qschur.errors import ExactDivisionError
+from qschur.errors import ExactDivisionError, InconsistentCharactersError
 from qschur.linalg import FieldMatrix, LaurentMatrix, add_scaled, dense_rows
 from qschur.scalars import (
     LaurentPoly,
@@ -22,6 +24,7 @@ from qschur.scalars import (
     laurent_exact_div,
     quantum_binomial,
 )
+from qschur.specialize import DecompositionMatrix
 from qschur.straighten import concat_divided
 
 
@@ -79,16 +82,14 @@ def hnf_certificate(sp):
     """(hnf_basis, transform) of the integral basis of a weight space, one
     sparse column per key as hnf_column_basis returns them, rebuilt from
     the basis: column j of transform holds the word coefficients of b_j,
-    and column j of hnf_basis its pairings with the words."""
-    basis = sp.integral
+    and column j of hnf_basis its pairings with the words, the column
+    sp.gram * transform[j] that the Hermite reduction guarantees."""
     index = {w: k for k, w in enumerate(sp.words)}
     transform = {j: {index[w]: x for w, x in combo}
-                 for j, combo in enumerate(basis.combos)}
-    hnf = {j: {} for j in range(len(basis.combos))}
-    for k, w in enumerate(sp.words):
-        for j, x in basis.columns[w].items():
-            hnf[j][k] = x
-    return hnf, transform
+                 for j, combo in enumerate(sp.integral.combos)}
+    hnf = linalg.sparse_transpose(linalg.sparse_product(
+        sp.gram, linalg.sparse_transpose(transform)))
+    return {j: hnf.get(j, {}) for j in transform}, transform
 
 
 def to_field(m, ctx):
@@ -325,3 +326,44 @@ def _add_alive(ctx, out, word, i, a, coeff):
     w, c = concat_divided(ctx.datum, word, i, a)
     if is_alive(ctx, w):
         out[w] = out.get(w, LaurentPoly.zero()) + coeff * c
+
+
+# -- decomposition numbers ---------------------------------------------------
+
+def decomposition_matrix(specs, flag, ctx):
+    """Solve charDelta(lam) = sum_mu d[lam][mu] charL(mu) row by row,
+    peeling off a dominance-maximal weight of the sorted residual support
+    at each step: the reference for specialize.decomposition_matrix, with
+    the same checks and InconsistentCharactersError."""
+    datum = flag.datum
+    order = tuple(flag)
+    char_l = {lam: specs[lam].char_simple() for lam in order}
+    for lam in order:
+        if char_l[lam].get(lam, 0) != 1:
+            raise InconsistentCharactersError("charL(%r) does not lead" % (lam,))
+    entries = {}
+    for lam in order:
+        residual = dict(specs[lam].char_delta)
+        entries[(lam, lam)] = 1
+        for mu, m in char_l[lam].items():
+            residual[mu] = residual.get(mu, 0) - m
+        residual = {mu: m for mu, m in residual.items() if m}
+        while residual:
+            support = sorted(residual)
+            nu = support[0]
+            for cand in support[1:]:
+                if datum.dominance_leq(nu, cand):
+                    nu = cand
+            d = residual[nu]
+            if d < 0 or nu not in char_l or not datum.dominance_leq(nu, lam):
+                raise InconsistentCharactersError(
+                    "residual %r at %r in row %r" % (d, nu, lam))
+            entries[(lam, nu)] = d
+            for mu, m in char_l[nu].items():
+                residual[mu] = residual.get(mu, 0) - d * m
+            residual = {mu: m for mu, m in residual.items() if m}
+    for lam in order:
+        if sum(entries.get((lam, mu), 0) * specs[mu].dim_simple
+               for mu in order) != specs[lam].dim_delta:
+            raise InconsistentCharactersError("dimension identity fails")
+    return DecompositionMatrix(ctx, order, entries)

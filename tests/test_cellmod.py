@@ -4,7 +4,7 @@ import pytest
 
 from qschur import cellmod
 from qschur.cellmod import CellModule, enumerate_words
-from qschur.linalg import forward_eliminate, to_field
+from qschur.linalg import forward_eliminate, hnf_column_basis, to_field
 from qschur.rootdata import build_root_datum
 from qschur.scalars import (
     FieldContext,
@@ -330,14 +330,34 @@ def test_integral_gram_certificate():
         for mu in cm.weights:
             sp = cm.spaces[mu]
             n = len(sp.words)
+            columns, combos = dense.hnf_certificate(sp)
+            assert (columns, combos) == hnf_column_basis(sp.gram, n, n)
             hnf, transform = (dense.column_view(m, n)
-                              for m in dense.hnf_certificate(sp))
+                              for m in (columns, combos))
             assert (dense.laurent_view(sp.gram, n, n) * transform).entries \
                 == hnf.entries
+            # the pairings the coordinates read, sums of memo entries
+            for k, w in enumerate(sp.words):
+                assert cm._pairings(sp.integral, w) == {
+                    j: col[k] for j, col in columns.items() if k in col}
             assert hnf.cols == sp.rank
             assert dense.rank(dense.field_view(
                 GEN, to_field(sp.integral.gram, GEN), sp.rank, sp.rank)) \
                 == sp.rank
+
+
+def test_generic_pairings_are_the_memo_entries():
+    # one-term combinations with coefficient 1: the pairings coordinates
+    # read are gram_entry's own objects, kept nowhere else
+    cm = CellModule(A2, (2, 1))
+    for mu in cm.weights:
+        basis = cm.basis(mu)
+        for w in cm.spaces[mu].words:
+            col = cm._pairings(basis, w)
+            for j, ((b, _),) in enumerate(basis.combos):
+                entry = gram_entry(cm.ctx, b, w)
+                assert col.get(j, LaurentPoly.zero()) == entry
+                assert not entry or col[j] is entry
 
 
 def test_integral_action_is_laurent():

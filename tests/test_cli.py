@@ -718,6 +718,20 @@ def test_option_value_forms_are_equal(capsys, cfg_a1):
     assert reports[1] == reports[0] and reports[2] == reports[0]
 
 
+def test_option_value_may_start_with_a_dash(capsys, tmp_path):
+    # a dominant GL2 weight with negative coordinates: the argument after
+    # --lambda is its value whatever it starts with, as in the = form
+    cfg = tmp_path / "gl2.json"
+    cfg.write_text(json.dumps({
+        "datum": {"cartan": [[2]], "alpha": [[1, -1]], "alphav": [[1, -1]]},
+        "pi": {"seeds": [[0, -2]]}}))
+    spaced = run(capsys, "module", "--config", str(cfg), "--lambda", "-1,-1")
+    joined = run(capsys, "module", "--config", str(cfg), "--lambda=-1,-1")
+    assert spaced[0] == joined[0] == 0
+    assert spaced[1] == joined[1]
+    assert json.loads(spaced[1])["payload"]["modules"][0]["lambda"] == [-1, -1]
+
+
 def test_decomp_specializes_each_module_once(tmp_path, capsys, monkeypatch):
     # the decomposition numbers and the semisimplicity witnesses read one
     # specialization of each cell module; patch every namespace that binds

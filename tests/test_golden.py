@@ -5,7 +5,8 @@ of any workload can generate) runs as a fresh ``python -m qschur.cli``
 process; each report's sha256 must equal the recorded one.  Configs and
 job keys come from ``qbench/jobs.py``, which is only read.  On the same
 configs, the generic specialization's ranks must equal the ranks over Q(v)
-of the integral bases' Grams, which it no longer builds.
+of the integral bases' Grams, which it no longer builds, and the one-pass
+decomposition solve must equal the dense reference's search.
 """
 
 import hashlib
@@ -23,7 +24,9 @@ from qschur.cellmod import CellModule
 from qschur.cli import JobConfig, Pipeline
 from qschur.linalg import rank
 from qschur.scalars import FieldContext
-from qschur.specialize import specialize_module
+from qschur.specialize import decomposition_matrix, specialize_module
+
+import dense
 
 BENCH_DIR = Path(__file__).resolve().parents[1] / "qbench"
 
@@ -78,3 +81,22 @@ def test_generic_ranks_are_the_integral_gram_ranks(name):
         spec = specialize_module(cm, FieldContext.generic())
         assert spec.weight_ranks == {
             mu: rank(cm.basis(mu, integral=True).gram) for mu in cm.weights}
+
+
+POINTS = [FieldContext.rational_point(q) for q in (1, 2, -1)] + [
+    FieldContext.cyclotomic_point(ell) for ell in range(2, 9)]
+
+
+@pytest.mark.parametrize("name", sorted(JOBS.CONFIGS))
+def test_decomposition_matrix_matches_the_search(name):
+    # the walk down the flag finds every decomposition number the search
+    # for a dominance-maximal residual weight finds
+    p = Pipeline(JobConfig(JOBS.CONFIGS[name]))
+    modules = {lam: CellModule(p.datum, lam) for lam in p.flag}
+    for ctx in POINTS:
+        specs = {lam: specialize_module(cm, ctx) for lam, cm in modules.items()}
+        dm = decomposition_matrix(specs, p.flag, ctx)
+        ref = dense.decomposition_matrix(specs, p.flag, ctx)
+        assert dm.entries == ref.entries, ctx.label()
+        assert [dm.row(lam) for lam in dm.order] == \
+            [ref.row(lam) for lam in ref.order], ctx.label()

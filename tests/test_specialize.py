@@ -8,6 +8,7 @@ import pytest
 
 from qschur import scalars, specialize
 from qschur.cellmod import CellModule
+from qschur.errors import InconsistentCharactersError
 from qschur.linalg import laurent_determinant, nullspace, to_field
 from qschur.rootdata import build_flag, build_root_datum, saturate
 from qschur.scalars import (
@@ -18,6 +19,7 @@ from qschur.scalars import (
     quantum_binomial,
 )
 from qschur.specialize import (
+    SpecializedModule,
     _cyclotomic_scan,
     _normalize_det,
     _totient,
@@ -27,6 +29,8 @@ from qschur.specialize import (
     semisimplicity_report,
     specialize_module,
 )
+
+import dense
 
 A1 = build_root_datum("A1")
 A2 = build_root_datum("A2")
@@ -241,6 +245,21 @@ def test_decomposition_rows_dominance_support():
             assert A1.dominance_leq(mu, lam)
     for lam in flag:
         assert dm.entries[(lam, lam)] == 1
+
+
+@pytest.mark.parametrize("char_delta, ranks", [
+    # charL(2) overshoots at 0: the residual there is -1
+    ({(2,): 1, (0,): 1, (-2,): 1}, {(2,): 1, (0,): 2, (-2,): 1}),
+    # charDelta(2) at 4, outside pi: a residual no charL can take
+    ({(4,): 1, (2,): 1, (0,): 1, (-2,): 1}, {(2,): 1, (0,): 1, (-2,): 1}),
+], ids=["negative", "outside_pi"])
+def test_inconsistent_characters_raise(char_delta, ranks):
+    flag = build_flag(saturate(A1, [(2,)]))
+    specs = {(2,): SpecializedModule((2,), CYC4, ranks, char_delta),
+             (0,): SpecializedModule((0,), CYC4, {(0,): 1}, {(0,): 1})}
+    for solve in (decomposition_matrix, dense.decomposition_matrix):
+        with pytest.raises(InconsistentCharactersError):
+            solve(specs, flag, CYC4)
 
 
 def test_totient_bit_length_bound():

@@ -1,5 +1,6 @@
 """Start-up and exit cost: importing the CLI loads only the stdlib modules
-it runs, and only the CLI's `__main__` block ends the process early.
+it runs, and only cli.run, which the CLI's `__main__` block and the
+installed `qschur` script call, ends the process early.
 
 Every report is one fresh process, so import time is paid by every job.
 dataclasses (which pulls in inspect, ast, dis and tokenize) and typing
@@ -11,6 +12,7 @@ does not.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -47,21 +49,63 @@ def _os_exits(tree):
             or (isinstance(node, ast.alias) and node.name == "_exit")]
 
 
+def _run_calls(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "run"]
+
+
+def _owner(tree):
+    """Map the id of every node under a top-level statement to that
+    statement's name: a def's own name, "__main__" for the main guard,
+    None for anything else."""
+    owner = {}
+    for top in tree.body:
+        name = ("__main__" if _is_main_guard(top)
+                else getattr(top, "name", None))
+        owner.update((id(n), name) for n in ast.walk(top))
+    return owner
+
+
 def test_os_exit_only_in_the_cli_main_block():
     # the process skips the interpreter's teardown only where it runs as a
-    # program; main() must stay a function that returns its code, since
-    # the benchmark's tracer and the tests call it in-process
+    # program, through cli.run, which both the `qschur` script and the
+    # module's __main__ block call; main() must stay a function that
+    # returns its code, since the benchmark's tracer and the tests call it
+    # in-process
     package = os.path.dirname(qschur.__file__)
-    found = {}
+    exits, calls = {}, {}
     for name in sorted(os.listdir(package)):
         if name.endswith(".py"):
             with open(os.path.join(package, name), encoding="utf-8") as fh:
                 tree = ast.parse(fh.read(), name)
-            guards = [node for node in tree.body if _is_main_guard(node)]
-            inside = {id(n) for g in guards for n in ast.walk(g)}
-            found[name] = [id(n) in inside for n in _os_exits(tree)]
-    assert {name: where for name, where in found.items() if where} == \
-        {"cli.py": [True]}
+            owner = _owner(tree)
+            exits[name] = [owner[id(n)] for n in _os_exits(tree)]
+            calls[name] = [owner[id(n)] for n in _run_calls(tree)]
+    assert {name: where for name, where in exits.items() if where} == \
+        {"cli.py": ["run"]}
+    assert {name: where for name, where in calls.items() if where} == \
+        {"cli.py": ["__main__"]}
+
+
+def test_console_script_ends_as_the_module_does(tmp_path):
+    # pip's `qschur` wrapper runs sys.exit(run()): the same report bytes,
+    # stderr line and exit code as python -m qschur.cli, also for exit 2
+    cfg = tmp_path / "a1.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "A1"},
+                               "pi": {"seeds": [[2]]}}))
+    env = dict(os.environ, PYTHONPATH=SRC)
+    wrapper = ("import sys; from qschur.cli import run; "
+               "sys.argv[0] = 'qschur'; sys.exit(run())")
+    for argv, code in ((["module", "--config", str(cfg)], 0),
+                       (["datum", "--config", str(tmp_path / "no.json")], 2)):
+        procs = [subprocess.run([sys.executable, *head, *argv],
+                                capture_output=True, env=env, timeout=60)
+                 for head in (["-m", "qschur.cli"], ["-c", wrapper])]
+        assert [p.returncode for p in procs] == [code, code]
+        assert procs[0].stdout == procs[1].stdout
+        err = [re.sub(rb"\d+\.\d{3} s", b"", p.stderr) for p in procs]
+        assert err[0] == err[1]
 
 
 def test_main_returns_its_code_in_process(tmp_path, capsys):
