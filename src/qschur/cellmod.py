@@ -4,24 +4,27 @@ and exact generator action matrices.
 Each weight space keeps the overcomplete list of alive divided words and a
 Basis: the generic one and, on demand, an integral basis of the
 Q[v,v^-1]-lattice extracted by Hermite column reduction of the Gram matrix
-of all the words.  The generic basis is picked greedily, by fraction-free
-elimination of the Laurent Gram rows, from a few candidate words, the
-extensions of the picks one factor shorter, so only the candidates' Gram
-matrix is built with it; the Gram matrix of all the words is built when a
-report or the integral basis first reads it.  A Basis is a list of word
-combinations with its Gram matrix, and basis_of builds both kinds from
-their word coefficients and pairings with the words: a selection of the
-candidates for the generic basis, the Hermite transform and basis for the
-integral one.  Coordinates and generator actions are computed the same way
-in either basis, through the adjugate (A, d) of the basis Gram matrix,
-G^-1 = A / d with Laurent A and d, applied to the pairings phi(b_j, w).
-Those are read from the form's own memo (gram_entry) on every request,
-with no second cache per word: for the generic basis they are the memo's
-entries themselves, for the integral one sums of them.  Each coordinate is
-one Laurent quotient by d, or one RatFunc when d does not divide.  Every
-matrix here is sparse rows {row: {col: nonzero}} (the Gram matrices, the
-adjugates, the actions), and pairings and coordinates are sparse columns
-{index: nonzero}.  The ambient algebra is never materialized.
+of all the words.  One height-order walk (greedy_walk) picks words
+greedily from a few candidates per weight, the extensions of the picks
+one factor shorter, so only the candidates' Gram matrix is built; the
+elimination is its argument.  Fraction-free elimination of the Laurent
+Gram rows picks the generic basis, and specialize passes forward
+elimination at a point, whose picks span the simple quotient.  The Gram
+matrix of all the words is built when a report or the integral basis
+first reads it.  A Basis is a list of word combinations with its Gram
+matrix, and basis_of builds both kinds from their word coefficients and
+pairings with the words: a selection of the candidates for the generic
+basis, the Hermite transform and basis for the integral one.  Coordinates
+and generator actions are computed the same way in either basis, through
+the adjugate (A, d) of the basis Gram matrix, G^-1 = A / d with Laurent
+A and d, applied to the pairings phi(b_j, w).  Those are read from the
+form's own memo (gram_entry) on every request, with no second cache per
+word: for the generic basis they are the memo's entries themselves, for
+the integral one sums of them.  Each coordinate is one Laurent quotient by
+d, or one RatFunc when d does not divide.  Every matrix here is sparse
+rows {row: {col: nonzero}} (the Gram matrices, the adjugates, the
+actions), and pairings and coordinates are sparse columns {index:
+nonzero}.  The ambient algebra is never materialized.
 """
 
 from __future__ import annotations
@@ -127,18 +130,16 @@ def basis_of(words: tuple, transform: dict, pairing: dict) -> Basis:
 
 
 class WeightSpaceData:
-    """One weight space of Delta(lambda): all its alive words, the candidate
-    words the generic basis was picked from, the generic basis and, once
-    ensure_integral has run, the integral one.  The Gram matrix of all the
-    words is built on first read; the candidates' entries are memo hits."""
+    """One weight space of Delta(lambda): all its alive words, the generic
+    basis and, once ensure_integral has run, the integral one.  The Gram
+    matrix of all the words is built on first read; the entries of the
+    candidates the generic basis was picked from are memo hits."""
 
-    __slots__ = ("words", "candidates", "generic", "ctx", "integral", "_gram")
+    __slots__ = ("words", "generic", "ctx", "integral", "_gram")
 
-    def __init__(self, words: tuple, candidates: tuple, generic: Basis,
-                 ctx: ModuleContext, integral: Basis | None = None,
-                 _gram: dict | None = None):
+    def __init__(self, words: tuple, generic: Basis, ctx: ModuleContext,
+                 integral: Basis | None = None, _gram: dict | None = None):
         self.words = words
-        self.candidates = candidates
         self.generic = generic
         self.ctx = ctx
         self.integral = integral
@@ -170,6 +171,39 @@ def gram_matrix(ctx: ModuleContext, words: tuple) -> dict:
     return {i: row for i, row in rows.items() if row}
 
 
+def greedy_walk(ctx: ModuleContext, weights: tuple, eliminate):
+    """The prefix-closed greedy pick of words spanning each weight space,
+    over the weights in height order (the x0 space first, every weight
+    above mu before mu).  Yields (mu, candidates, gram, picked) per weight:
+    the candidates are the extensions of the picks above mu, gram their
+    sparse Laurent Gram rows, and picked the indices of the rows that
+    eliminate keeps, with the contract of forward_eliminate.
+
+    The pick is prefix-closed: if the prefix p of a word w = p + ((i, a),)
+    were a combination of earlier words, F_i^(a) would make w a combination
+    of earlier or shorter merged words.  So every pick at mu extends,
+    without merging, a pick at mu + a alpha_i, and each such extension
+    lands at mu, in W pi_lambda, so it is alive: the greedy over this
+    sorted superset of the picks picks what the greedy over all the words
+    picks.  This holds over Q(v), where fraction_free_eliminate on the
+    Laurent rows picks the generic basis, and at a point of a field, where
+    the form's radical is a submodule (the form is contravariant), so it
+    holds in the simple quotient: there the picks span L(lambda)_mu.
+    Every weight keeps its entry in the picks, even an empty one, so the
+    walk up an alpha_i-string crosses weights where the quotient vanishes;
+    every candidate keeps its row, a zero one walked as empty, so the
+    picked indices stay in place.
+    """
+    picks: dict = {}
+    for mu in weights:
+        candidates = tuple(extensions(ctx, mu, picks))
+        gram = gram_matrix(ctx, candidates)
+        picked = tuple(index for index, _ in eliminate(
+            gram.get(i, {}) for i in range(len(candidates))))
+        picks[mu] = [candidates[k] for k in picked]
+        yield mu, candidates, gram, picked
+
+
 class CellModule:
     """Delta(lambda) with exact structure constants.
 
@@ -196,46 +230,24 @@ class CellModule:
         self.weights = tuple(by_weight)
         self.spaces: dict = {}
         self._offsets = {}
-        picks: dict = {}
         one = LaurentPoly.one()
         off = 0
-        for mu in self.weights:
-            # The greedy basis is prefix-closed: if the prefix p of a word
-            # w = p + ((i, a),) were a combination of earlier words, F_i^(a)
-            # would make w a combination of earlier or shorter merged
-            # words.  So every pick at mu extends, without merging, a pick
-            # at mu + a alpha_i, a space already built, and each such
-            # extension lands at mu, in W pi_lambda, so it is alive.  The
-            # greedy over this sorted superset of the picks picks what the
-            # greedy over all the words picks.
-            candidates = tuple(extensions(self.ctx, mu, picks))
-            gram = gram_matrix(self.ctx, candidates)
-            picked = self._greedy_basis_words(gram, len(candidates))
+        for mu, candidates, gram, picked in greedy_walk(
+                self.ctx, self.weights, fraction_free_eliminate):
             if len(picked) != char[mu]:
                 raise RankMismatchError(
                     "Gram rank %d != multiplicity %d at weight %r of %r"
                     % (len(picked), char[mu], mu, lam))
-            picks[mu] = [candidates[k] for k in picked]
             generic = basis_of(candidates,
                                {j: {k: one} for j, k in enumerate(picked)},
                                {j: gram[k] for j, k in enumerate(picked)})
-            self.spaces[mu] = WeightSpaceData(tuple(by_weight[mu]),
-                                              candidates, generic, self.ctx)
+            self.spaces[mu] = WeightSpaceData(tuple(by_weight[mu]), generic,
+                                              self.ctx)
             self._offsets[mu] = off
             off += len(picked)
         self.dim = off
-        self.basis_index = tuple((mu, w) for mu in self.weights
-                                 for w in picks[mu])
-
-    def _greedy_basis_words(self, gram: dict, n: int) -> tuple:
-        """Greedy: keep a word of the n when its Gram column grows the
-        column rank over Q(v), decided by fraction_free_eliminate on the
-        Laurent rows (the rank profile is the same over Z[v,v^-1]).  The
-        Gram matrix is symmetric, so its columns are its rows; a zero row
-        is absent, and is walked as an empty row so the later indices stay
-        in place."""
-        return tuple(index for index, _ in fraction_free_eliminate(
-            gram.get(i, {}) for i in range(n)))
+        self.basis_index = tuple((mu, combo[0][0]) for mu in self.weights
+                                 for combo in self.spaces[mu].generic.combos)
 
     def character(self) -> dict:
         return {mu: self.spaces[mu].rank for mu in self.weights}

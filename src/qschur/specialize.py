@@ -1,10 +1,16 @@
 """Specialization at v = q in characteristic-zero fields.
 
-The integral-basis Gram matrices specialize exactly; their ranks give the
-weight multiplicities of the simple head L_q(lambda), and each weight's
-multiplicity in Delta(lambda) less that rank is the dimension of the
-radical there.  At the generic field each integral Gram is nonsingular,
-so each rank is the weight's multiplicity and no integral basis is built.
+The contravariant form specializes with the Lusztig lattice, whose words
+have Laurent Gram entries, so no denominator can vanish.  The radical of
+the specialized form is a submodule, as the form is contravariant, so the
+simple head L_q(lambda) is generated from x0, and the prefix-closed greedy
+walk of cellmod, eliminating the candidates' Gram rows at the point, picks
+a basis of each of its weight spaces.  The number of picks at mu is the
+mu-multiplicity of L_q(lambda), and the weight's multiplicity in
+Delta(lambda) less it is the dimension of the radical there.  The walk
+reads only the Gram entries of its candidates: no integral basis and no
+Gram matrix of all the words is built.  At the generic field the form is
+nondegenerate, so the ranks are the character and nothing is walked.
 Decomposition numbers come from the unitriangular character solve, one
 pass per row down the flag.
 Semisimplicity is read from the same ranks: a radical is nonzero exactly
@@ -17,10 +23,10 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .cellmod import CellModule
+from .cellmod import CellModule, greedy_walk
 from .errors import InconsistentCharactersError
-from .linalg import (laurent_determinant, nullspace, rank, sparse_product,
-                     sparse_transpose, to_field)
+from .linalg import (forward_eliminate, laurent_determinant, nullspace,
+                     sparse_product, sparse_transpose, to_field)
 from .rootdata import CosaturatedFlag, Weight
 from .scalars import (
     GENERIC,
@@ -34,11 +40,12 @@ from .scalars import (
 
 
 class SpecializedModule:
-    """Delta_q(lambda) at a specialization point, by the ranks of its
-    specialized integral Grams.
+    """Delta_q(lambda) at a specialization point, by the weight
+    multiplicities of its simple head.
 
-    weight_ranks[mu] is the mu-multiplicity of L_q(lambda), the rank of
-    the specialized integral Gram at mu.  charDelta is unchanged by
+    weight_ranks[mu] is the mu-multiplicity of L_q(lambda): the number of
+    words the greedy walk at the point picks at mu, the rank there of the
+    specialized form on the mu weight space.  charDelta is unchanged by
     specialization.
     """
 
@@ -68,21 +75,31 @@ class SpecializedModule:
         return {mu: r for mu, r in self.weight_ranks.items() if r}
 
 
-def specialize_module(cm: CellModule, ctx: FieldContext) -> SpecializedModule:
-    """Specialize the integral Gram of every weight space of Delta(lambda).
+def eliminate_at(ctx: FieldContext):
+    """The elimination greedy_walk runs at the point of ctx: forward
+    elimination of the Laurent Gram rows mapped by ctx.from_laurent.  The
+    entries that vanish at the point go, but every row stays, an empty one
+    too, so the picked indices are the candidates' own."""
+    return lambda rows: forward_eliminate(
+        {j: y for j, x in row.items() if (y := ctx.from_laurent(x))}
+        for row in rows)
 
-    Ranks assemble the character of L_q(lambda); this is valid because the
-    contravariant form pairs only equal weights, so the radical is
-    weight-graded.  Integral entries cannot hit a vanishing denominator.
-    Over Q(v) itself every integral Gram is nonsingular, so its rank is the
-    multiplicity: the generic field reads the character and builds no
-    integral basis.
+
+def specialize_module(cm: CellModule, ctx: FieldContext) -> SpecializedModule:
+    """The weight multiplicities of L_q(lambda), from the greedy walk over
+    the weight spaces of Delta(lambda) at the point of ctx.
+
+    The contravariant form pairs only equal weights, so the radical is
+    weight-graded and the ranks per weight assemble the character of
+    L_q(lambda).  Over Q(v) itself the form is nondegenerate, so the rank
+    at each weight is its multiplicity: the generic field reads the
+    character and walks nothing.
     """
     char = cm.character()
     if ctx.kind == GENERIC:
         return SpecializedModule(cm.lam, ctx, char, char)
-    weight_ranks = {mu: rank(to_field(cm.basis(mu, integral=True).gram, ctx))
-                    for mu in cm.weights}
+    weight_ranks = {mu: len(picked) for mu, _, _, picked in
+                    greedy_walk(cm.ctx, cm.weights, eliminate_at(ctx))}
     return SpecializedModule(cm.lam, ctx, weight_ranks, char)
 
 

@@ -3,8 +3,13 @@
 import pytest
 
 from qschur import cellmod
-from qschur.cellmod import CellModule, enumerate_words
-from qschur.linalg import forward_eliminate, hnf_column_basis, to_field
+from qschur.cellmod import CellModule, enumerate_words, greedy_walk
+from qschur.linalg import (
+    forward_eliminate,
+    fraction_free_eliminate,
+    hnf_column_basis,
+    to_field,
+)
 from qschur.rootdata import build_root_datum
 from qschur.scalars import (
     FieldContext,
@@ -13,6 +18,7 @@ from qschur.scalars import (
     quantum_factorial,
     quantum_integer,
 )
+from qschur.specialize import eliminate_at
 from qschur.straighten import EMPTY_WORD, ModuleContext, gram_entry
 
 import dense
@@ -142,15 +148,27 @@ def test_gram_examples():
     assert gram_rows(cm.spaces[(4,)]) == [[LaurentPoly.one()]]
 
 
-def test_greedy_picks_keep_indices_past_a_zero_gram_row():
-    # a zero Gram row is an absent key of the sparse rows; walking only the
-    # present rows would shift the third and fourth words down by one
-    one, two, z = LaurentPoly.one(), quantum_integer(2), LaurentPoly.zero()
-    gram = dense.sparse(
-        [[one, z, one, z], [z, z, z, z], [one, z, two, z], [z, z, z, two]])
-    assert 1 not in gram
-    cm = CellModule(A1, (1,))
-    assert cm._greedy_basis_words(gram, 4) == (0, 2, 3)
+def test_greedy_picks_keep_indices_past_a_zero_gram_row(monkeypatch):
+    # row 1 of the Gram rows is zero at the point of each elimination;
+    # walking only the nonempty rows would shift the third and fourth words
+    # down by one
+    one, two, z = LaurentPoly.one(), LaurentPoly({0: 2}), LaurentPoly.zero()
+    words = tuple(((0, k),) for k in range(4))
+    monkeypatch.setattr(cellmod, "extensions", lambda ctx, mu, above: words)
+    for eliminate, entry in [
+            # a zero Gram row is an absent key of the sparse rows
+            (fraction_free_eliminate, z),
+            # [2] vanishes at a primitive 4th root: row 1 maps to an empty
+            # row there
+            (eliminate_at(FieldContext.cyclotomic_point(4)),
+             quantum_integer(2))]:
+        gram = dense.sparse([[one, z, one, z], [z, entry, z, z],
+                             [one, z, two, z], [z, z, z, two]])
+        assert (1 in gram) == bool(entry)
+        monkeypatch.setattr(cellmod, "gram_matrix", lambda ctx, ws: gram)
+        [(mu, candidates, _, picked)] = greedy_walk(
+            ModuleContext(A1, (1,)), ((1,),), eliminate)
+        assert (mu, candidates, picked) == ((1,), words, (0, 2, 3))
 
 
 def test_dimensions_match_weyl():
@@ -441,7 +459,10 @@ def test_generic_picks_match_greedy_over_all_words(name, lam):
         picks = [words[k] for k, _ in forward_eliminate(rows)]
         sp = cm.spaces[mu]
         assert [combo[0][0] for combo in sp.generic.combos] == picks, mu
-        assert set(sp.candidates) <= set(words) == set(sp.words)
+        assert set(words) == set(sp.words)
+    for mu, candidates, _, _ in greedy_walk(cm.ctx, cm.weights,
+                                            fraction_free_eliminate):
+        assert set(candidates) <= set(cm.spaces[mu].words), mu
 
 
 @pytest.mark.parametrize("datum,lam", [(A2, (2, 2)), (B2, (1, 1)),

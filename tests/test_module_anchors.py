@@ -1,11 +1,14 @@
 """Byte-identity anchors for `qschur module` on cell modules larger than the
 benchmark's, for `qschur verify` on A2 (2,2) at depth 2 and on B2 (2,1),
-and for `qschur gram` and `qschur decomp` (at cyclotomic=4) on B2 (2,1).
+for `qschur gram` and `qschur decomp` (at cyclotomic=4) on B2 (2,1), and
+for `qschur decomp` at cyclotomic=4 on G2 (1,1).
 
 Each report runs as a fresh ``python -m qschur.cli`` process and its sha256
 must equal a recorded digest.  The module digests were recorded before the
 generic bases were picked from prefix-closed candidates, when these builds
 took from about 7 s (B2 (2,1), A2 (3,2)) to about 4 minutes (G2 (1,1)).
+The `qschur specialize` report on B2 (2,2) at cyclotomic=4 has no recorded
+digest: its dimensions are checked instead.
 """
 
 import hashlib
@@ -38,26 +41,39 @@ VERIFY_B2_21 = \
     "f61753a9e688ae3575858cab77a03dc38fca5aa1126de143e2a07dc46962cb34"
 
 # recorded while every Gram entry was read off a chain of vector pushes,
-# when each of these jobs took about 5 s
+# when each of the B2 (2,1) jobs took about 5 s; the G2 (1,1) digest was
+# recorded while decomp ranked the specialized integral Gram of every
+# weight space, when the job took about 26 s, so it runs under a 10 s
+# timeout: ranks read from the lattice again would fail it
 B2_21 = {"datum": {"preset": "B2"}, "pi": {"seeds": [[2, 1]]}}
+G2_11 = {"datum": {"preset": "G2"}, "pi": {"seeds": [[1, 1]]}}
+B2_22 = {"datum": {"preset": "B2"}, "pi": {"seeds": [[2, 2]]}}
 WORD_GRAM_ANCHORS = [
-    ("gram", B2_21,
+    ("gram", "gram", B2_21, 60,
      "996cf2312eec5913fc07545d778b1de25f5ad2d1f76279232e88c98c8464c3bd"),
-    ("decomp", dict(B2_21, field="cyclotomic=4"),
+    ("decomp", "decomp", dict(B2_21, field="cyclotomic=4"), 60,
      "e5b426b9a39e99444fd98786c4e8efb895f515cb1bbeefd9050bdc34d0c01d51"),
+    ("decomp-G2-11", "decomp", dict(G2_11, field="cyclotomic=4"), 10,
+     "18bd7c1323043d355b8aa08fd7f0645c777a162c93b139c10e95a3bf6c6c550a"),
 ]
 
 
-def _report_digest(tmp_path, command, doc):
+def _report(tmp_path, command, doc, *options, timeout=60):
     cfg = tmp_path / "job.json"
     cfg.write_text(json.dumps(doc))
     src = os.path.dirname(os.path.dirname(qschur.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "qschur.cli", command, "--config", str(cfg)],
+        [sys.executable, "-m", "qschur.cli", command, "--config", str(cfg),
+         *options],
         capture_output=True, env=dict(os.environ, PYTHONPATH=src),
-        timeout=60)
+        timeout=timeout)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    return hashlib.sha256(proc.stdout).hexdigest()
+    return proc.stdout
+
+
+def _report_digest(tmp_path, command, doc, timeout=60):
+    return hashlib.sha256(
+        _report(tmp_path, command, doc, timeout=timeout)).hexdigest()
 
 
 @pytest.mark.parametrize("preset,seed,digest", ANCHORS,
@@ -82,7 +98,20 @@ def test_verify_b2_21_report_matches_anchor(tmp_path):
         "datum": {"preset": "B2"}, "pi": {"seeds": [[2, 1]]}}) == VERIFY_B2_21
 
 
-@pytest.mark.parametrize("command,doc,digest", WORD_GRAM_ANCHORS,
-                         ids=[c for c, _, _ in WORD_GRAM_ANCHORS])
-def test_word_gram_report_matches_anchor(tmp_path, command, doc, digest):
-    assert _report_digest(tmp_path, command, doc) == digest
+@pytest.mark.parametrize("command,doc,timeout,digest",
+                         [a[1:] for a in WORD_GRAM_ANCHORS],
+                         ids=[a[0] for a in WORD_GRAM_ANCHORS])
+def test_word_gram_report_matches_anchor(tmp_path, command, doc, timeout,
+                                         digest):
+    assert _report_digest(tmp_path, command, doc, timeout) == digest
+
+
+def test_specialize_b2_22_at_cyclotomic_4(tmp_path):
+    # Delta(2,2) has the Weyl dimension 81 and a radical of 46 there; the
+    # job did not finish while the ranks were read from the lattice
+    report = json.loads(_report(
+        tmp_path, "specialize", dict(B2_22, field="cyclotomic=4"),
+        "--lambda", "2,2", timeout=10))
+    [spec] = report["payload"]["specializations"]
+    assert spec["dim_delta"] == 81
+    assert sum(d for _, d in spec["radical_dims"]) == 46

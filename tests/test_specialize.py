@@ -88,8 +88,9 @@ def test_radical_dims_are_nullspace_lengths(name, seeds):
     # oracle: the nullspace of each specialized integral Gram matrix
     datum = _gl2() if name == "GL2" else build_root_datum(name)
     modules, flag = modules_for(datum, seeds)
-    points = [Q1] + [FieldContext.cyclotomic_point(ell)
-                     for ell in range(2, 9)]
+    points = [Q1] + [FieldContext.rational_point(q)
+                     for q in (2, -1, Fraction(1, 3))]
+    points += [FieldContext.cyclotomic_point(ell) for ell in range(2, 9)]
     nonzero = 0
     for lam in flag:
         cm = modules[lam]
@@ -188,12 +189,33 @@ def test_semisimplicity_matches_integral_determinants(preset, seed):
 
 
 def test_radical_submodule_property():
+    # the premise of the greedy walk at a point: rad_q is a submodule
     for lam in [(2,), (3,), (4,)]:
         cm = CellModule(A1, lam)
         assert radical_is_submodule(cm, CYC4)
         assert radical_is_submodule(cm, CYC3)
     cm2 = CellModule(A2, (1, 1))
     assert radical_is_submodule(cm2, CYC3)
+    # the greedy walk at these points crosses weights where L_q vanishes
+    for name, lam, ell in [("G2", (0, 1), 3), ("G2", (0, 1), 6),
+                           ("A2", (2, 1), 4), ("A1xA1", (3, 3), 3),
+                           ("G2", (2, 0), 4)]:
+        cm = CellModule(build_root_datum(name), lam)
+        ctx = FieldContext.cyclotomic_point(ell)
+        assert 0 in specialize_module(cm, ctx).weight_ranks.values()
+        assert radical_is_submodule(cm, ctx), (name, lam, ell)
+
+
+@pytest.mark.parametrize("ctx", [CYC4, FieldContext.rational_point(2)],
+                         ids=["cyclotomic=4", "q=2"])
+def test_specialize_module_builds_no_lattice(ctx):
+    # the walk reads only the candidates' Gram entries: no integral basis
+    # and no Gram matrix of all the words
+    cm = CellModule(build_root_datum("B2"), (2, 1))
+    specialize_module(cm, ctx)
+    for mu in cm.weights:
+        assert cm.spaces[mu].integral is None, mu
+        assert cm.spaces[mu]._gram is None, mu
 
 
 def test_radical_submodule_negative_control(monkeypatch):

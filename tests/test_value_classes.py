@@ -38,8 +38,8 @@ CASES = [
     (CosaturatedFlag, _fields("datum", "ordering")),
     (IdempotentSandwich, _fields("word", "exponents", "end_weight")),
     (Basis, _fields("combos", "gram", "_adjugate")),
-    (WeightSpaceData, _fields("words", "candidates", "generic", "ctx",
-                              "integral", "_gram")),
+    (WeightSpaceData, _fields("words", "generic", "ctx", "integral",
+                              "_gram")),
     (SpecializedModule, _fields("lam", "ctx", "weight_ranks",
                                 "char_delta")),
     (GramDeterminantRecord, _fields("lam", "mu", "det", "factors",
@@ -55,7 +55,7 @@ CASES = [
 DEFAULTS = [
     (FieldContext, 1, {"q": None, "ell": None}),
     (Basis, 2, {"_adjugate": None}),
-    (WeightSpaceData, 4, {"integral": None, "_gram": None}),
+    (WeightSpaceData, 3, {"integral": None, "_gram": None}),
     (CheckResult, 2, {"detail": ""}),
     (VerificationReport, 0, {"checks": []}),
 ]
