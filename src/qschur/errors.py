@@ -42,7 +42,9 @@ class CoordinateFailureError(EngineError):
 
 
 class InconsistentCharactersError(EngineError):
-    """The decomposition solve left a residue or a negative entry."""
+    """A character oracle or the decomposition solve is inconsistent:
+    Freudenthal's recursion or the Weyl product is not a nonnegative
+    integer, or the solve left a residue or a negative entry (engine bug)."""
 
 
 class UnsupportedCharacteristicError(EngineError):

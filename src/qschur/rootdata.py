@@ -16,9 +16,11 @@ from collections import Counter
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
+from operator import add
 
 from .errors import (
     CapExceededError,
+    InconsistentCharactersError,
     NonDominantSeedError,
     NotFiniteTypeError,
     PairingMismatchError,
@@ -228,18 +230,29 @@ class RootDatum:
 
     # -- character oracles --------------------------------------------------
 
-    def _form(self, coeffs: tuple, mu: Weight) -> int:
-        """(nu, mu) where nu = sum c_j alpha_j, via (alpha_j, mu) = d_j <alpha_j^vee, mu>."""
-        return sum(c * dj * self.pairing(j, mu)
-                   for j, (c, dj) in enumerate(zip(coeffs, self.d)) if c)
-
     def freudenthal_character(self, lam: Weight) -> dict:
         """Weight multiplicities of the irreducible of highest weight lam,
         by Freudenthal's recursion.  Exact; keys are weights, values
-        positive ints."""
+        positive ints.
+
+        Each positive root alpha = sum c_j alpha_j has the form vector
+        f = sum c_j d_j alpha_j^vee, with (alpha, mu) = f . mu since
+        (alpha_j, mu) = d_j <alpha_j^vee, mu>; the vectors, (alpha, alpha)
+        and lam's pairings are computed once, and the string mu + k alpha
+        is walked by adding alpha.  A recursion whose sum is not an exact
+        nonnegative multiple raises InconsistentCharactersError."""
         lam = tuple(lam)
         if not self.is_dominant(lam):
             raise NonDominantSeedError("highest weight must be dominant")
+        d = self.d
+        # (lam+2rho, alpha_j) = d_j (<alpha_j^vee, lam> + 2)
+        lam_rho = [dj * (self.pairing(j, lam) + 2) for j, dj in enumerate(d)]
+        roots = []
+        for rt, rc in self.positive_roots:
+            f = tuple(sum(c * d[j] * self.alphav[j][k]
+                          for j, c in enumerate(rc) if c)
+                      for k in range(self.n))
+            roots.append((rt, sum(rc), f, _dot(f, rt)))
         # descend from lam by simple roots, carrying the root coordinates of
         # lam - mu: each weight mu != lam has a weight mu + alpha_j one level
         # up, and the recursion gives 0 on candidates that are not weights
@@ -258,21 +271,30 @@ class RootDatum:
             for mu in sorted(candidates):
                 dcoords = candidates[mu]
                 # c = (lam+rho, lam+rho) - (mu+rho, mu+rho) = (lam+mu+2rho, lam-mu)
-                c = sum(nj * dj * (self.pairing(j, lam) + self.pairing(j, mu) + 2)
-                        for j, (nj, dj) in enumerate(zip(dcoords, self.d)) if nj)
+                c = sum(nj * (lam_rho[j] + d[j] * self.pairing(j, mu))
+                        for j, nj in enumerate(dcoords) if nj)
                 acc = 0
-                for rt, rc in self.positive_roots:
-                    ht = sum(rc)
+                for rt, ht, f, norm in roots:
+                    form = _dot(f, mu)
+                    nu = mu
                     for k in range(1, h // ht + 1):
-                        nu = tuple(m + k * r for m, r in zip(mu, rt))
+                        nu = tuple(map(add, nu, rt))
                         m_nu = mult.get(nu, 0)
                         if m_nu:
-                            acc += m_nu * (self._form(rc, mu) + k * self._form(rc, rt))
+                            acc += m_nu * (form + k * norm)
                 if c == 0:
-                    assert acc == 0, "Freudenthal inconsistency"
+                    if acc:
+                        raise InconsistentCharactersError(
+                            "Freudenthal sum %d at mu = %r is not 0, where "
+                            "(lam+rho, lam+rho) = (mu+rho, mu+rho), for "
+                            "lambda = %r" % (acc, mu, lam))
                     continue
                 q, rem = divmod(2 * acc, c)
-                assert rem == 0 and q >= 0, "Freudenthal inconsistency"
+                if rem or q < 0:
+                    raise InconsistentCharactersError(
+                        "Freudenthal multiplicity 2*%d/%d at mu = %r is not "
+                        "a nonnegative integer, for lambda = %r"
+                        % (acc, c, mu, lam))
                 if q:
                     mult[mu] = q
                     level.append((mu, dcoords))
@@ -291,8 +313,11 @@ class RootDatum:
                       for j, (c, dj) in enumerate(zip(rc, self.d)))
             bot = sum(c * dj for j, (c, dj) in enumerate(zip(rc, self.d)))
             num *= Fraction(top, bot)
-        assert num.denominator == 1
-        return int(num)
+        if num.denominator != 1:
+            raise InconsistentCharactersError(
+                "Weyl dimension %s is not an integer, for lambda = %r"
+                % (num, lam))
+        return num.numerator
 
     def __repr__(self):
         return "RootDatum(%s, rank %d)" % (self.name, self.rank)

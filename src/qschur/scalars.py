@@ -435,6 +435,7 @@ def quantum_binomial(a: int, t: int, d: int = 1) -> LaurentPoly:
     v^(-d t (a-t)) G(v^(2d)) with G(w) the Gaussian binomial, the product of
     (w^(a-s+1) - 1)/(w^s - 1); after step s the running product is the
     Gaussian binomial [a; s], so every division by a binomial is exact.
+    As [a; t] = [a; a-t], the product runs over s = 1..min(t, a-t) only.
     For a < 0, [a; t] = (-1)^t [t-a-1; t]; for 0 <= a < t it is 0.
     """
     if t < 0:
@@ -445,7 +446,7 @@ def quantum_binomial(a: int, t: int, d: int = 1) -> LaurentPoly:
     if a < t:
         return _ZERO
     g = [1]  # dense in w = v^(2d), lowest degree first
-    for s in range(1, t + 1):
+    for s in range(1, min(t, a - t) + 1):
         g = _over_binomial(_times_binomial(g, a - s + 1), s)
         if g is None:
             raise ExactDivisionError("[%d; %d] is not a Laurent polynomial" % (a, s))
@@ -492,7 +493,7 @@ def _over_binomial(c: list, d: int) -> list | None:
     return [-x for x in q[:m]]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _phi_binomials(ell: int) -> tuple:
     """(up, down): Phi_ell(v) is the product of v^D - 1 over D in up divided
     by the product over D in down.

@@ -22,9 +22,10 @@ the determinant.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import lcm, prod
 
 from .cellmod import CellModule, greedy_walk
-from .errors import InconsistentCharactersError
+from .errors import InconsistentCharactersError, RankMismatchError
 from .linalg import (forward_eliminate, laurent_determinant, nullspace,
                      sparse_product, sparse_transpose, to_field)
 from .rootdata import CosaturatedFlag, Weight
@@ -132,12 +133,29 @@ def _normalize_det(det: LaurentPoly) -> LaurentPoly:
     return det
 
 
+# the cyclotomic scan evaluates at v = 2^8 (see _cyclotomic_scan)
+_POINT_BITS = 8
+# bounds the scan's memos: a large scan bound on a long determinant visits
+# ells by the thousand, and Phi_ell(2^8) has 8 phi(ell) bits
+_SCAN_MEMO = 1024
+
+
+@lru_cache(maxsize=_SCAN_MEMO)
 def _totient(n: int) -> int:
     """Euler's phi(n), the degree of Phi_n."""
     out = n
     for p in prime_factors(n):
         out -= out // p
     return out
+
+
+@lru_cache(maxsize=_SCAN_MEMO)
+def _phi_at_point(ell: int) -> int:
+    """Phi_ell(2^8), the quotient of the values of the binomials of
+    _phi_binomials there."""
+    up, down = _phi_binomials(ell)
+    return (prod((1 << _POINT_BITS * d) - 1 for d in up)
+            // prod((1 << _POINT_BITS * d) - 1 for d in down))
 
 
 def _cyclotomic_scan(det: LaurentPoly, bound: int) -> tuple:
@@ -148,7 +166,15 @@ def _cyclotomic_scan(det: LaurentPoly, bound: int) -> tuple:
     For ell of bit length b, phi(ell) >= ell/b >= 2^(b-1)/b: ell has
     k <= b - 1 distinct primes, and their factors (1 - 1/p) multiply to at
     least 1/(k+1).  So the scan ends once 2^(b-1) > span b, whatever the
-    bound."""
+    bound.
+
+    An exact division by Phi_ell runs only when the integer Phi_ell(2^8)
+    divides point = L rest(2^8), L the lcm of the denominators of what is
+    left (1 for an integer determinant): Phi_ell is monic, so it divides
+    rest only if its value divides point, and the test skips no factor.
+    Each quotient rest / Phi_ell has its coefficients in the Z-span of
+    rest's, so point // Phi_ell(2^8) is the quotient's point, with the
+    same L."""
     factors, cofactor = _scan(det, bound)
     return dict(factors), cofactor
 
@@ -157,19 +183,27 @@ def _cyclotomic_scan(det: LaurentPoly, bound: int) -> tuple:
 def _scan(det: LaurentPoly, bound: int) -> tuple:
     factors = []
     rest = det.to_dense()[1]
+    scale = lcm(*(c.denominator for c in rest))
+    point = 0
+    for c in reversed(rest):
+        point = (point << _POINT_BITS) + c.numerator * (scale // c.denominator)
     for ell in range(1, bound + 1):
         b = ell.bit_length()
         span = len(rest) - 1
         if 1 << (b - 1) > span * b:
             break
         deg = _totient(ell)
+        if deg > span:
+            continue
+        value = _phi_at_point(ell)
         m = 0
-        while deg <= len(rest) - 1:
+        while deg <= len(rest) - 1 and not point % value:
             q = _over_phi(rest, ell)
             if q is None:
                 break
             m += 1
             rest = q
+            point //= value
         if m:
             factors.append((ell, m))
     return tuple(factors), _normalize_det(LaurentPoly.from_dense(0, rest))
@@ -202,7 +236,10 @@ def gram_determinant(cm: CellModule, mu: Weight, scan_bound: int = 50,
     mu = tuple(mu)
     basis = cm.basis(mu, integral)
     det = _normalize_det(laurent_determinant(basis.gram, len(basis.combos)))
-    assert not det.is_zero(), "contravariant form degenerate over Q(v)"
+    if det.is_zero():
+        raise RankMismatchError(
+            "contravariant form degenerate over Q(v) at mu = %r, for "
+            "lambda = %r" % (mu, cm.lam))
     factors, cofactor = _cyclotomic_scan(det, scan_bound)
     return GramDeterminantRecord(cm.lam, mu, det, factors, cofactor)
 

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import qschur
-from qschur import cellmod
+from qschur import cellmod, rootdata, specialize
 from qschur.cellmod import CellModule
 from qschur.cli import (
     COMMANDS,
@@ -941,3 +941,24 @@ def test_unwritable_stdout_exits_2_in_process(capsys, monkeypatch, cfg_a1):
     err = capsys.readouterr().err
     assert rc == 2
     assert err == "error: cannot write the report: [Errno 32] Broken pipe\n"
+
+
+def test_failed_oracle_check_exits_2_without_a_traceback(capsys, cfg_a2,
+                                                          monkeypatch):
+    # Freudenthal's consistency check raises, so it also holds under -O
+    find = rootdata.RootDatum._find_positive_roots
+    monkeypatch.setattr(rootdata.RootDatum, "_find_positive_roots",
+                        lambda self: find(self)[:-1])
+    rc, out, err = run(capsys, "module", "--config", cfg_a2)
+    assert rc == 2 and not out
+    assert err.startswith("error: Freudenthal") and "Traceback" not in err
+    assert "lambda = (1, 1)" in err
+
+
+def test_degenerate_gram_determinant_exits_2(capsys, cfg_a1, monkeypatch):
+    monkeypatch.setattr(specialize, "laurent_determinant",
+                        lambda gram, n: LaurentPoly.zero())
+    rc, out, err = run(capsys, "gram", "--config", cfg_a1)
+    assert rc == 2 and not out
+    assert err.startswith("error: contravariant form degenerate")
+    assert "mu = " in err and "lambda = " in err

@@ -1,7 +1,8 @@
 """Byte-identity anchors for `qschur module` on cell modules larger than the
 benchmark's, for `qschur verify` on A2 (2,2) at depth 2 and on B2 (2,1),
-for `qschur gram` and `qschur decomp` (at cyclotomic=4) on B2 (2,1), and
-for `qschur decomp` at cyclotomic=4 on G2 (1,1).
+for `qschur gram` and `qschur decomp` (at cyclotomic=4) on B2 (2,1), for
+`qschur decomp` at cyclotomic=4 on G2 (1,1), and for `qschur gram` on the
+whole flag of A1 (48).
 
 Each report runs as a fresh ``python -m qschur.cli`` process and its sha256
 must equal a recorded digest.  The module digests were recorded before the
@@ -48,6 +49,10 @@ VERIFY_B2_21 = \
 B2_21 = {"datum": {"preset": "B2"}, "pi": {"seeds": [[2, 1]]}}
 G2_11 = {"datum": {"preset": "G2"}, "pi": {"seeds": [[1, 1]]}}
 B2_22 = {"datum": {"preset": "B2"}, "pi": {"seeds": [[2, 2]]}}
+# recorded while the cyclotomic scan tried every Phi_ell by exact division
+# and each Gaussian binomial ran all t of its factor passes, when the job
+# took about 1.8 s: long Gram determinants, their scan and their printing
+A1_48 = {"datum": {"preset": "A1"}, "pi": {"seeds": [[48]]}}
 WORD_GRAM_ANCHORS = [
     ("gram", "gram", B2_21, 60,
      "996cf2312eec5913fc07545d778b1de25f5ad2d1f76279232e88c98c8464c3bd"),
@@ -55,6 +60,8 @@ WORD_GRAM_ANCHORS = [
      "e5b426b9a39e99444fd98786c4e8efb895f515cb1bbeefd9050bdc34d0c01d51"),
     ("decomp-G2-11", "decomp", dict(G2_11, field="cyclotomic=4"), 10,
      "18bd7c1323043d355b8aa08fd7f0645c777a162c93b139c10e95a3bf6c6c550a"),
+    ("gram-A1-48", "gram", A1_48, 60,
+     "0b43443f51d7cb04cf30faceaf56d4d1fe9e845a82689a7c43a277906f17d77c"),
 ]
 
 

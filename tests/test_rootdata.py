@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ import pytest
 
 from qschur.errors import (
     CapExceededError,
+    InconsistentCharactersError,
     NonDominantSeedError,
     NotFiniteTypeError,
     PairingMismatchError,
@@ -401,6 +403,24 @@ def test_freudenthal_b2_g2():
     # G2 fundamental 7-dim and adjoint 14-dim
     assert G2.weyl_dimension((1, 0)) == 7
     assert sum(G2.freudenthal_character((0, 1)).values()) == 14
+
+
+@pytest.mark.parametrize("preset,lam", [("B2", (1, 1)), ("A2", (2, 1)),
+                                        ("G2", (1, 0))])
+def test_freudenthal_raises_on_a_missing_root(preset, lam):
+    # a raised error, not an assert, so the check holds under python -O
+    datum = build_root_datum(preset)
+    datum.positive_roots = datum.positive_roots[:-1]
+    with pytest.raises(InconsistentCharactersError,
+                       match=r"mu = .*lambda = %s" % re.escape(repr(lam))):
+        datum.freudenthal_character(lam)
+
+
+def test_weyl_dimension_raises_when_not_an_integer():
+    datum = build_root_datum("G2")
+    datum.positive_roots = datum.positive_roots[:-1]
+    with pytest.raises(InconsistentCharactersError, match=r"lambda = \(1, 0\)"):
+        datum.weyl_dimension((1, 0))
 
 
 def test_character_invariants():

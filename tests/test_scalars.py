@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from qschur import scalars
 from qschur.cellmod import CellModule
 from qschur.errors import DenominatorVanishes, ExactDivisionError
 from qschur.rootdata import build_root_datum
@@ -101,9 +102,28 @@ def _product_and_divide_binomials(a, d, tmax):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_quantum_binomial_matches_product_and_divide(d):
+    # for 0 <= a <= 40 every t in 0..a is t or a - t for one of these t,
+    # so [a; t] = [a; a-t] is checked against the reference on all of them
     for a in range(-12, 41):
         for t, expected in enumerate(_product_and_divide_binomials(a, d, 20)):
             assert quantum_binomial(a, t, d) == expected, (a, t, d)
+            if t <= a:
+                assert quantum_binomial(a, a - t, d) == expected, (a, t, d)
+
+
+def test_quantum_binomial_runs_the_shorter_product(monkeypatch):
+    calls = []
+
+    def counted(c, d):
+        calls.append(d)
+        return _over_binomial(c, d)
+
+    monkeypatch.setattr(scalars, "_over_binomial", counted)
+    for a, t in [(0, 0), (1, 1), (7, 2), (7, 5), (30, 29), (40, 20), (200, 100)]:
+        quantum_binomial.cache_clear()
+        calls.clear()
+        quantum_binomial(a, t)
+        assert len(calls) == min(t, a - t), (a, t)
 
 
 def test_quantum_binomial_bar_symmetry():

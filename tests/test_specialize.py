@@ -336,6 +336,13 @@ def _cyclotomic_products(rng, count):
         yield _normalize_det(det)
 
 
+# coefficients past 2^8, past 2^64, and Fractions: the scan's values at
+# its point 2^8 carry these coefficients, or their denominators
+_COFACTORS = [LaurentPoly({2: 1000, 1: -3, 0: 1}),
+              LaurentPoly({3: 2 ** 70 + 1, 1: -(2 ** 65), 0: -5}),
+              LaurentPoly({4: Fraction(7, 3), 1: Fraction(-1, 5), 0: 1})]
+
+
 def test_cyclotomic_scan_matches_trial_division():
     dets = [det for name, seeds in [("A1", [(16,)]), ("A2", [(2, 2)]),
                                     ("B2", [(1, 1)]), ("G2", [(2, 0)])]
@@ -345,6 +352,55 @@ def test_cyclotomic_scan_matches_trial_division():
     for det in dets:
         for bound in (0, 1, 7, 50, 10 ** 9):
             assert _cyclotomic_scan(det, bound) == _trial_division_scan(det, bound), (det, bound)
+
+
+def test_cyclotomic_scan_finds_powers_of_one_factor():
+    # Phi_ell^m times a cofactor with no cyclotomic factor (trial division
+    # says so) has the factorization {ell: m} by construction
+    for cofactor in _COFACTORS:
+        assert _trial_division_scan(_normalize_det(cofactor), 10 ** 9)[0] == {}
+    for ell in range(1, 121):
+        for m in (1, 2, 3):
+            cofactor = _COFACTORS[(ell + m) % 3]
+            det = _normalize_det(cofactor * cyclotomic_polynomial(ell) ** m)
+            for bound in (0, 1, 50, 10 ** 9):
+                expected = ({ell: m}, _normalize_det(cofactor)) \
+                    if ell <= bound else ({}, det)
+                assert _cyclotomic_scan(det, bound) == expected, (ell, m, bound)
+
+
+def test_cyclotomic_scan_divides_only_where_the_point_test_passes(monkeypatch):
+    # A1 (16)'s generic Gram determinants: every exact division that the
+    # value at 2^8 lets through finds a factor
+    dets = set(_generic_gram_determinants("A1", [(16,)]))
+    assert len(dets) == 37
+    results = []
+    over_phi = specialize._over_phi
+
+    def counted(c, ell):
+        results.append(over_phi(c, ell))
+        return results[-1]
+
+    monkeypatch.setattr(specialize, "_over_phi", counted)
+    specialize._scan.cache_clear()
+    for det in dets:
+        _cyclotomic_scan(det, 50)
+    assert len(results) == 286
+    assert all(q is not None for q in results)
+
+
+def test_cyclotomic_scan_memo_stays_bounded():
+    # a non-cyclotomic cofactor of span 600 keeps the scan going up to
+    # ell = 2^14 - 1, so more values at 2^8 are computed than the memo holds
+    det = _normalize_det(quantum_binomial(96, 48) * LaurentPoly({600: 1, 1: 1, 0: 3}))
+    memo = specialize._phi_at_point
+    memo.cache_clear()
+    factors, cofactor = _cyclotomic_scan(det, 10 ** 9)
+    info = memo.cache_info()
+    assert info.misses > info.maxsize == info.currsize
+    assert specialize._totient.cache_info().currsize <= info.maxsize
+    assert cofactor.span == 600
+    assert (factors, cofactor) == _cyclotomic_scan(det, 192)
 
 
 def test_cyclotomic_scan_returns_a_fresh_factors_dict():
