@@ -9,6 +9,13 @@ of the flattened matrices at one point of Z/p certifies it, as
 specialization cannot raise a rank, and only a shorter one is decided
 again by elimination over Q(v).  The relation and cellularity suites
 below check every defining identity exactly; there are no tolerances.
+
+Generators are cached, and each groups its rows by the weight slice of
+their columns when first needed, so a product with a projector or with
+a factor confined to one weight slice reads or multiplies only that
+bucket.  The divided-power commutation
+identities are checked for all weights at once, with the weight-dependent
+binomials on a diagonal; a failure still names the first failing weight.
 """
 
 from __future__ import annotations
@@ -38,19 +45,31 @@ class BlockMatrix:
     A block is {row: {col: nonzero scalar}}.  No zero entry, empty row or
     empty block is ever stored, and the scalars are canonical, so equality
     is plain dict equality and every operation touches nonzeros only.
-    Instances are treated as immutable; every operation returns new dicts.
-    A weight projector 1_mu carries its slices, lambda -> (lo, hi) with
+    Instances are treated as immutable: no operation writes into a block
+    or row it reads, and each returns new dicts but the shared buckets
+    below.  A weight projector 1_mu carries its slices, lambda -> (lo, hi) with
     its block the identity on the indices lo..hi-1, so a product with it
     keeps the rows or columns of the other factor in the slice and does no
     scalar arithmetic.
+
+    A cached generator carries its layout, lambda -> the weight of each
+    index.  The first time it is the left factor of a projector, or of a
+    factor with each block's rows in one weight slice, it groups its rows
+    into buckets by the slice of their columns, sharing the row dicts:
+    x 1_mu is then a lookup, and such an x y multiplies that slice's
+    bucket only.  Both give the entries and insertion order of
+    sparse_product.
     """
 
-    __slots__ = ("dims", "sparse", "slices")
+    __slots__ = ("dims", "sparse", "slices", "layout", "_buckets")
 
-    def __init__(self, dims: dict, sparse: dict, slices: dict | None = None):
+    def __init__(self, dims: dict, sparse: dict, slices: dict | None = None,
+                 layout: dict | None = None):
         self.dims = dims      # lambda -> block size, in flag order
         self.sparse = sparse  # lambda -> {row: {col: nonzero scalar}}
         self.slices = slices  # lambda -> (lo, hi) for a weight projector
+        self.layout = layout  # lambda -> weight per index, if cached
+        self._buckets = None  # lambda -> {weight: rows}, on first use
 
     @property
     def blocks(self) -> dict:
@@ -79,6 +98,8 @@ class BlockMatrix:
             for lam, blk in self.sparse.items()})
 
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
+        if self.layout is not None:
+            return BlockMatrix(self.dims, self._bucketed_product(other))
         if other.slices is not None:  # x 1_mu: the columns of x in the slice
             blocks = ((lam, _columns(a, *other.slices[lam]))
                       for lam, a in self.sparse.items() if lam in other.slices)
@@ -89,6 +110,38 @@ class BlockMatrix:
             blocks = ((lam, sparse_product(a, other.block(lam)))
                       for lam, a in self.sparse.items())
         return BlockMatrix(self.dims, {lam: b for lam, b in blocks if b})
+
+    def _bucketed_product(self, other: "BlockMatrix") -> dict:
+        """The blocks of self * other for a cached generator self.  A
+        bucket returned as a block is shared, like the rows in it."""
+        out = {}
+        for lam, a in self.sparse.items():
+            if other.slices is not None:  # x 1_mu: one bucket
+                if lam in other.slices:
+                    mu = self.layout[lam][other.slices[lam][0]]
+                    b = self._bucket(lam, mu)
+                    if b:
+                        out[lam] = b
+                continue
+            y = other.block(lam)
+            if not y:
+                continue
+            weight = self.layout[lam]
+            mu = weight[min(y)]
+            if mu == weight[max(y)]:  # the rows of y lie in one slice
+                a = self._bucket(lam, mu)
+            b = sparse_product(a, y)
+            if b:
+                out[lam] = b
+        return out
+
+    def _bucket(self, lam: Weight, mu: Weight) -> dict:
+        """The rows of block lambda whose columns lie in the slice of mu;
+        the rows are grouped by slice on the first call."""
+        if self._buckets is None:
+            self._buckets = {k: _by_slice(blk, self.layout[k])
+                             for k, blk in self.sparse.items()}
+        return self._buckets[lam].get(mu, {})
 
     def is_zero(self) -> bool:
         return not self.sparse
@@ -106,6 +159,22 @@ def _columns(a: dict, lo: int, hi: int) -> dict:
             if (r := {j: x for j, x in row.items() if lo <= j < hi})}
 
 
+def _by_slice(a: dict, weight: tuple) -> dict:
+    """The rows of a grouped by the slice of their columns, keyed by its
+    weight, in the order of a.  A row in one slice (every row of a
+    homogeneous generator) is shared; a row across slices is split into
+    fresh rows, one per slice, each in the row's order."""
+    out: dict = {}
+    for i, row in a.items():
+        mu = weight[min(row)]
+        if mu == weight[max(row)]:
+            out.setdefault(mu, {})[i] = row
+        else:
+            for j, x in row.items():
+                out.setdefault(weight[j], {}).setdefault(i, {})[j] = x
+    return out
+
+
 def _rows(b: dict, lo: int, hi: int) -> dict:
     """The identity on lo..hi-1 times b: fresh copies of the rows of b
     with those indices, in the order sparse_product gives them."""
@@ -120,6 +189,33 @@ def _accumulate(out: dict, sparse: dict, c: FieldValue) -> None:
         for i, row in blk.items():
             orow = oblk.setdefault(i, {})
             add_scaled(orow, c, row)
+            if not orow:
+                del oblk[i]
+        if not oblk:
+            del out[lam]
+
+
+def _add_column_scaled(out: dict, sparse: dict, positions: dict,
+                       scale: list) -> None:
+    """out += x D in place, for the blocks of x and the diagonal D whose
+    entry at column j of block lambda is scale[positions[lambda][j]] (None
+    for zero); entries, rows and blocks that cancel go."""
+    for lam, blk in sparse.items():
+        pos = positions[lam]
+        oblk = out.setdefault(lam, {})
+        for i, row in blk.items():
+            orow = oblk.setdefault(i, {})
+            for j, x in row.items():
+                c = scale[pos[j]]
+                if c is None:
+                    continue
+                y = orow.get(j)
+                if y is None:
+                    orow[j] = c * x
+                elif (y := y + c * x):
+                    orow[j] = y
+                else:
+                    del orow[j]
             if not orow:
                 del oblk[i]
         if not oblk:
@@ -198,6 +294,10 @@ class SchurAlgebra:
         self.orbit_weights = tuple(sorted(self._orbit))
         self.dims = {lam: cm.dim for lam, cm in modules.items()}
         self.dim = sum(n * n for n in self.dims.values())
+        # per block, the weight of each index: the weight slices in order
+        self._index_weights = {lam: tuple(mu for mu in cm.weights
+                                          for _ in range(cm.spaces[mu].rank))
+                               for lam, cm in modules.items()}
         self._gen_cache: dict = {}
         self._word_cache: dict = {}
         self._gram_cache: dict = {}
@@ -209,7 +309,8 @@ class SchurAlgebra:
         Each generator is built once from the modules' action rows and
         cached; every 1_mu with mu outside W pi is an uncached zero.  A
         cached 1_mu records its slices: each block is the identity on the
-        rows of the weight space mu, consecutive from its offset."""
+        rows of the weight space mu, consecutive from its offset; every
+        other cached generator records the layout of the weight slices."""
         if symbol[0] == "P":
             symbol = ("P", tuple(symbol[1]))
             if symbol[1] not in self._orbit:
@@ -219,10 +320,13 @@ class SchurAlgebra:
             blocks = ((lam, cm.action_matrix(symbol))
                       for lam, cm in self.modules.items())
             sparse = {lam: blk for lam, blk in blocks if blk}
-            slices = None if symbol[0] != "P" else \
-                {lam: (min(blk), min(blk) + len(blk))
-                 for lam, blk in sparse.items()}
-            cached = BlockMatrix(self.dims, sparse, slices)
+            if symbol[0] == "P":
+                cached = BlockMatrix(self.dims, sparse, {
+                    lam: (min(blk), min(blk) + len(blk))
+                    for lam, blk in sparse.items()})
+            else:
+                cached = BlockMatrix(self.dims, sparse,
+                                     layout=self._index_weights)
             self._gen_cache[symbol] = cached
         return cached
 
@@ -307,6 +411,10 @@ class SchurAlgebra:
         return cached
 
     def rho_combo(self, kind: str, combo: tuple) -> BlockMatrix:
+        """The image of a word combo; a single word with coefficient 1 is
+        its cached word image itself."""
+        if len(combo) == 1 and combo[0][1] == LaurentPoly.one():
+            return self.rho_word(kind, combo[0][0])
         return self.combination((coeff, self.rho_word(kind, word))
                                 for word, coeff in combo)
 
@@ -415,14 +523,6 @@ def verify_relations(s: SchurAlgebra, depth: int = 3, samples: int = 8,
                               powers[m - t] * y * powers[t])
                              for t in range(m + 1))
 
-    def swapped(x, u, y, v, top, i, p):
-        """sum_t [top; t]_i X_i^{(u-t)} (Y_i^{(v-t)} p) over nonzero terms,
-        each product taken from the right, so it touches only p's slice."""
-        return s.combination(
-            (c, s.gen((x, i, u - t)) * (s.gen((y, i, v - t)) * p))
-            for t in range(min(u, v) + 1)
-            if (c := quantum_binomial(top, t, d[i])))
-
     # (1) orthogonal idempotents summing to 1
     _expect(rep, "idempotents.orthogonal",
             (({"mu": mu, "nu": nu}, P(mu) * P(nu), P(mu) if mu == nu else zero)
@@ -445,7 +545,49 @@ def verify_relations(s: SchurAlgebra, depth: int = 3, samples: int = 8,
              for case in _shift_cases({"i": i, "mu": mu}, E(i), F(i), P(mu),
                                       P(mu, i, 1), P(mu, i, -1))))
 
-    # (4) divided-power commutation identities, a, b <= depth
+    # (4) divided-power commutation identities, a, b <= depth.  Each pair
+    # (a, b) is checked on all weights at once: with
+    # D_t = sum_mu [a - b + <alpha_i^vee, mu>; t]_i 1_mu and D'_t the same
+    # at b - a - <alpha_i^vee, mu>,
+    #   E^(a) F^(b) = sum_t F^(b-t) E^(a-t) D_t,
+    #   F^(b) E^(a) = sum_t E^(a-t) F^(b-t) D'_t.
+    # The 1_mu are disjoint diagonal slices that cover every block, so this
+    # holds iff it holds times each 1_mu; a nonzero difference names the
+    # first weight, in the order of weights, whose columns it meets
+    order = {mu: k for k, mu in enumerate(weights)}
+    position = {lam: tuple(order[mu] for mu in index_weights)
+                for lam, index_weights in s._index_weights.items()}
+    products: dict = {}
+
+    def product(x, i, u, v):
+        """X_i^(u) Y_i^(v), Y the other kind, made once per check."""
+        if (x, i, u, v) not in products:
+            y = "F" if x == "E" else "E"
+            products[x, i, u, v] = s.gen((x, i, u)) * s.gen((y, i, v))
+        return products[x, i, u, v]
+
+    def difference(x, i, u, v):
+        """The sparse blocks of X^(u) Y^(v) - sum_t Y^(v-t) X^(u-t) D_t, the
+        binomials of D_t at u - v + <alpha_i^vee, mu> for X = E and at
+        u - v - <alpha_i^vee, mu> for X = F."""
+        sign, y = (1, "F") if x == "E" else (-1, "E")
+        out = {lam: {k: dict(row) for k, row in blk.items()}
+               for lam, blk in product(x, i, u, v).sparse.items()}
+        for t in range(min(u, v) + 1):
+            binomials = (quantum_binomial(u - v + sign * datum.pairing(i, mu),
+                                          t, d[i]) for mu in weights)
+            scale = [GENERIC.from_laurent(-c) if c else None
+                     for c in binomials]
+            _add_column_scaled(out, product(y, i, v - t, u - t).sparse,
+                               position, scale)
+        return out
+
+    def first_weight(diff):
+        """The position in weights of the first weight whose column slice
+        the sparse blocks diff meet."""
+        return min(position[lam][j] for lam, blk in diff.items()
+                   for row in blk.values() for j in row)
+
     def divided_powers():
         for i in range(r):
             for a in range(depth + 1):
@@ -457,15 +599,17 @@ def verify_relations(s: SchurAlgebra, depth: int = 3, samples: int = 8,
                            F(i, a) * P(mu), P(mu, i, -a) * F(i, a))
             for a in range(1, depth + 1):
                 for b in range(1, depth + 1):
-                    for mu in weights:
-                        n, p = datum.pairing(i, mu), P(mu)
-                        w = {"i": i, "a": a, "b": b, "mu": mu}
-                        yield (dict(w, identity="E^(a) F^(b) 1"),
-                               E(i, a) * (F(i, b) * p),
-                               swapped("F", b, "E", a, a - b + n, i, p))
-                        yield (dict(w, identity="F^(b) E^(a) 1"),
-                               F(i, b) * (E(i, a) * p),
-                               swapped("E", a, "F", b, b - a - n, i, p))
+                    diffs = (("E^(a) F^(b) 1", difference("E", i, a, b)),
+                             ("F^(b) E^(a) 1", difference("F", i, b, a)))
+                    failing = [(first_weight(diff), k)
+                               for k, (_, diff) in enumerate(diffs) if diff]
+                    if failing:
+                        first, k = min(failing)
+                        name, diff = diffs[k]
+                        mu = weights[first]
+                        yield ({"i": i, "a": a, "b": b, "mu": mu,
+                                "identity": name},
+                               BlockMatrix(s.dims, diff) * P(mu), zero)
 
     _expect(rep, "relation.divided_power_commutation", divided_powers())
 
@@ -596,10 +740,11 @@ def verify_cellularity(s: SchurAlgebra,
         return dict({"lambda": el.lam, "left": el.left, "right": el.right},
                     **more)
 
+    not_above = {lam: [mu for mu in s.pi if not datum.dominance_leq(lam, mu)]
+                 for lam in {el.lam for el in elements}}
     _expect(rep, "cellular.triangular",
             ((witness(el, mu=mu), el.matrix.block(mu), {})
-             for el in elements for mu in s.pi
-             if not datum.dominance_leq(el.lam, mu)))
+             for el in elements for mu in not_above[el.lam]))
 
     # rank-one structure on the home block: rho_lam(C_{b',b}) = u' (G u)^T,
     # u the global generic-basis coordinates of a one-weight word combo,

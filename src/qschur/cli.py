@@ -19,6 +19,7 @@ for it as for every other error.
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import os
@@ -734,7 +735,12 @@ def run() -> None:
     stderr are flushed, skipping the interpreter's teardown: qschur
     registers no atexit hook, starts no thread and has closed its --out
     file.  Both `qschur` and `python -m qschur.cli` end here.  An exception
-    escaping main still ends the normal way, with its traceback."""
+    escaping main still ends the normal way, with its traceback.
+
+    The cyclic garbage collector is off for the job: the engine makes no
+    reference cycles, so its passes would free nothing.  Reference
+    counting still frees every object."""
+    gc.disable()
     code = main()
     for stream in (sys.stdout, sys.stderr):
         try:

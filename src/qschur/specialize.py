@@ -22,7 +22,7 @@ the determinant.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm, prod
+from math import lcm
 
 from .cellmod import CellModule, greedy_walk
 from .errors import InconsistentCharactersError, RankMismatchError
@@ -151,11 +151,30 @@ def _totient(n: int) -> int:
 
 @lru_cache(maxsize=_SCAN_MEMO)
 def _phi_at_point(ell: int) -> int:
-    """Phi_ell(2^8), the quotient of the values of the binomials of
-    _phi_binomials there."""
+    """Phi_ell(2^8), read modulo 2^K from the binomials of _phi_binomials
+    with shifts and additions only: no product and no division.
+
+    Every root of Phi_ell lies on the unit circle, so 0 < Phi_ell(2^8) <=
+    257^phi(ell) < 2^K for K = 8 phi(ell) + phi(ell) // 128 + 2, as
+    log2(257/256) < 1/128: the residue is the value.  Times a binomial
+    2^s - 1 of up is a shift and a subtraction.  Modulo 2^K a binomial of
+    down has the inverse -(1 + 2^s)(1 + 2^(2s))(1 + 2^(4s))..., the factors
+    running until 2^(2^k s) >= 2^K, each a shift and an addition."""
+    deg = _totient(ell)
+    bits = _POINT_BITS * deg + deg // 128 + 2
+    mask = (1 << bits) - 1
     up, down = _phi_binomials(ell)
-    return (prod((1 << _POINT_BITS * d) - 1 for d in up)
-            // prod((1 << _POINT_BITS * d) - 1 for d in down))
+    value = 1
+    for d in up:
+        step = _POINT_BITS * d
+        value = ((value << step) - value if step < bits else -value) & mask
+    for d in down:
+        step = _POINT_BITS * d
+        while step < bits:
+            value = (value + (value << step)) & mask
+            step *= 2
+        value = -value & mask
+    return value
 
 
 def _cyclotomic_scan(det: LaurentPoly, bound: int) -> tuple:

@@ -9,13 +9,15 @@ so that tests can compare the engine against the dense reference.  The
 straightening reference tests every term of an image for liveness, with
 no memo, where the engine decides zero once per image by its weight; the
 decomposition reference searches each residual for a dominance-maximal
-weight, where the engine walks the flag once.
+weight, where the engine walks the flag once; the divided-power reference
+checks one weight at a time, where the engine checks all weights at once.
 """
 
 import itertools
 
 from qschur import linalg
 from qschur.errors import ExactDivisionError, InconsistentCharactersError
+from qschur.assembly import BlockMatrix
 from qschur.linalg import FieldMatrix, LaurentMatrix, add_scaled, dense_rows
 from qschur.scalars import (
     LaurentPoly,
@@ -367,3 +369,69 @@ def decomposition_matrix(specs, flag, ctx):
                for mu in order) != specs[lam].dim_delta:
             raise InconsistentCharactersError("dimension identity fails")
     return DecompositionMatrix(ctx, order, entries)
+
+
+# -- divided-power commutation, one weight at a time -------------------------
+
+def block_product(x, y):
+    """x y block by block through sparse_product, with no projector slices
+    and no generator buckets."""
+    return BlockMatrix(x.dims, {lam: b for lam, a in x.sparse.items()
+                                if (b := linalg.sparse_product(a, y.block(lam)))})
+
+
+def divided_power_detail(s, depth):
+    """The detail of relation.divided_power_commutation, checked one weight
+    at a time: for each i, E^(a) 1_mu = 1_up E^(a) and F^(a) 1_mu =
+    1_down F^(a) for a <= depth and each mu, then for a, b >= 1 and each mu
+    E^(a) F^(b) 1_mu = sum_t [a - b + n; t]_i F^(b-t) E^(a-t) 1_mu and
+    F^(b) E^(a) 1_mu = sum_t [b - a - n; t]_i E^(a-t) F^(b-t) 1_mu, with
+    n = <alpha_i^vee, mu>.  Returns the first failing case's witness as
+    the check writes it, or "" when every case holds."""
+    datum, weights, d = s.datum, s.orbit_weights, s.datum.d
+
+    def E(i, a):
+        return s.gen(("E", i, a))
+
+    def F(i, a):
+        return s.gen(("F", i, a))
+
+    def P(mu, i=None, a=0):
+        if a:
+            mu = tuple(m + a * x for m, x in zip(mu, datum.alpha[i]))
+        return s.gen(("P", mu))
+
+    def swapped(x, u, y, v, top, i, p):
+        return s.combination(
+            (c, block_product(s.gen((x, i, u - t)),
+                              block_product(s.gen((y, i, v - t)), p)))
+            for t in range(min(u, v) + 1)
+            if (c := quantum_binomial(top, t, d[i])))
+
+    def cases():
+        for i in range(datum.rank):
+            for a in range(depth + 1):
+                for mu in weights:
+                    w = {"i": i, "a": a, "mu": mu}
+                    yield (dict(w, identity="E^(a) 1 = 1_up E^(a)"),
+                           block_product(E(i, a), P(mu)),
+                           block_product(P(mu, i, a), E(i, a)))
+                    yield (dict(w, identity="F^(a) 1 = 1_down F^(a)"),
+                           block_product(F(i, a), P(mu)),
+                           block_product(P(mu, i, -a), F(i, a)))
+            for a in range(1, depth + 1):
+                for b in range(1, depth + 1):
+                    for mu in weights:
+                        n, p = datum.pairing(i, mu), P(mu)
+                        w = {"i": i, "a": a, "b": b, "mu": mu}
+                        yield (dict(w, identity="E^(a) F^(b) 1"),
+                               block_product(E(i, a), block_product(F(i, b), p)),
+                               swapped("F", b, "E", a, a - b + n, i, p))
+                        yield (dict(w, identity="F^(b) E^(a) 1"),
+                               block_product(F(i, b), block_product(E(i, a), p)),
+                               swapped("E", a, "F", b, b - a - n, i, p))
+
+    for witness, lhs, rhs in cases():
+        if lhs != rhs:
+            return ", ".join("%s=%s" % kv for kv in witness.items())
+    return ""

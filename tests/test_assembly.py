@@ -3,6 +3,8 @@
 import copy
 import random
 
+import pytest
+
 from qschur import assembly, linalg
 from qschur.assembly import (
     BlockMatrix,
@@ -224,6 +226,24 @@ def test_shared_action_blocks_stay_canonical_and_unmutated():
     for sym, x in s._gen_cache.items():
         assert all(blk and all(row and all(row.values()) for row in blk.values())
                    for blk in x.sparse.values()), sym
+    # the checks made buckets of the generators they used as left factors
+    # of projectors: each is rows of its block, shared, in one slice; no
+    # later operation writes into them either
+    bucketed = [x for x in s._gen_cache.values() if x._buckets is not None]
+    assert len(bucketed) > 10
+    for x in bucketed:
+        for lam, by_slice in x._buckets.items():
+            weight = x.layout[lam]
+            assert sorted(i for rows in by_slice.values() for i in rows) == \
+                sorted(x.sparse[lam])
+            for mu, rows in by_slice.items():
+                for i, row in rows.items():
+                    assert row is x.sparse[lam][i]
+                    assert {weight[j] for j in row} == {mu}
+    buckets = [copy.deepcopy(x._buckets) for x in bucketed]
+    assert verify_relations(s, depth=3, samples=4).ok
+    assert verify_cellularity(s, s.cellular_basis()).ok
+    assert [x._buckets for x in bucketed] == buckets
 
 
 def test_serre_checked_only_in_higher_rank():
@@ -262,6 +282,76 @@ def test_negative_control_corrupted_generator():
     # every failing check names its first witness; passing ones stay blank
     assert all(failures.values()), failures
     assert all(c.detail == "" for c in rep.checks if c.passed)
+
+
+DIVIDED_POWER_CONFIGS = [(build_root_datum("A1"), [(6,)], 3),
+                         (A2, [(2, 1)], 2),
+                         (B2, [(1, 1)], 2),
+                         (build_root_datum("G2"), [(0, 1)], 2)]
+
+
+def test_corrupted_divided_power_names_the_per_weight_witness():
+    # one entry of a cached E_i^(a) or F_i^(a) is bumped after caching and
+    # before its first product: at an entry it has (it stays homogeneous)
+    # or anywhere in a block.  The check over all weights at once must name
+    # the witness the per-weight loop names, and pass where it passes
+    rng = random.Random(28)
+    named = []
+    for datum, seeds, depth in DIVIDED_POWER_CONFIGS:
+        for trial in range(6):
+            s = build(datum, seeds)
+            kind, i = rng.choice("EF"), rng.randrange(datum.rank)
+            a = rng.randint(1, depth)
+            x = s.gen((kind, i, a))
+            if trial % 2:
+                lam = rng.choice(list(s.dims))
+                row, col = rng.randrange(s.dims[lam]), rng.randrange(s.dims[lam])
+            else:
+                lam = rng.choice(list(x.sparse))
+                row = rng.choice(list(x.sparse[lam]))
+                col = rng.choice(list(x.sparse[lam][row]))
+            if x.sparse.get(lam, {}).get(row, {}).get(col) == -GEN.one():
+                continue  # bump would cancel the entry
+            bump(x, lam, row, col)
+            rep = verify_relations(s, depth=depth, samples=1)
+            detail = {c.name: c.detail for c in rep.checks}[
+                "relation.divided_power_commutation"]
+            assert detail == dense.divided_power_detail(s, depth), \
+                (kind, i, a, lam, row, col)
+            named.append(detail)
+    # one bumped generator changes the two differences of the first
+    # failing (a, b) by opposite amounts, so "E^(a) F^(b) 1" is named
+    identities = {d.rpartition("identity=")[2] for d in named}
+    assert identities == {"E^(a) F^(b) 1", "E^(a) 1 = 1_up E^(a)",
+                          "F^(a) 1 = 1_down F^(a)"}, identities
+    assert len(named) >= 20
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_corrupted_binomial_names_the_per_weight_witness(monkeypatch, sign):
+    # [top; t] off by one where sign * top > 1: the two identities of a pair
+    # then fail at different weights, and the first weight in the order of
+    # weights is named
+    real = assembly.quantum_binomial
+
+    def corrupted(top, t, d=1):
+        c = real(top, t, d)
+        return c + LaurentPoly.one() if t and sign * top > 1 else c
+
+    monkeypatch.setattr(assembly, "quantum_binomial", corrupted)
+    monkeypatch.setattr(dense, "quantum_binomial", corrupted)
+    named = []
+    for datum, seeds, depth in DIVIDED_POWER_CONFIGS:
+        s = build(datum, seeds)
+        rep = verify_relations(s, depth=depth, samples=1)
+        detail = {c.name: c.detail for c in rep.checks}[
+            "relation.divided_power_commutation"]
+        assert detail == dense.divided_power_detail(s, depth)
+        named.append(detail)
+    # E^(a) F^(b) fails where a - b + n > 1 and F^(b) E^(a) where
+    # b - a - n > 1; at sign 1 the latter has the lower weights
+    first = "F^(b) E^(a) 1" if sign > 0 else "E^(a) F^(b) 1"
+    assert {d.rpartition("identity=")[2] for d in named} == {first}, named
 
 
 def test_negative_control_corrupted_cell_element():
@@ -429,6 +519,96 @@ def test_projector_products_are_index_slices():
                                     (p * x, _plain_product(p, x))):
                     assert prod == plain
                     assert _product_trace(prod) == _product_trace(plain)
+
+
+def _random_layout(rng, dims):
+    """lambda -> a slice label per index (its slice's start), for random
+    consecutive slices of one to three indices."""
+    layout = {}
+    for lam, n in dims.items():
+        starts = []
+        while len(starts) < n:
+            starts += [len(starts)] * min(rng.randint(1, 3), n - len(starts))
+        layout[lam] = tuple(starts)
+    return layout
+
+
+def _unit_block_matrix(rng, dims, density, rows=None):
+    """Random entries +-1 and +-v, so that products cancel often; rows, if
+    given, lambda -> the row indices allowed (a block may be left out)."""
+    units = [GEN.from_laurent(LaurentPoly({e: c})) for e in (0, 1)
+             for c in (1, -1)]
+    return BlockMatrix(dims, {
+        lam: blk for lam, n in dims.items()
+        if (blk := {i: row for i in (range(n) if rows is None
+                                     else rows.get(lam, ()))
+                    if (row := {j: rng.choice(units) for j in range(n)
+                                if rng.random() < density})})})
+
+
+def test_bucketed_products_equal_sparse_product():
+    # a left factor with a layout multiplies one bucket when each block of
+    # the right factor has its rows in one slice (a projector is a lookup):
+    # the entries and insertion order of the plain sparse_product, on
+    # random blocks whose rows may cross slices and whose sums cancel
+    rng = random.Random(28)
+    one = GEN.one()
+    cancelled = split = 0
+    for _ in range(200):
+        dims = {(k,): rng.randint(1, 7) for k in range(rng.randint(2, 4))}
+        layout = _random_layout(rng, dims)
+        x = _unit_block_matrix(rng, dims, rng.choice([0.2, 0.5, 0.8]))
+        before = copy.deepcopy(x.sparse)
+        bucketed = BlockMatrix(dims, x.sparse, layout=layout)
+        slices = {}
+        for lam, starts in layout.items():
+            if rng.random() < 0.8:
+                lo = rng.choice(starts)
+                slices[lam] = (lo, lo + starts.count(lo))
+        projector = BlockMatrix(dims, {
+            lam: {k: {k: one} for k in range(lo, hi)}
+            for lam, (lo, hi) in slices.items()}, slices)
+        in_slice = _unit_block_matrix(
+            rng, dims, rng.choice([0.3, 0.6]),
+            rows={lam: range(*sl) for lam, sl in slices.items()})
+        anywhere = _unit_block_matrix(rng, dims, 0.4)
+        for y in (projector, in_slice, anywhere, in_slice * anywhere):
+            prod, plain = bucketed * y, _plain_product(x, y)
+            _assert_canonical(prod)
+            assert prod == plain
+            assert _product_trace(prod) == _product_trace(plain)
+            cancelled += sum(  # entries that have terms but sum to 0
+                1 for lam, a in x.sparse.items() for i, row in a.items()
+                for j in {j for k in row for j in y.block(lam).get(k, ())}
+                if j not in plain.block(lam).get(i, {}))
+        assert x.sparse == before
+        for lam, by_slice in (bucketed._buckets or {}).items():
+            starts = layout[lam]
+            for rows in by_slice.values():
+                for i, row in rows.items():
+                    whole = x.sparse[lam][i]
+                    if starts[min(whole)] == starts[max(whole)]:
+                        assert row is whole
+                    else:  # a fresh part of a row across slices
+                        split += 1
+                        assert row.items() < whole.items()
+    assert cancelled > 100 and split > 100, (cancelled, split)
+
+
+def test_products_with_rows_in_one_slice_multiply_one_bucket():
+    # g (h 1_mu) for generators g, h: the rows of h 1_mu lie in one slice
+    # in each block, so g multiplies one bucket; the same entries and
+    # insertion order as sparse_product
+    for s in (build(A2, [(2, 1)]), build(B2, [(1, 1)])):
+        gens = [s.gen((kind, i, a)) for kind in ("E", "F")
+                for i in range(s.datum.rank) for a in range(3)]
+        for mu in s.orbit_weights:
+            p = s.gen(("P", mu))
+            for h in gens:
+                y = h * p
+                for g in gens:
+                    assert _product_trace(g * y) == \
+                        _product_trace(_plain_product(g, y))
 
 
 def _accumulated(s, terms):

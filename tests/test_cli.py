@@ -1,6 +1,7 @@
 """CLI: config parsing, exit codes, report determinism."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -851,6 +852,34 @@ def test_process_writes_a_large_report_whole(capsys, tmp_path, cfg_g2):
     assert proc.stdout == expected.encode("ascii")
     assert target.read_bytes() == proc.stdout
     assert re.fullmatch(rb"cellbasis finished in \d+\.\d{3} s\n", proc.stderr)
+
+
+def test_run_turns_the_collector_off_and_main_leaves_it_as_found(
+        capsys, monkeypatch, cfg_a1):
+    from qschur import cli
+
+    class Exited(Exception):
+        pass
+
+    def exit_(code):
+        raise Exited(code)
+
+    monkeypatch.setattr(os, "_exit", exit_)
+    monkeypatch.setattr(sys, "argv", ["qschur", "verify", "--config", cfg_a1])
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert main(["verify", "--config", cfg_a1]) == 0
+            assert gc.isenabled() is enabled
+        gc.enable()
+        with pytest.raises(Exited) as exited:
+            cli.run()
+        assert exited.value.args == (0,)
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
+    reports = capsys.readouterr().out  # the same report three times
+    assert reports and reports == reports[:len(reports) // 3] * 3
 
 
 def test_process_bad_config_exits_2(tmp_path):

@@ -6,9 +6,12 @@ process; each report's sha256 must equal the recorded one.  Configs and
 job keys come from ``qbench/jobs.py``, which is only read.  On the same
 configs, the generic specialization's ranks must equal the ranks over Q(v)
 of the integral bases' Grams, which it no longer builds, and the one-pass
-decomposition solve must equal the dense reference's search.
+decomposition solve must equal the dense reference's search.  The CLI
+process runs with the cyclic garbage collector off, so every golden job,
+run in-process with the collector off, must leave it nothing to free.
 """
 
+import gc
 import hashlib
 import importlib.util
 import json
@@ -21,7 +24,7 @@ import pytest
 
 import qschur
 from qschur.cellmod import CellModule
-from qschur.cli import JobConfig, Pipeline
+from qschur.cli import JobConfig, Pipeline, main
 from qschur.linalg import rank
 from qschur.scalars import FieldContext
 from qschur.specialize import decomposition_matrix, specialize_module
@@ -68,6 +71,22 @@ def test_report_matches_golden(job, config_dir):
         timeout=60)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN[job.key]
+
+
+@pytest.mark.parametrize("job", SUBSET, ids=lambda job: job.key)
+def test_job_makes_no_reference_cycles(job, config_dir, capsys):
+    # cli.run turns the cyclic collector off for the job; the engine makes
+    # no reference cycles, so the collector would find nothing to free
+    gc.collect()
+    gc.disable()
+    try:
+        rc = main(job.argv(str(config_dir / ("%s.json" % job.config))))
+    finally:
+        unreachable = gc.collect()
+        gc.enable()
+    capsys.readouterr()
+    assert rc == 0
+    assert unreachable == 0
 
 
 @pytest.mark.parametrize("name", sorted(JOBS.CONFIGS))

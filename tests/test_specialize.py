@@ -389,6 +389,17 @@ def test_cyclotomic_scan_divides_only_where_the_point_test_passes(monkeypatch):
     assert all(q is not None for q in results)
 
 
+def test_phi_at_point_is_the_cyclotomic_polynomial_at_256():
+    # read modulo 2^K with shifts and additions, it must equal Phi_ell
+    # evaluated at 2^8 from its coefficients, for every ell <= 1500
+    for ell in range(1, 1501):
+        lo, coeffs = cyclotomic_polynomial(ell).to_dense()
+        value = 0
+        for c in reversed(coeffs):
+            value = (value << 8) + c
+        assert lo == 0 and specialize._phi_at_point(ell) == value, ell
+
+
 def test_cyclotomic_scan_memo_stays_bounded():
     # a non-cyclotomic cofactor of span 600 keeps the scan going up to
     # ell = 2^14 - 1, so more values at 2^8 are computed than the memo holds
