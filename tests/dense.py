@@ -16,8 +16,8 @@ checks one weight at a time, where the engine checks all weights at once.
 import itertools
 
 from qschur import linalg
-from qschur.errors import ExactDivisionError, InconsistentCharactersError
 from qschur.assembly import BlockMatrix
+from qschur.errors import ExactDivisionError, InconsistentCharactersError
 from qschur.linalg import FieldMatrix, LaurentMatrix, add_scaled, dense_rows
 from qschur.scalars import (
     LaurentPoly,
