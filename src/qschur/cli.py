@@ -2,12 +2,16 @@
 
 Parses a JSON job configuration, runs the requested pipeline stage, and
 writes a deterministic JSON report to stdout (and optionally to a file):
-identical configurations produce byte-identical reports.  Human
-diagnostics, including timing, go to stderr.  Exit codes: 0 success or
---help, 1 verification failure, 2 a malformed command line, a
-configuration error or a report that cannot be written.  Run as a
-program, through run(), the process ends as soon as the report and stderr
-are flushed, without the interpreter's teardown.
+identical configurations produce byte-identical reports.  The stage's
+payload is computed in full first, so an engine error leaves stdout
+empty; the report text is then streamed in chunks of about CHUNK (64 KiB)
+characters, each written to the --out file and then to stdout, and never
+held whole.  A failed write removes the --out file, so that file holds the
+whole report or nothing.  Human diagnostics, including timing, go to
+stderr.  Exit codes: 0 success or --help, 1 verification failure, 2 a
+malformed command line, a configuration error or a report that cannot be
+written.  Run as a program, through run(), the process ends as soon as
+the report and stderr are flushed, without the interpreter's teardown.
 
 The command line is read from one option table, OPTIONS, without argparse
 (whose import, with gettext's, every job would pay): options take their
@@ -24,6 +28,7 @@ import io
 import json
 import os
 import re
+import stat
 import sys
 import time
 import types
@@ -243,6 +248,45 @@ def char_json(char: dict) -> list:
     return [[weight_json(mu), int(m)] for mu, m in sorted(char.items())]
 
 
+# Characters of report text (ASCII, so bytes) the writer hands its sink at
+# a time: it holds about this much of a report, however long the report.
+CHUNK = 1 << 16
+
+# Parts the writer appends before it joins them and measures the text.
+_PARTS = 512
+
+
+class _Parts(list):
+    """The report text written since the last spill, in parts, and the
+    text joined since the last chunk went to the sink."""
+
+    __slots__ = ("sink", "joined", "size")
+
+    def __init__(self, sink):
+        super().__init__()
+        self.sink = sink
+        self.joined = []
+        self.size = 0
+
+    def spill(self) -> None:
+        """Join the parts; once CHUNK characters are joined, hand them to
+        the sink as one str."""
+        text = "".join(self)
+        self.clear()
+        self.joined.append(text)
+        self.size += len(text)
+        if self.size >= CHUNK:
+            self.flush()
+
+    def flush(self) -> None:
+        """Hand the joined text, if any, to the sink."""
+        text = "".join(self.joined)
+        self.joined.clear()
+        self.size = 0
+        if text:
+            self.sink(text)
+
+
 class SparseRows:
     """A report leaf: a rows x cols matrix given by its sparse rows
     {row: {col: nonzero}}, written as the dense rows of its entries' str,
@@ -255,8 +299,9 @@ class SparseRows:
         self.rows = rows
         self.cols = cols
 
-    def write(self, nl: str, out: list) -> None:
-        """Append the rows at the indent after nl.  A Gram matrix holds one
+    def write(self, nl: str, out: _Parts) -> None:
+        """Append the rows at the indent after nl, spilling between rows
+        once CHUNK characters of them are held.  A Gram matrix holds one
         object at (i, j) and (j, i), so each distinct entry object is
         rendered once; an all-zero row's text is built once."""
         if not self.rows:
@@ -270,43 +315,54 @@ class SparseRows:
         zero_row = head + sep.join([zero] * self.cols) + tail \
             if self.cols else "[]"
         text: dict = {}
-        lines = []
+        start = "[" + row_nl
+        held = 0
         for i in range(self.rows):
             row = self.sparse.get(i)
             if not row:
-                lines.append(zero_row)
-                continue
-            line = [zero] * self.cols
-            for j, x in row.items():
-                s = text.get(id(x))
-                if s is None:
-                    s = text[id(x)] = _quote(str(x))
-                line[j] = s
-            lines.append(head + sep.join(line) + tail)
-        out.append("[" + row_nl + ("," + row_nl).join(lines) + nl + "]")
+                s = start + zero_row
+            else:
+                line = [zero] * self.cols
+                for j, x in row.items():
+                    s = text.get(id(x))
+                    if s is None:
+                        s = text[id(x)] = _quote(str(x))
+                    line[j] = s
+                s = start + head + sep.join(line) + tail
+            out.append(s)
+            held += len(s)
+            if held >= CHUNK:
+                out.spill()
+                held = 0
+            start = "," + row_nl
+        out.append(nl + "]")
 
 
 _STRS, _INTS = frozenset((str,)), frozenset((int,))
 _FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
-def render(report) -> str:
-    """The report's text: what the stdlib json encoder writes with
+def write_report(report, sink) -> None:
+    """Hand the report's text to sink(str) in order, in chunks of about
+    CHUNK characters: what the stdlib json encoder writes with
     sort_keys=True and indent=2 (two-space indent, sorted keys, ASCII
     escapes), plus a newline, byte for byte.  That encoder runs in pure
-    Python whenever it indents, so the report is written here in one pass.
-    Values are dicts with str keys, lists, str, int, float, bool, None and
-    SparseRows leaves; any other type raises TypeError.  Floats reach a
-    report only in the echoed config (a field such as {"q": 0.5})."""
-    out: list = []
+    Python whenever it indents, so the report is written here in one pass,
+    joined between items and never whole.  Values are dicts with str keys,
+    lists, str, int, float, bool, None and SparseRows leaves; any other
+    type raises TypeError.  Floats reach a report only in the echoed
+    config (a field such as {"q": 0.5})."""
+    out = _Parts(sink)
     _write(report, "\n", out)
     out.append("\n")
-    return "".join(out)
+    out.spill()
+    out.flush()
 
 
-def _write(x, nl: str, out: list) -> None:
+def _write(x, nl: str, out: _Parts) -> None:
     """Append x, its items at the indent after nl (a newline and the
-    indent of the line x starts on)."""
+    indent of the line x starts on), spilling between items once _PARTS
+    parts are held."""
     kind = type(x)
     if kind is str:
         out.append(_quote(x))
@@ -322,6 +378,8 @@ def _write(x, nl: str, out: list) -> None:
                                 % type(key).__name__)
             out.append(sep + _quote(key) + ": ")
             _write(x[key], inner, out)
+            if len(out) >= _PARTS:
+                out.spill()
             sep = "," + inner
         out.append(nl + "}")
     elif kind is list:
@@ -341,6 +399,8 @@ def _write(x, nl: str, out: list) -> None:
             for item in x:
                 out.append(sep)
                 _write(item, inner, out)
+                if len(out) >= _PARTS:
+                    out.spill()
                 sep = "," + inner
             out.append(nl + "]")
     elif kind is int:
@@ -665,6 +725,49 @@ def _write_stdout(text: str) -> None:
     out.flush()
 
 
+def _emit(report, path: str | None) -> str | None:
+    """Stream the report to stdout, each chunk first to the file at path
+    when one is given.  Returns None, or the error line of the write that
+    failed.  The file is then removed, so it holds the whole report or
+    nothing; a path that is not the regular file opened there (a link, a
+    pipe, a device) is left in place."""
+    fh = opened = None
+    line = "error: %s"
+    whole = False
+    try:
+        if path:
+            fh = open(path, "w", encoding="utf-8")
+            opened = os.fstat(fh.fileno())
+
+        def sink(text: str) -> None:
+            nonlocal line
+            if fh is not None:
+                fh.write(text)
+            line = "error: cannot write the report: %s"
+            _write_stdout(text)
+            line = "error: %s"
+
+        write_report(report, sink)
+        if fh is not None:
+            fh.close()
+        whole = True
+    except OSError as exc:  # a closed pipe, a full disk
+        return line % exc
+    finally:
+        if fh is not None and not whole:
+            try:
+                fh.close()
+            except OSError:
+                pass
+            try:
+                if opened is not None and stat.S_ISREG(opened.st_mode) \
+                        and os.path.samestat(os.lstat(path), opened):
+                    os.remove(path)
+            except OSError:
+                pass
+    return None
+
+
 def main(argv=None) -> int:
     try:
         args = parse_args(sys.argv[1:] if argv is None else argv)
@@ -710,18 +813,9 @@ def main(argv=None) -> int:
         "engine": {"name": "qschur", "version": __version__},
         "payload": payload,
     }
-    text = render(report)
-    if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            print("error: %s" % exc, file=sys.stderr)
-            return 2
-    try:
-        _write_stdout(text)
-    except OSError as exc:  # a closed pipe or a full disk
-        print("error: cannot write the report: %s" % exc, file=sys.stderr)
+    failed = _emit(report, args.out)
+    if failed:
+        print(failed, file=sys.stderr)
         return 2
     elapsed = time.monotonic() - start
     print("%s finished in %.3f s" % (args.command, elapsed), file=sys.stderr)

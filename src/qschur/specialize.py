@@ -22,7 +22,8 @@ the determinant.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import lcm
+from itertools import islice
+from math import isqrt, lcm
 
 from .cellmod import CellModule, greedy_walk
 from .errors import InconsistentCharactersError, RankMismatchError
@@ -36,7 +37,6 @@ from .scalars import (
     _over_binomial,
     _phi_binomials,
     _times_binomial,
-    prime_factors,
 )
 
 
@@ -135,18 +135,52 @@ def _normalize_det(det: LaurentPoly) -> LaurentPoly:
 
 # the cyclotomic scan evaluates at v = 2^8 (see _cyclotomic_scan)
 _POINT_BITS = 8
-# bounds the scan's memos: a large scan bound on a long determinant visits
-# ells by the thousand, and Phi_ell(2^8) has 8 phi(ell) bits
+# bounds the scan's memo of Phi_ell(2^8): a large scan bound on a long
+# determinant visits ells by the thousand, and Phi_ell(2^8) has 8 phi(ell)
+# bits
 _SCAN_MEMO = 1024
+# the most ells in one block of the totient sieve
+_SIEVE_BLOCK = 2048
 
 
-@lru_cache(maxsize=_SCAN_MEMO)
-def _totient(n: int) -> int:
-    """Euler's phi(n), the degree of Phi_n."""
-    out = n
-    for p in prime_factors(n):
-        out -= out // p
-    return out
+def _totients(stop: int):
+    """Yield phi(ell), Euler's totient and the degree of Phi_ell, for ell
+    = 1, 2, ... stop - 1, from the blocks of _totient_block."""
+    lo = 1
+    while lo < stop:
+        block = _totient_block(lo)
+        yield from islice(block, stop - lo)
+        lo += len(block)
+
+
+@lru_cache(maxsize=8)
+def _totient_block(lo: int) -> tuple:
+    """phi(ell) for ell from lo up to lo^2, or to lo + _SIEVE_BLOCK if that
+    comes first: the blocks start at 1, 2, 4, 16, 256, 2304, 4352, ...
+
+    The sieve starts from phi = rest = ell and, for every prime p with p^2
+    below the block's end, sets phi -= phi // p and divides p out of rest
+    at the multiples of p; what is left of rest is 1 or the one prime
+    factor above the square root.  Those primes are all below lo, the ells
+    of earlier blocks with phi(ell) = ell - 1.  Exact integers only; the
+    memo holds at most 8 blocks, the small first ones that every scan and
+    every later block reads among them."""
+    hi = min(max(lo * lo, lo + 1), lo + _SIEVE_BLOCK)
+    phi = list(range(lo, hi))
+    rest = phi[:]
+    for p, deg in enumerate(_totients(min(isqrt(hi - 1) + 1, lo)), 1):
+        if deg != p - 1:
+            continue
+        for i in range(-lo % p, hi - lo, p):
+            phi[i] -= phi[i] // p
+            r = rest[i] // p
+            while not r % p:
+                r //= p
+            rest[i] = r
+    for i, r in enumerate(rest):
+        if r > 1:
+            phi[i] -= phi[i] // r
+    return tuple(phi)
 
 
 @lru_cache(maxsize=_SCAN_MEMO)
@@ -156,14 +190,16 @@ def _phi_at_point(ell: int) -> int:
 
     Every root of Phi_ell lies on the unit circle, so 0 < Phi_ell(2^8) <=
     257^phi(ell) < 2^K for K = 8 phi(ell) + phi(ell) // 128 + 2, as
-    log2(257/256) < 1/128: the residue is the value.  Times a binomial
-    2^s - 1 of up is a shift and a subtraction.  Modulo 2^K a binomial of
-    down has the inverse -(1 + 2^s)(1 + 2^(2s))(1 + 2^(4s))..., the factors
-    running until 2^(2^k s) >= 2^K, each a shift and an addition."""
-    deg = _totient(ell)
+    log2(257/256) < 1/128: the residue is the value.  phi(ell), the degree
+    of Phi_ell, is the sum of the binomials' degrees of up less those of
+    down.  Times a binomial 2^s - 1 of up is a shift and a subtraction.
+    Modulo 2^K a binomial of down has the inverse -(1 + 2^s)(1 + 2^(2s))
+    (1 + 2^(4s))..., the factors running until 2^(2^k s) >= 2^K, each a
+    shift and an addition."""
+    up, down = _phi_binomials(ell)
+    deg = sum(up) - sum(down)
     bits = _POINT_BITS * deg + deg // 128 + 2
     mask = (1 << bits) - 1
-    up, down = _phi_binomials(ell)
     value = 1
     for d in up:
         step = _POINT_BITS * d
@@ -206,12 +242,16 @@ def _scan(det: LaurentPoly, bound: int) -> tuple:
     point = 0
     for c in reversed(rest):
         point = (point << _POINT_BITS) + c.numerator * (scale // c.denominator)
-    for ell in range(1, bound + 1):
+    span = len(rest) - 1
+    b = 1  # the longest bit length of an ell the scan can reach
+    while 1 << b <= span * (b + 1):
+        b += 1
+    stop = min(bound, (1 << b) - 1 if span else 0) + 1
+    for ell, deg in enumerate(_totients(stop), 1):
         b = ell.bit_length()
         span = len(rest) - 1
         if 1 << (b - 1) > span * b:
             break
-        deg = _totient(ell)
         if deg > span:
             continue
         value = _phi_at_point(ell)

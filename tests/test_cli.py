@@ -1,6 +1,7 @@
 """CLI: config parsing, exit codes, report determinism."""
 
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -8,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ import qschur
 from qschur import cellmod, rootdata, specialize
 from qschur.cellmod import CellModule
 from qschur.cli import (
+    CHUNK,
     COMMANDS,
     MAX_CAPS,
     MAX_CYCLOTOMIC_ORDER,
@@ -25,7 +28,7 @@ from qschur.cli import (
     SparseRows,
     main,
     parse_field,
-    render,
+    write_report,
 )
 from qschur.errors import ConfigError, UnsupportedCharacteristicError
 from qschur.linalg import dense_rows
@@ -60,6 +63,13 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def render(value) -> str:
+    """The text write_report streams, joined from a list sink."""
+    chunks = []
+    write_report(value, chunks.append)
+    return "".join(chunks)
 
 
 def test_datum_report(capsys, cfg_a1):
@@ -358,6 +368,27 @@ def test_render_matches_stdlib_encoder(value):
 def test_render_rejects_other_types(value):
     with pytest.raises(TypeError):
         render({"payload": [value]})
+
+
+def test_write_report_hands_the_sink_chunks_of_about_chunk_characters():
+    # a long report reaches the sink in order and in pieces: each but the
+    # last holds at least CHUNK characters, none much more
+    L = LaurentPoly
+    sparse = {i: {j: L.var(i - j) + L.one() for j in range(0, 40, 3)}
+              for i in range(0, 300, 2)}
+    dense = [[str(x) for x in row]
+             for row in dense_rows(sparse, 300, 40, L.zero())]
+    words = [[[i % 3, i], [1, 2]] for i in range(5000)]
+    report = {"m": [SparseRows(sparse, 300, 40)] * 3, "w": words,
+              "s": ["v^%d" % i for i in range(3000)]}
+    chunks = []
+    write_report(report, chunks.append)
+    assert "".join(chunks) == json.dumps(
+        {"m": [dense] * 3, "w": words, "s": report["s"]},
+        sort_keys=True, indent=2) + "\n"
+    assert len(chunks) > 10
+    assert all(CHUNK <= len(c) < 2 * CHUNK for c in chunks[:-1])
+    assert 0 < len(chunks[-1]) < 2 * CHUNK
 
 
 def test_parse_field():
@@ -854,6 +885,70 @@ def test_process_writes_a_large_report_whole(capsys, tmp_path, cfg_g2):
     assert re.fullmatch(rb"cellbasis finished in \d+\.\d{3} s\n", proc.stderr)
 
 
+def test_large_report_is_written_in_bounded_memory(monkeypatch, cfg_g2):
+    # the 1.5 MB report streams to a stdout that discards it while writing
+    # holds less than 512 KiB above what was traced when it started
+    from qschur import cli
+
+    class Discard:
+        written = 0
+
+        def write(self, text):
+            Discard.written += len(text)
+
+        def flush(self):
+            pass
+
+    peaks = []
+    real = cli.write_report
+
+    def measured(report, sink):
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        real(report, sink)
+        peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(cli, "write_report", measured)
+    monkeypatch.setattr(sys, "stdout", Discard())
+    tracemalloc.start()
+    try:
+        rc = main(["cellbasis", "--matrices", "--config", cfg_g2])
+    finally:
+        tracemalloc.stop()
+    assert rc == 0 and Discard.written > 10 ** 6
+    assert len(peaks) == 1 and peaks[0] < 512 * 1024, peaks
+
+
+def test_out_write_failure_exits_2_and_removes_the_file(
+        capsys, monkeypatch, tmp_path, cfg_g2):
+    # the --out file takes the first chunk, then its disk is full: an
+    # error line, exit 2, and no --out file with part of the report
+    from qschur import cli
+    target = tmp_path / "report.json"
+
+    def filling_open(path, mode="r", **kwargs):
+        fh = open(path, mode, **kwargs)
+        if mode == "w":
+            taken = []
+
+            def write(text):
+                if taken:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                taken.append(text)
+                return type(fh).write(fh, text)
+
+            fh.write = write
+        return fh
+
+    monkeypatch.setattr(cli, "open", filling_open, raising=False)
+    rc, out, err = run(capsys, "cellbasis", "--matrices", "--config", cfg_g2,
+                       "--out", str(target))
+    assert rc == 2
+    assert err == "error: [Errno 28] No space left on device\n"
+    assert not target.exists()
+    assert 0 < len(out) < 2 * CHUNK  # stdout took the first chunk only
+
+
 def test_run_turns_the_collector_off_and_main_leaves_it_as_found(
         capsys, monkeypatch, cfg_a1):
     from qschur import cli
@@ -927,13 +1022,9 @@ def test_process_exception_escaping_main_prints_its_traceback(cfg_a1):
     assert proc.stderr.endswith("RuntimeError: check crashed\n")
 
 
-@pytest.mark.parametrize("unbuffered", [False, True],
-                         ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("reader", ["closed", "reads_100_bytes"])
-def test_process_closed_stdout_exits_2(tmp_path, reader, unbuffered):
-    # qschur gram ... | head -c 100: the report cannot be written whole, so
-    # the job ends in exit 2 with an error line, not a traceback, also when
-    # stdout is unbuffered and takes part of the report first
+def _gram_into_a_closing_pipe(tmp_path, reader, unbuffered, *argv):
+    """Exit status and stderr of gram on G2 (2,0), a 348 KB report, its
+    stdout a pipe whose reader is closed or closes after 100 bytes."""
     cfg = tmp_path / "g2.json"
     cfg.write_text(json.dumps({"datum": {"preset": "G2"},
                                "pi": {"seeds": [[2, 0]]}}))
@@ -945,7 +1036,8 @@ def test_process_closed_stdout_exits_2(tmp_path, reader, unbuffered):
         os.close(r)
     try:
         child = subprocess.Popen(
-            [sys.executable, "-m", "qschur.cli", "gram", "--config", str(cfg)],
+            [sys.executable, "-m", "qschur.cli", "gram", "--config", str(cfg),
+             *argv],
             stdout=w, stderr=subprocess.PIPE, env=env, text=True)
     finally:
         os.close(w)
@@ -955,9 +1047,39 @@ def test_process_closed_stdout_exits_2(tmp_path, reader, unbuffered):
             os.close(r)
         err = child.stderr.read()
         rc = child.wait(timeout=60)
+    return rc, err
+
+
+CLOSING_PIPES = pytest.mark.parametrize("reader", ["closed", "reads_100_bytes"])
+BUFFERING = pytest.mark.parametrize("unbuffered", [False, True],
+                                    ids=["buffered", "unbuffered"])
+
+
+@BUFFERING
+@CLOSING_PIPES
+def test_process_closed_stdout_exits_2(tmp_path, reader, unbuffered):
+    # qschur gram ... | head -c 100: the report cannot be written whole, so
+    # the job ends in exit 2 with an error line, not a traceback, also when
+    # stdout is unbuffered and takes part of the report first
+    rc, err = _gram_into_a_closing_pipe(tmp_path, reader, unbuffered)
     assert rc == 2
     assert err.startswith("error: cannot write the report: ")
     assert "Broken pipe" in err and "Traceback" not in err
+
+
+@BUFFERING
+@CLOSING_PIPES
+def test_process_closed_stdout_leaves_no_out_file(tmp_path, reader,
+                                                  unbuffered):
+    # --out took the chunks stdout could not: it is removed, not left
+    # holding part of the report
+    target = tmp_path / "report.json"
+    rc, err = _gram_into_a_closing_pipe(tmp_path, reader, unbuffered,
+                                        "--out", str(target))
+    assert rc == 2
+    assert err.startswith("error: cannot write the report: ")
+    assert "Broken pipe" in err and "Traceback" not in err
+    assert not target.exists()
 
 
 def test_unwritable_stdout_exits_2_in_process(capsys, monkeypatch, cfg_a1):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,13 +17,14 @@ from qschur.scalars import (
     LaurentPoly,
     cyclotomic_polynomial,
     laurent_divmod,
+    prime_factors,
     quantum_binomial,
 )
 from qschur.specialize import (
     SpecializedModule,
     _cyclotomic_scan,
     _normalize_det,
-    _totient,
+    _totients,
     decomposition_matrix,
     gram_determinant,
     radical_is_submodule,
@@ -284,9 +286,40 @@ def test_inconsistent_characters_raise(char_delta, ranks):
             solve(specs, flag, CYC4)
 
 
+def _totient(n):
+    """Euler's phi(n) by trial division: the reference for _totients."""
+    out = n
+    for p in prime_factors(n):
+        out -= out // p
+    return out
+
+
 def test_totient_bit_length_bound():
     # the bound that ends the cyclotomic scan: phi(n) >= n / bit_length(n)
-    assert all(_totient(n) * n.bit_length() >= n for n in range(1, 10 ** 5 + 1))
+    assert all(phi * n.bit_length() >= n
+               for n, phi in enumerate(_totients(10 ** 5 + 1), 1))
+
+
+@pytest.mark.parametrize("stop", [1, 2, 3, 4, 5, 16, 17, 256, 257, 2304, 2305,
+                                  4353, 10 ** 5 + 1])
+def test_totient_sieve_is_trial_division(stop):
+    # across the ends of the growing first blocks and of full blocks
+    specialize._totient_block.cache_clear()
+    assert list(_totients(stop)) == [_totient(n) for n in range(1, stop)]
+
+
+def test_totient_sieve_memory_is_bounded():
+    # a list of all 131,071 totients would take 4.7 MB; the sieve holds
+    # at most 8 blocks of 2,048
+    specialize._totient_block.cache_clear()
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in _totients(1 << 17))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert count == (1 << 17) - 1
+    assert peak < 1024 * 1024, peak
 
 
 def test_cyclotomic_scan_ends_early_with_the_same_answer():
@@ -409,7 +442,6 @@ def test_cyclotomic_scan_memo_stays_bounded():
     factors, cofactor = _cyclotomic_scan(det, 10 ** 9)
     info = memo.cache_info()
     assert info.misses > info.maxsize == info.currsize
-    assert specialize._totient.cache_info().currsize <= info.maxsize
     assert cofactor.span == 600
     assert (factors, cofactor) == _cyclotomic_scan(det, 192)
 
