@@ -244,16 +244,35 @@ def _add_diagonal(out: dict, slices: dict, c: FieldValue) -> None:
 
 
 class CellBasisElement:
-    """One glued cellular basis element b' 1_lambda b^*."""
+    """One glued cellular basis element b' 1_lambda b^*: its cell, its two
+    basis combos and its matrix.  The matrix is given, or formed from the
+    images (b' 1_lambda, 1_lambda b^*) when first read and then kept, the
+    images dropped; an element built with neither has no matrix."""
 
-    __slots__ = ("lam", "left", "right", "matrix")
+    __slots__ = ("lam", "left", "right", "_matrix", "images")
 
     def __init__(self, lam: Weight, left: tuple, right: tuple,
-                 matrix: BlockMatrix):
+                 matrix: BlockMatrix | None = None,
+                 images: tuple | None = None):
         self.lam = lam
         self.left = left  # combo: tuple of (word, LaurentPoly)
         self.right = right
-        self.matrix = matrix
+        self._matrix = matrix
+        self.images = images
+
+    @property
+    def matrix(self) -> BlockMatrix:
+        if self._matrix is None:
+            self._matrix = self.product()
+            self.images = None
+        return self._matrix
+
+    def product(self) -> BlockMatrix:
+        """The matrix formed afresh from the two images, and not kept."""
+        if self.images is None:
+            raise ValueError("the element was built without its images")
+        left, right = self.images
+        return left * right
 
 
 class CheckResult:
@@ -427,19 +446,29 @@ class SchurAlgebra:
         return [combo for mu in cm.weights
                 for combo in cm.basis(mu, integral).combos]
 
-    def cellular_basis(self, integral: bool = False) -> list:
+    def cellular_basis(self, integral: bool = False,
+                       images: bool = True) -> list:
         """The glued family over all cells, in flag order: for each lambda
-        and each ordered basis pair (b', b), the matrix of b' 1_lambda b^*."""
+        and each ordered basis pair (b', b), the element b' 1_lambda b^*.
+        With images, the images b' 1_lambda and 1_lambda b^* of every cell
+        are built here, so no later step meets an engine error, and each
+        element's matrix, their product, is formed only when it is read.
+        Without, no generator image is built: the elements are the pairs
+        of basis combos alone."""
         elements = []
         for lam in self.flag:
             combos = self.basis_combos(lam, integral)
-            proj = self.gen(("P", lam))
-            lefts = [self.rho_combo("F", c) * proj for c in combos]
-            rights = [proj * self.rho_combo("E", c) for c in combos]
-            for bl, left_mat in zip(combos, lefts):
-                for br, right_mat in zip(combos, rights):
-                    elements.append(CellBasisElement(
-                        lam, bl, br, left_mat * right_mat))
+            if images:
+                proj = self.gen(("P", lam))
+                lefts = [self.rho_combo("F", c) * proj for c in combos]
+                rights = [proj * self.rho_combo("E", c) for c in combos]
+                elements.extend(
+                    CellBasisElement(lam, bl, br, images=(left, right))
+                    for bl, left in zip(combos, lefts)
+                    for br, right in zip(combos, rights))
+            else:
+                elements.extend(CellBasisElement(lam, bl, br)
+                                for bl in combos for br in combos)
         return elements
 
 
@@ -661,13 +690,22 @@ def verify_relations(s: SchurAlgebra, depth: int = 3, samples: int = 8,
 
     # K_h: K_0 = 1, K_h K_h' = K_{h+h'} on deterministic random samples
     def k_samples():
-        yield {"h": [0] * datum.n}, s.k_element([0] * datum.n), ident
+        built: dict = {}
+
+        def k(h):
+            """K_h, built once in this check: the samples repeat h."""
+            key = tuple(h)
+            if key not in built:
+                built[key] = s.k_element(h)
+            return built[key]
+
+        yield {"h": [0] * datum.n}, k([0] * datum.n), ident
         rng = random.Random(seed)
         for _ in range(samples):
             h1 = [rng.randint(-3, 3) for _ in range(datum.n)]
             h2 = [rng.randint(-3, 3) for _ in range(datum.n)]
-            yield ({"h1": h1, "h2": h2}, s.k_element(h1) * s.k_element(h2),
-                   s.k_element([a + b for a, b in zip(h1, h2)]))
+            yield ({"h1": h1, "h2": h2}, k(h1) * k(h2),
+                   k([a + b for a, b in zip(h1, h2)]))
 
     _expect(rep, "relation.k_multiplicative", k_samples())
 

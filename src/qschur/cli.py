@@ -2,16 +2,21 @@
 
 Parses a JSON job configuration, runs the requested pipeline stage, and
 writes a deterministic JSON report to stdout (and optionally to a file):
-identical configurations produce byte-identical reports.  The stage's
-payload is computed in full first, so an engine error leaves stdout
-empty; the report text is then streamed in chunks of about CHUNK (64 KiB)
-characters, each written to the --out file and then to stdout, and never
-held whole.  A failed write removes the --out file, so that file holds the
-whole report or nothing.  Human diagnostics, including timing, go to
-stderr.  Exit codes: 0 success or --help, 1 verification failure, 2 a
-malformed command line, a configuration error or a report that cannot be
-written.  Run as a program, through run(), the process ends as soon as
-the report and stderr are flushed, without the interpreter's teardown.
+identical configurations produce byte-identical reports.  Every step of
+a stage that can raise an engine error runs before the first byte, so an
+engine error leaves stdout empty; the one part of a payload formed while
+it is written is the matrix of each cellbasis --matrices element, a
+Deferred leaf whose product of two images built beforehand is formed when
+the writer reaches it and dropped once written.  The report text is
+streamed in chunks of about CHUNK (64 KiB) characters, each written to
+the --out file and then to stdout, and never held whole.  A failed write
+removes the --out file, so that file holds the whole report or nothing.
+Human diagnostics, including timing, go to stderr.  Each command imports
+the engine modules it runs when it runs.  Exit codes: 0 success or
+--help, 1 verification failure, 2 a malformed command line, a
+configuration error or a report that cannot be written.  Run as a
+program, through run(), the process ends as soon as the report and
+stderr are flushed, without the interpreter's teardown.
 
 The command line is read from one option table, OPTIONS, without argparse
 (whose import, with gettext's, every job would pay): options take their
@@ -36,17 +41,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 
 from . import __version__
-from .assembly import assemble, rank1_canonical_identity, verify_cellularity, verify_relations
-from .cellmod import CellModule
 from .errors import CapExceededError, ConfigError, EngineError, UnsupportedCharacteristicError
 from .rootdata import RootDatum, build_flag, build_root_datum, parse_preset, saturate
 from .scalars import FieldContext
-from .specialize import (
-    decomposition_matrix,
-    gram_determinant,
-    semisimplicity_report,
-    specialize_module,
-)
 
 # Largest L of a cyclotomic=L field: building the field and specializing
 # at it cost time and memory linear in L.
@@ -236,12 +233,10 @@ def weight_json(mu) -> list:
     return [int(x) for x in mu]
 
 
-def word_json(word) -> list:
-    return [[int(i), int(a)] for i, a in word]
-
-
 def combo_json(combo) -> list:
-    return [[word_json(w), str(c)] for w, c in combo]
+    """A word combo as [word, coefficient] pairs, each word the engine's own
+    tuple of (index, exponent) pairs, which the writer writes as arrays."""
+    return [[w, str(c)] for w, c in combo]
 
 
 def char_json(char: dict) -> list:
@@ -338,6 +333,17 @@ class SparseRows:
         out.append(nl + "]")
 
 
+class Deferred:
+    """A report leaf whose value, make(arg), is built only when the writer
+    reaches it and dropped once written, so no two are held at once."""
+
+    __slots__ = ("make", "arg")
+
+    def __init__(self, make, arg):
+        self.make = make
+        self.arg = arg
+
+
 _STRS, _INTS = frozenset((str,)), frozenset((int,))
 _FLOATS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
@@ -349,8 +355,9 @@ def write_report(report, sink) -> None:
     escapes), plus a newline, byte for byte.  That encoder runs in pure
     Python whenever it indents, so the report is written here in one pass,
     joined between items and never whole.  Values are dicts with str keys,
-    lists, str, int, float, bool, None and SparseRows leaves; any other
-    type raises TypeError.  Floats reach a report only in the echoed
+    lists and tuples (both written as arrays, as that encoder writes them),
+    str, int, float, bool, None, and SparseRows and Deferred leaves; any
+    other type raises TypeError.  Floats reach a report only in the echoed
     config (a field such as {"q": 0.5})."""
     out = _Parts(sink)
     _write(report, "\n", out)
@@ -382,7 +389,7 @@ def _write(x, nl: str, out: _Parts) -> None:
                 out.spill()
             sep = "," + inner
         out.append(nl + "}")
-    elif kind is list:
+    elif kind is list or kind is tuple:
         if not x:
             out.append("[]")
             return
@@ -414,6 +421,8 @@ def _write(x, nl: str, out: _Parts) -> None:
         out.append(_FLOATS.get(text, text))
     elif kind is SparseRows:
         x.write(nl, out)
+    elif kind is Deferred:
+        _write(x.make(x.arg), nl, out)
     else:
         raise TypeError("Object of type %s is not JSON serializable"
                         % kind.__name__)
@@ -477,6 +486,7 @@ def cmd_saturate(p: Pipeline, args) -> dict:
 
 
 def cmd_module(p: Pipeline, args) -> dict:
+    from .cellmod import CellModule
     out = []
     for lam in p.lambdas(args.lam):
         cm = CellModule(p.datum, lam)
@@ -487,13 +497,15 @@ def cmd_module(p: Pipeline, args) -> dict:
             "weights": [weight_json(mu) for mu in cm.weights],
             "word_counts": [[weight_json(mu), len(cm.spaces[mu].words)]
                             for mu in cm.weights],
-            "basis_words": [[weight_json(mu), word_json(w)]
+            "basis_words": [[weight_json(mu), w]
                             for mu, w in cm.basis_index],
         })
     return {"modules": out}
 
 
 def cmd_gram(p: Pipeline, args) -> dict:
+    from .cellmod import CellModule
+    from .specialize import gram_determinant
     scan = p.config.caps["cyclotomic_scan"]
     out = []
     for lam in p.lambdas(args.lam):
@@ -504,7 +516,7 @@ def cmd_gram(p: Pipeline, args) -> dict:
             rec = gram_determinant(cm, mu, scan_bound=scan)
             spaces.append({
                 "weight": weight_json(mu),
-                "words": [word_json(w) for w in sp.words],
+                "words": sp.words,
                 "gram": SparseRows(sp.gram, len(sp.words), len(sp.words)),
                 "rank": sp.rank,
                 "determinant": str(rec.det),
@@ -517,27 +529,47 @@ def cmd_gram(p: Pipeline, args) -> dict:
 
 
 def cmd_cellbasis(p: Pipeline, args) -> dict:
+    """The cellular basis as (lambda, left, right) triples; under
+    --matrices each element's matrix is a Deferred leaf, its product formed
+    when the writer reaches it and dropped once its rows are written.  The
+    triples share the JSON of each lambda and combo."""
+    from .assembly import assemble
     s = assemble(p.pi, p.flag)
-    elements = s.cellular_basis(integral=args.integral)
-    payload = {
+    elements = s.cellular_basis(integral=args.integral, images=args.matrices)
+    shared: dict = {}  # id of a lambda or combo -> its JSON
+
+    def as_json(x, to_json):
+        out = shared.get(id(x))
+        if out is None:
+            out = shared[id(x)] = to_json(x)
+        return out
+
+    entries = []
+    for el in elements:
+        entry = {"lambda": as_json(el.lam, weight_json),
+                 "left": as_json(el.left, combo_json),
+                 "right": as_json(el.right, combo_json)}
+        if args.matrices:
+            entry["matrix"] = Deferred(_matrix_json, el)
+        entries.append(entry)
+    return {
         "basis_kind": "integral" if args.integral else "generic",
         "count": len(elements),
         "dimension": s.dim,
-        "elements": [{
-            "lambda": weight_json(el.lam),
-            "left": combo_json(el.left),
-            "right": combo_json(el.right),
-        } for el in elements],
+        "elements": entries,
     }
-    if args.matrices:
-        for entry, el in zip(payload["elements"], elements):
-            entry["matrix"] = {
-                str(weight_json(lam)): SparseRows(el.matrix.block(lam), n, n)
-                for lam, n in sorted(el.matrix.dims.items())}
-    return payload
+
+
+def _matrix_json(el) -> dict:
+    """The blocks of the element's matrix, formed afresh, as SparseRows."""
+    m = el.product()
+    return {str(weight_json(lam)): SparseRows(m.block(lam), n, n)
+            for lam, n in sorted(m.dims.items())}
 
 
 def cmd_specialize(p: Pipeline, args) -> dict:
+    from .cellmod import CellModule
+    from .specialize import specialize_module
     ctx = p.config.field
     out = []
     for lam in p.lambdas(args.lam):
@@ -556,6 +588,9 @@ def cmd_specialize(p: Pipeline, args) -> dict:
 
 
 def cmd_decomp(p: Pipeline, args) -> dict:
+    from .cellmod import CellModule
+    from .specialize import (decomposition_matrix, semisimplicity_report,
+                             specialize_module)
     ctx = p.config.field
     specs = {lam: specialize_module(CellModule(p.datum, lam), ctx)
              for lam in p.flag}
@@ -573,6 +608,8 @@ def cmd_decomp(p: Pipeline, args) -> dict:
 
 
 def cmd_verify(p: Pipeline, args) -> dict:
+    from .assembly import (assemble, rank1_canonical_identity,
+                           verify_cellularity, verify_relations)
     s = assemble(p.pi, p.flag)
     caps = p.config.caps
     relations = verify_relations(s, depth=caps["depth"],

@@ -265,6 +265,60 @@ def test_verify_cellularity_integral_basis():
     assert rep.ok, [c.name for c in rep.failures()]
 
 
+def test_cellular_basis_forms_each_product_on_first_read(monkeypatch):
+    # verify_cellularity reads each element's matrix several times; it is
+    # formed once, when first read, and the two images are then dropped
+    formed = []
+    real = CellBasisElement.product
+
+    def product(el):
+        formed.append(id(el))
+        return real(el)
+
+    monkeypatch.setattr(CellBasisElement, "product", product)
+    s = build(A2, [(1, 1)])
+    elements = s.cellular_basis()
+    assert formed == []
+    assert verify_cellularity(s, elements).ok
+    assert sorted(formed) == sorted(map(id, elements))
+    assert len(formed) == s.dim == 65
+    assert all(el.images is None for el in elements)
+    formed.clear()
+    assert verify_cellularity(s).ok and len(formed) == len(set(formed)) == 65
+
+
+def test_cellular_basis_without_images_builds_no_generator():
+    for integral in (False, True):
+        s = build(A2, [(1, 1)])
+        bare = s.cellular_basis(integral, images=False)
+        assert not s._gen_cache and not s._word_cache
+        full = s.cellular_basis(integral)
+        assert [(el.lam, el.left, el.right) for el in bare] == \
+            [(el.lam, el.left, el.right) for el in full]
+        assert all(el.images is None for el in bare)
+        with pytest.raises(ValueError):
+            bare[0].matrix
+
+
+def test_k_multiplicative_builds_each_k_h_once(monkeypatch):
+    # 50 samples of h1, h2 in [-3, 3] on a rank-1 lattice repeat h: at most
+    # 13 distinct K_h in the check and 2 for the K-bar check, against 153
+    # if every sample built its own
+    built = []
+    real = assembly.SchurAlgebra.k_element
+
+    def k_element(s, h):
+        built.append(tuple(h))
+        return real(s, h)
+
+    monkeypatch.setattr(assembly.SchurAlgebra, "k_element", k_element)
+    s = build(A1, [(6,)])
+    assert s.datum.n == 1
+    rep = verify_relations(s, depth=1, samples=50)
+    assert rep.ok
+    assert len(set(built)) > 2 and len(built) <= 13 + 2, built
+
+
 def bump(bm, lam, i, j):
     """Add 1 to entry [i][j] of block lam, in the sparse store itself."""
     row = bm.sparse.setdefault(lam, {}).setdefault(i, {})

@@ -30,7 +30,8 @@ from qschur.cli import (
     parse_field,
     write_report,
 )
-from qschur.errors import ConfigError, UnsupportedCharacteristicError
+from qschur.errors import (ConfigError, CoordinateFailureError,
+                           UnsupportedCharacteristicError)
 from qschur.linalg import dense_rows
 from qschur.rootdata import build_root_datum
 from qschur.scalars import LaurentPoly
@@ -350,10 +351,15 @@ _TEXT = st.one_of(st.text(), st.text(st.sampled_from(
     st.text(st.characters(exclude_categories=())))
 _SCALARS = st.one_of(_TEXT, st.integers(), st.integers(-2 ** 200, 2 ** 200),
                      st.floats(), st.booleans(), st.none())
+# tuples are arrays too, with the same fast paths for all-str and all-int
+# items: the engine's words reach the writer as tuples
 _JSON = st.recursive(_SCALARS, lambda inner: st.one_of(
     st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4),
     st.lists(_TEXT, max_size=4), st.lists(st.integers(), max_size=4),
-    st.lists(st.one_of(st.integers(), st.booleans()), max_size=4)),
+    st.lists(st.one_of(st.integers(), st.booleans()), max_size=4),
+    st.lists(inner, max_size=4).map(tuple),
+    st.lists(_TEXT, max_size=4).map(tuple),
+    st.lists(st.integers(), max_size=4).map(tuple)),
     max_leaves=24)
 
 
@@ -363,7 +369,7 @@ def test_render_matches_stdlib_encoder(value):
     assert render(value) == json.dumps(value, sort_keys=True, indent=2) + "\n"
 
 
-@pytest.mark.parametrize("value", [Fraction(1, 2), LaurentPoly.one(), (1, 2), {1, 2}, {1: "a"}, object()],
+@pytest.mark.parametrize("value", [Fraction(1, 2), LaurentPoly.one(), {1, 2}, {1: "a"}, object()],
                          ids=lambda v: type(v).__name__)
 def test_render_rejects_other_types(value):
     with pytest.raises(TypeError):
@@ -766,9 +772,8 @@ def test_option_value_may_start_with_a_dash(capsys, tmp_path):
 
 def test_decomp_specializes_each_module_once(tmp_path, capsys, monkeypatch):
     # the decomposition numbers and the semisimplicity witnesses read one
-    # specialization of each cell module; patch every namespace that binds
-    # the name, as a tracer would
-    from qschur import cli, specialize
+    # specialization of each cell module; the command imports the name from
+    # specialize when it runs, so patching it there counts every call
     calls = []
     original = specialize.specialize_module
 
@@ -776,8 +781,7 @@ def test_decomp_specializes_each_module_once(tmp_path, capsys, monkeypatch):
         calls.append(cm.lam)
         return original(cm, ctx)
 
-    for namespace in (specialize, cli):
-        monkeypatch.setattr(namespace, "specialize_module", counting)
+    monkeypatch.setattr(specialize, "specialize_module", counting)
     cfg = tmp_path / "a2.json"
     cfg.write_text(json.dumps({"datum": {"preset": "A2"},
                                "pi": {"seeds": [[3, 1]]},
@@ -919,6 +923,113 @@ def test_large_report_is_written_in_bounded_memory(monkeypatch, cfg_g2):
     assert len(peaks) == 1 and peaks[0] < 512 * 1024, peaks
 
 
+def test_cellbasis_matrices_forms_one_product_at_a_time_while_writing(
+        monkeypatch, cfg_g2):
+    # every product is formed once, inside the writer, and dropped after
+    # its rows: after a warm-up run, the whole in-process job peaks under
+    # 512 KiB above the traced level when it starts.  Building every
+    # product before writing peaked at 900 KiB on this job; one at a time,
+    # 377 KiB (CPython 3.11)
+    from qschur import assembly, cli
+
+    class Discard:
+        def write(self, text):
+            pass
+
+        def flush(self):
+            pass
+
+    monkeypatch.setattr(sys, "stdout", Discard())
+    argv = ["cellbasis", "--matrices", "--config", cfg_g2]
+    assert main(argv) == 0
+    writing, formed = [], []
+    real_write, real_product = cli.write_report, assembly.CellBasisElement.product
+
+    def write_report(report, sink):
+        writing.append(True)
+        real_write(report, sink)
+        writing.pop()
+
+    def product(el):
+        assert writing, "a product formed before the report is written"
+        formed.append(id(el))
+        return real_product(el)
+
+    monkeypatch.setattr(cli, "write_report", write_report)
+    monkeypatch.setattr(assembly.CellBasisElement, "product", product)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    dim = assembly.assemble(rootdata.saturate(
+        build_root_datum("G2"), [(0, 1)])).dim
+    assert len(formed) == len(set(formed)) == dim
+    assert peak < 512 * 1024, peak
+
+
+def test_cellbasis_without_matrices_builds_no_generator_image(
+        capsys, monkeypatch, cfg_g2, tmp_path):
+    # the triples and the count come from the basis combos alone, and equal
+    # those of the --matrices report
+    from qschur import assembly
+    cfg = tmp_path / "b2.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "B2"},
+                               "pi": {"seeds": [[1, 1]]}}))
+    for path in (cfg_g2, str(cfg)):
+        for flags in ((), ("--integral",)):
+            _, full, _ = run(capsys, "cellbasis", "--matrices",
+                             "--config", path, *flags)
+            calls = []
+            for name in ("gen", "rho_combo", "rho_word"):
+                real = getattr(assembly.SchurAlgebra, name)
+                monkeypatch.setattr(
+                    assembly.SchurAlgebra, name,
+                    lambda s, *a, real=real, name=name:
+                    calls.append((name, a)) or real(s, *a))
+            rc, out, _ = run(capsys, "cellbasis", "--config", path, *flags)
+            monkeypatch.undo()
+            assert rc == 0 and calls == []
+            payload, expected = (json.loads(text)["payload"]
+                                 for text in (out, full))
+            for entry in expected["elements"]:
+                del entry["matrix"]
+            assert payload == expected and payload["count"] > 0
+
+
+def test_coordinate_failure_while_building_images_exits_2_with_empty_stdout(
+        capsys, monkeypatch, cfg_g2):
+    # the last coordinate solve of the images fails: every image is built
+    # before the first byte, so stdout stays empty
+    calls = []
+    real = cellmod.CellModule.coordinates
+
+    def counting(self, *args, **kwargs):
+        calls.append(None)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cellmod.CellModule, "coordinates", counting)
+    argv = ("cellbasis", "--matrices", "--config", cfg_g2)
+    assert run(capsys, *argv)[0] == 0
+    last = len(calls)
+    assert last > 0
+
+    def failing(self, *args, **kwargs):
+        calls.append(None)
+        if len(calls) == 2 * last:
+            raise CoordinateFailureError("injected at solve %d" % last)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(cellmod.CellModule, "coordinates", failing)
+    rc, out, err = run(capsys, *argv)
+    assert len(calls) == 2 * last
+    assert rc == 2 and out == ""
+    assert err == "error: injected at solve %d\n" % last
+
+
 def test_out_write_failure_exits_2_and_removes_the_file(
         capsys, monkeypatch, tmp_path, cfg_g2):
     # the --out file takes the first chunk, then its disk is full: an
@@ -991,14 +1102,14 @@ def test_process_failed_verify_exits_1_with_the_full_report(
         capsys, monkeypatch, cfg_a1):
     # the same check fails in-process and in a child that runs the module
     # as __main__, so both reports must be the same bytes
-    from qschur import cli
+    from qschur import assembly
 
-    def patched(s, real=cli.verify_cellularity):
+    def patched(s, real=assembly.verify_cellularity):
         rep = real(s)
         rep.checks[0].passed = False
         return rep
 
-    monkeypatch.setattr(cli, "verify_cellularity", patched)
+    monkeypatch.setattr(assembly, "verify_cellularity", patched)
     rc, expected, _ = run(capsys, "verify", "--config", cfg_a1)
     assert rc == 1 and json.loads(expected)["payload"]["passed"] is False
     proc = subprocess.run(

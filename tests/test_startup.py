@@ -16,6 +16,8 @@ import re
 import subprocess
 import sys
 
+import pytest
+
 import qschur
 
 SRC = os.path.dirname(os.path.dirname(qschur.__file__))
@@ -138,3 +140,53 @@ def test_a_job_leaves_no_atexit_hook_or_thread(tmp_path):
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == [0, 0, 1]
+
+
+ENGINE = ("straighten", "cellmod", "assembly", "specialize")
+
+
+@pytest.mark.parametrize("command, unloaded", [
+    ("datum", ENGINE), ("saturate", ENGINE),
+    ("module", ("assembly",)), ("gram", ("assembly",)),
+    ("specialize", ("assembly",)), ("decomp", ("assembly",)),
+])
+def test_a_command_loads_only_the_engine_modules_it_runs(tmp_path, command,
+                                                         unloaded):
+    # qschur resolves its exports on first access and the CLI imports a
+    # command's engine modules when it runs (-S: no .pth hooks)
+    cfg = tmp_path / "a1.json"
+    cfg.write_text(json.dumps({"datum": {"preset": "A1"},
+                               "pi": {"seeds": [[2]]}}))
+    code = ("import io, json, sys; sys.path.insert(0, %r)\n"
+            "from contextlib import redirect_stdout\n"
+            "from qschur.cli import main\n"
+            "with redirect_stdout(io.StringIO()):\n"
+            "    rc = main([%r, '--config', %r])\n"
+            "print(json.dumps([rc, [m for m in %r\n"
+            "                       if 'qschur.' + m in sys.modules]]))"
+            % (SRC, command, str(cfg), unloaded))
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, []]
+
+
+def test_package_exports_resolve_on_first_access():
+    code = ("import json, sys; sys.path.insert(0, %r)\n"
+            "import qschur\n"
+            "loaded = sorted(m for m in sys.modules if m.startswith('qschur.'))\n"
+            "cell = qschur.CellModule\n"
+            "from qschur import *\n"
+            "from qschur.cellmod import CellModule\n"
+            "from qschur.scalars import LaurentPoly as L\n"
+            "import qschur.specialize as spec\n"
+            "print(json.dumps([loaded, cell is CellModule, LaurentPoly is L,\n"
+            "                  specialize is spec, sorted(qschur.__all__)\n"
+            "                  == sorted(n for n in qschur.__all__\n"
+            "                            if n in globals())]))" % SRC)
+    proc = subprocess.run([sys.executable, "-S", "-c", code],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [[], True, True, True, True]
+    with pytest.raises(AttributeError):
+        qschur.no_such_export

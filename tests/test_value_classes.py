@@ -46,7 +46,7 @@ CASES = [
                                     "cofactor")),
     (DecompositionMatrix, _fields("ctx", "order", "entries")),
     (SemisimplicityReport, _fields("ctx", "semisimple", "witnesses")),
-    (CellBasisElement, _fields("lam", "left", "right", "matrix")),
+    (CellBasisElement, _fields("lam", "left", "right", "matrix", "images")),
     (CheckResult, _fields("name", "passed", "detail")),
     (VerificationReport, _fields("checks")),
 ]
@@ -56,6 +56,7 @@ DEFAULTS = [
     (FieldContext, 1, {"q": None, "ell": None}),
     (Basis, 2, {"_adjugate": None}),
     (WeightSpaceData, 3, {"integral": None, "_gram": None}),
+    (CellBasisElement, 4, {"images": None}),
     (CheckResult, 2, {"detail": ""}),
     (VerificationReport, 0, {"checks": []}),
 ]
