@@ -36,20 +36,9 @@ _EXPORTS = {name: module for module, names in (
 _MODULES = frozenset(("errors", "scalars", "linalg", "rootdata",
                       "straighten", "cellmod", "assembly", "specialize"))
 
-__all__ = [
-    "LaurentPoly", "RatFunc", "FieldContext", "FieldValue",
-    "quantum_integer", "quantum_factorial", "quantum_binomial",
-    "cyclotomic_polynomial", "specialize",
-    "CartanDatum", "RootDatum", "SaturatedSet", "CosaturatedFlag",
-    "build_root_datum", "saturate", "build_flag",
-    "ModuleContext", "concat_divided", "push_E_through", "gram_entry",
-    "idempotent_straighten",
-    "CellModule", "enumerate_words",
-    "SchurAlgebra", "assemble", "verify_relations", "verify_cellularity",
-    "specialize_module", "gram_determinant", "decomposition_matrix",
-    "semisimplicity_report",
-    "__version__",
-]
+# Every export, then the module `specialize` (qschur.specialize itself,
+# not scalars.specialize), then the version.
+__all__ = [*_EXPORTS, "specialize", "__version__"]
 
 
 def __getattr__(name: str):

@@ -10,12 +10,11 @@ specialization cannot raise a rank, and only a shorter one is decided
 again by elimination over Q(v).  The relation and cellularity suites
 below check every defining identity exactly; there are no tolerances.
 
-Generators are cached, and each groups its rows by the weight slice of
-their columns when first needed, so a product with a projector or with
-a factor confined to one weight slice reads or multiplies only that
-bucket.  The divided-power commutation
-identities are checked for all weights at once, with the weight-dependent
-binomials on a diagonal; a failure still names the first failing weight.
+Generators, weight projectors included, are cached block matrices, and
+every product is one sparse product per block.  The divided-power
+commutation identities are checked for all weights at once, with the
+weight-dependent binomials on a diagonal; a failure still names the first
+failing weight.
 """
 
 from __future__ import annotations
@@ -46,30 +45,15 @@ class BlockMatrix:
     empty block is ever stored, and the scalars are canonical, so equality
     is plain dict equality and every operation touches nonzeros only.
     Instances are treated as immutable: no operation writes into a block
-    or row it reads, and each returns new dicts but the shared buckets
-    below.  A weight projector 1_mu carries its slices, lambda -> (lo, hi) with
-    its block the identity on the indices lo..hi-1, so a product with it
-    keeps the rows or columns of the other factor in the slice and does no
-    scalar arithmetic.
-
-    A cached generator carries its layout, lambda -> the weight of each
-    index.  The first time it is the left factor of a projector, or of a
-    factor with each block's rows in one weight slice, it groups its rows
-    into buckets by the slice of their columns, sharing the row dicts:
-    x 1_mu is then a lookup, and such an x y multiplies that slice's
-    bucket only.  Both give the entries and insertion order of
-    sparse_product.
+    or row it reads, and each returns new dicts.  A product is one
+    sparse_product per block, weight projectors and generators alike.
     """
 
-    __slots__ = ("dims", "sparse", "slices", "layout", "_buckets")
+    __slots__ = ("dims", "sparse")
 
-    def __init__(self, dims: dict, sparse: dict, slices: dict | None = None,
-                 layout: dict | None = None):
+    def __init__(self, dims: dict, sparse: dict):
         self.dims = dims      # lambda -> block size, in flag order
         self.sparse = sparse  # lambda -> {row: {col: nonzero scalar}}
-        self.slices = slices  # lambda -> (lo, hi) for a weight projector
-        self.layout = layout  # lambda -> weight per index, if cached
-        self._buckets = None  # lambda -> {weight: rows}, on first use
 
     @property
     def blocks(self) -> dict:
@@ -98,50 +82,9 @@ class BlockMatrix:
             for lam, blk in self.sparse.items()})
 
     def __mul__(self, other: "BlockMatrix") -> "BlockMatrix":
-        if self.layout is not None:
-            return BlockMatrix(self.dims, self._bucketed_product(other))
-        if other.slices is not None:  # x 1_mu: the columns of x in the slice
-            blocks = ((lam, _columns(a, *other.slices[lam]))
-                      for lam, a in self.sparse.items() if lam in other.slices)
-        elif self.slices is not None:  # 1_mu x: the rows of x in the slice
-            blocks = ((lam, _rows(other.block(lam), lo, hi))
-                      for lam, (lo, hi) in self.slices.items())
-        else:
-            blocks = ((lam, sparse_product(a, other.block(lam)))
-                      for lam, a in self.sparse.items())
-        return BlockMatrix(self.dims, {lam: b for lam, b in blocks if b})
-
-    def _bucketed_product(self, other: "BlockMatrix") -> dict:
-        """The blocks of self * other for a cached generator self.  A
-        bucket returned as a block is shared, like the rows in it."""
-        out = {}
-        for lam, a in self.sparse.items():
-            if other.slices is not None:  # x 1_mu: one bucket
-                if lam in other.slices:
-                    mu = self.layout[lam][other.slices[lam][0]]
-                    b = self._bucket(lam, mu)
-                    if b:
-                        out[lam] = b
-                continue
-            y = other.block(lam)
-            if not y:
-                continue
-            weight = self.layout[lam]
-            mu = weight[min(y)]
-            if mu == weight[max(y)]:  # the rows of y lie in one slice
-                a = self._bucket(lam, mu)
-            b = sparse_product(a, y)
-            if b:
-                out[lam] = b
-        return out
-
-    def _bucket(self, lam: Weight, mu: Weight) -> dict:
-        """The rows of block lambda whose columns lie in the slice of mu;
-        the rows are grouped by slice on the first call."""
-        if self._buckets is None:
-            self._buckets = {k: _by_slice(blk, self.layout[k])
-                             for k, blk in self.sparse.items()}
-        return self._buckets[lam].get(mu, {})
+        return BlockMatrix(self.dims, {
+            lam: b for lam, a in self.sparse.items()
+            if (b := sparse_product(a, other.block(lam)))})
 
     def is_zero(self) -> bool:
         return not self.sparse
@@ -150,35 +93,6 @@ class BlockMatrix:
         if not isinstance(other, BlockMatrix):
             return NotImplemented
         return self.sparse == other.sparse
-
-
-def _columns(a: dict, lo: int, hi: int) -> dict:
-    """a times the identity on lo..hi-1: the entries of a in those
-    columns, rows and entries in the order sparse_product gives them."""
-    return {i: r for i, row in a.items()
-            if (r := {j: x for j, x in row.items() if lo <= j < hi})}
-
-
-def _by_slice(a: dict, weight: tuple) -> dict:
-    """The rows of a grouped by the slice of their columns, keyed by its
-    weight, in the order of a.  A row in one slice (every row of a
-    homogeneous generator) is shared; a row across slices is split into
-    fresh rows, one per slice, each in the row's order."""
-    out: dict = {}
-    for i, row in a.items():
-        mu = weight[min(row)]
-        if mu == weight[max(row)]:
-            out.setdefault(mu, {})[i] = row
-        else:
-            for j, x in row.items():
-                out.setdefault(weight[j], {}).setdefault(i, {})[j] = x
-    return out
-
-
-def _rows(b: dict, lo: int, hi: int) -> dict:
-    """The identity on lo..hi-1 times b: fresh copies of the rows of b
-    with those indices, in the order sparse_product gives them."""
-    return {i: dict(b[i]) for i in range(lo, hi) if i in b}
 
 
 def _accumulate(out: dict, sparse: dict, c: FieldValue) -> None:
@@ -218,27 +132,6 @@ def _add_column_scaled(out: dict, sparse: dict, positions: dict,
                     del orow[j]
             if not orow:
                 del oblk[i]
-        if not oblk:
-            del out[lam]
-
-
-def _add_diagonal(out: dict, slices: dict, c: FieldValue) -> None:
-    """out += c 1_mu for the projector with these slices, in place: c added
-    on the diagonal lo..hi-1 of each block, in the order _accumulate adds
-    the projector's rows; entries, rows and blocks that cancel go."""
-    for lam, (lo, hi) in slices.items():
-        oblk = out.setdefault(lam, {})
-        for i in range(lo, hi):
-            orow = oblk.setdefault(i, {})
-            y = orow.get(i)
-            if y is None:
-                orow[i] = c
-            elif (y := y + c):
-                orow[i] = y
-            else:
-                del orow[i]
-                if not orow:
-                    del oblk[i]
         if not oblk:
             del out[lam]
 
@@ -313,10 +206,6 @@ class SchurAlgebra:
         self.orbit_weights = tuple(sorted(self._orbit))
         self.dims = {lam: cm.dim for lam, cm in modules.items()}
         self.dim = sum(n * n for n in self.dims.values())
-        # per block, the weight of each index: the weight slices in order
-        self._index_weights = {lam: tuple(mu for mu in cm.weights
-                                          for _ in range(cm.spaces[mu].rank))
-                               for lam, cm in modules.items()}
         self._gen_cache: dict = {}
         self._word_cache: dict = {}
         self._gram_cache: dict = {}
@@ -326,10 +215,7 @@ class SchurAlgebra:
     def gen(self, symbol: tuple) -> BlockMatrix:
         """Block matrix of E_i^{(a)}, F_i^{(a)} or 1_mu (symbol ("P", mu)).
         Each generator is built once from the modules' action rows and
-        cached; every 1_mu with mu outside W pi is an uncached zero.  A
-        cached 1_mu records its slices: each block is the identity on the
-        rows of the weight space mu, consecutive from its offset; every
-        other cached generator records the layout of the weight slices."""
+        cached; every 1_mu with mu outside W pi is an uncached zero."""
         if symbol[0] == "P":
             symbol = ("P", tuple(symbol[1]))
             if symbol[1] not in self._orbit:
@@ -338,15 +224,8 @@ class SchurAlgebra:
         if cached is None:
             blocks = ((lam, cm.action_matrix(symbol))
                       for lam, cm in self.modules.items())
-            sparse = {lam: blk for lam, blk in blocks if blk}
-            if symbol[0] == "P":
-                cached = BlockMatrix(self.dims, sparse, {
-                    lam: (min(blk), min(blk) + len(blk))
-                    for lam, blk in sparse.items()})
-            else:
-                cached = BlockMatrix(self.dims, sparse,
-                                     layout=self._index_weights)
-            self._gen_cache[symbol] = cached
+            cached = self._gen_cache[symbol] = BlockMatrix(
+                self.dims, {lam: blk for lam, blk in blocks if blk})
         return cached
 
     def identity(self) -> BlockMatrix:
@@ -358,17 +237,11 @@ class SchurAlgebra:
         return BlockMatrix(self.dims, {})
 
     def combination(self, terms) -> BlockMatrix:
-        """The sum of c x over (Laurent c, block matrix x), skipping zero c.
-        A term c 1_mu adds c on the diagonal of its slices, with no
-        products."""
+        """The sum of c x over (Laurent c, block matrix x), skipping zero c."""
         out: dict = {}
         for c, x in terms:
             if c:
-                c = GENERIC.from_laurent(c)
-                if x.slices is None:
-                    _accumulate(out, x.sparse, c)
-                else:
-                    _add_diagonal(out, x.slices, c)
+                _accumulate(out, x.sparse, GENERIC.from_laurent(c))
         return BlockMatrix(self.dims, out)
 
     def k_element(self, h) -> BlockMatrix:
@@ -583,9 +456,11 @@ def verify_relations(s: SchurAlgebra, depth: int = 3, samples: int = 8,
     # The 1_mu are disjoint diagonal slices that cover every block, so this
     # holds iff it holds times each 1_mu; a nonzero difference names the
     # first weight, in the order of weights, whose columns it meets
+    # position[lambda][j]: the place in weights of the weight of index j
     order = {mu: k for k, mu in enumerate(weights)}
-    position = {lam: tuple(order[mu] for mu in index_weights)
-                for lam, index_weights in s._index_weights.items()}
+    position = {lam: tuple(order[mu] for mu in cm.weights
+                           for _ in range(cm.spaces[mu].rank))
+                for lam, cm in s.modules.items()}
     products: dict = {}
 
     def product(x, i, u, v):
@@ -841,23 +716,32 @@ def verify_cellularity(s: SchurAlgebra,
     return rep
 
 
-def rank1_canonical_identity(s: SchurAlgebra, n: int) -> bool:
-    """For a rank-1 datum and n in pi: whenever a + b >= n,
-    F^{(b)} 1_n E^{(a)} = sum_t [a+b-n; t] E^{(a-t)} 1_{n-2(a+b-t)} F^{(b-t)}
-    holds on block (n) (the identity is modulo the ideal above (n))."""
-    assert s.datum.rank == 1
-    lam = (n,)
+def rank1_canonical_identity(s: SchurAlgebra, lam: Weight) -> bool:
+    """For a rank-1 datum, lambda in pi and n = <alpha^vee, lambda>:
+    whenever a + b >= n,
+    F^{(b)} 1_lambda E^{(a)}
+        = sum_t [a+b-n; t] E^{(a-t)} 1_{lambda-(a+b-t) alpha} F^{(b-t)}
+    holds on block lambda (the identity is modulo the ideal above lambda)."""
+    datum = s.datum
+    assert datum.rank == 1
+    lam = tuple(lam)
+    n, alpha = datum.pairing(0, lam), datum.alpha[0]
     gen = s.gen
+
+    def down(k):
+        """1_{lambda - k alpha}."""
+        return gen(("P", tuple(m - k * x for m, x in zip(lam, alpha))))
+
     for a in range(0, n + 1):
         for b in range(0, n + 1):
             if a + b < n:
                 continue
             lhs = gen(("F", 0, b)) * gen(("P", lam)) * gen(("E", 0, a))
             rhs = s.combination(
-                (c, gen(("E", 0, a - t)) * gen(("P", (n - 2 * (a + b - t),))) *
+                (c, gen(("E", 0, a - t)) * down(a + b - t) *
                  gen(("F", 0, b - t)))
                 for t in range(0, min(a, b) + 1)
-                if (c := quantum_binomial(a + b - n, t, 1)))
+                if (c := quantum_binomial(a + b - n, t, datum.d[0])))
             if lhs.block(lam) != rhs.block(lam):
                 return False
     return True

@@ -621,7 +621,7 @@ def cmd_verify(p: Pipeline, args) -> dict:
         "passed": relations.ok and cellularity.ok,
     }
     if p.datum.rank == 1:
-        ok = all(rank1_canonical_identity(s, lam[0]) for lam in p.pi)
+        ok = all(rank1_canonical_identity(s, lam) for lam in p.pi)
         payload["rank1_canonical_identity"] = ok
         payload["passed"] = payload["passed"] and ok
     return payload

@@ -134,7 +134,7 @@ def test_criterion_5_cellularity_suite(alg_a1_6, alg_a1_4, alg_a2, alg_b2):
         rep = verify_cellularity(s)
         ok &= rep.ok
     for n in range(0, 5):
-        ok &= rank1_canonical_identity(alg_a1_4, n)
+        ok &= rank1_canonical_identity(alg_a1_4, (n,))
     _report(5, "straightening / cellularity suite", ok, time.monotonic() - start, 300)
 
 

@@ -16,7 +16,7 @@ from qschur.assembly import (
     verify_cellularity,
     verify_relations,
 )
-from qschur.linalg import POINT, sparse_product
+from qschur.linalg import POINT
 from qschur.rootdata import CosaturatedFlag, build_flag, build_root_datum, saturate
 from qschur.scalars import FieldContext, LaurentPoly, RatFunc
 
@@ -226,24 +226,6 @@ def test_shared_action_blocks_stay_canonical_and_unmutated():
     for sym, x in s._gen_cache.items():
         assert all(blk and all(row and all(row.values()) for row in blk.values())
                    for blk in x.sparse.values()), sym
-    # the checks made buckets of the generators they used as left factors
-    # of projectors: each is rows of its block, shared, in one slice; no
-    # later operation writes into them either
-    bucketed = [x for x in s._gen_cache.values() if x._buckets is not None]
-    assert len(bucketed) > 10
-    for x in bucketed:
-        for lam, by_slice in x._buckets.items():
-            weight = x.layout[lam]
-            assert sorted(i for rows in by_slice.values() for i in rows) == \
-                sorted(x.sparse[lam])
-            for mu, rows in by_slice.items():
-                for i, row in rows.items():
-                    assert row is x.sparse[lam][i]
-                    assert {weight[j] for j in row} == {mu}
-    buckets = [copy.deepcopy(x._buckets) for x in bucketed]
-    assert verify_relations(s, depth=3, samples=4).ok
-    assert verify_cellularity(s, s.cellular_basis()).ok
-    assert [x._buckets for x in bucketed] == buckets
 
 
 def test_serre_checked_only_in_higher_rank():
@@ -481,7 +463,39 @@ def test_flag_independence():
 def test_rank1_canonical_identity():
     s = build(A1, [(4,), (3,)])
     for n in range(0, 5):
-        assert rank1_canonical_identity(s, n)
+        assert rank1_canonical_identity(s, (n,))
+
+
+# rank-1 data whose simple root is not (2,): n = <alpha^vee, lambda> and
+# the weights lambda - k alpha are read from the datum itself
+GL2 = build_root_datum(cartan=[[2]], alpha=[[1, -1]], alphav=[[1, -1]])
+ADJOINT_A1 = build_root_datum(cartan=[[2]], alpha=[[1]], alphav=[[2]])
+RANK1_DATA = [(GL2, [(2, 0), (3, 2)]), (ADJOINT_A1, [(1,)]),
+              (A1, [(3,)])]
+
+
+def test_rank1_canonical_identity_on_the_datum_root():
+    for datum, seeds in RANK1_DATA:
+        s = build(datum, seeds)
+        for lam in s.pi:
+            assert rank1_canonical_identity(s, lam), (datum.alpha, lam)
+
+
+def test_rank1_canonical_identity_fails_with_a_corrupted_binomial(
+        monkeypatch):
+    # [top; t] off by one for t > 0: the identity must fail on every datum,
+    # so none of them compares empty blocks only
+    real = assembly.quantum_binomial
+
+    def corrupted(top, t, d=1):
+        c = real(top, t, d)
+        return c + LaurentPoly.one() if t else c
+
+    monkeypatch.setattr(assembly, "quantum_binomial", corrupted)
+    for datum, seeds in RANK1_DATA:
+        s = build(datum, seeds)
+        assert not all(rank1_canonical_identity(s, lam) for lam in s.pi), \
+            datum.alpha
 
 
 def test_idempotent_straightening_example():
@@ -548,130 +562,14 @@ def test_span_rank_with_a_denominator_vanishing_at_the_point(monkeypatch):
     assert calls == [3]
 
 
-def _product_trace(bm):
-    """A block matrix with the insertion order of its blocks and rows."""
-    return [(lam, [(i, list(row.items())) for i, row in blk.items()])
-            for lam, blk in bm.sparse.items()]
-
-
-def _plain_product(x, y):
-    return BlockMatrix(x.dims, {lam: b for lam, a in x.sparse.items()
-                                if (b := sparse_product(a, y.block(lam)))})
-
-
-def test_projector_products_are_index_slices():
-    # x 1_mu, 1_mu x and 1_mu 1_nu equal the per-block sparse_product,
-    # entries and insertion order alike, for every generator and weight
-    for s in (build(A2, [(2, 1)]), build(B2, [(1, 1)])):
-        gens = [s.gen((kind, i, a)) for kind in ("E", "F")
-                for i in range(s.datum.rank) for a in range(4)]
-        projectors = [s.gen(("P", mu)) for mu in s.orbit_weights]
-        assert all(p.slices for p in projectors)
-        for p in projectors:
-            for x in gens + projectors:
-                for prod, plain in ((x * p, _plain_product(x, p)),
-                                    (p * x, _plain_product(p, x))):
-                    assert prod == plain
-                    assert _product_trace(prod) == _product_trace(plain)
-
-
-def _random_layout(rng, dims):
-    """lambda -> a slice label per index (its slice's start), for random
-    consecutive slices of one to three indices."""
-    layout = {}
-    for lam, n in dims.items():
-        starts = []
-        while len(starts) < n:
-            starts += [len(starts)] * min(rng.randint(1, 3), n - len(starts))
-        layout[lam] = tuple(starts)
-    return layout
-
-
-def _unit_block_matrix(rng, dims, density, rows=None):
-    """Random entries +-1 and +-v, so that products cancel often; rows, if
-    given, lambda -> the row indices allowed (a block may be left out)."""
-    units = [GEN.from_laurent(LaurentPoly({e: c})) for e in (0, 1)
-             for c in (1, -1)]
-    return BlockMatrix(dims, {
-        lam: blk for lam, n in dims.items()
-        if (blk := {i: row for i in (range(n) if rows is None
-                                     else rows.get(lam, ()))
-                    if (row := {j: rng.choice(units) for j in range(n)
-                                if rng.random() < density})})})
-
-
-def test_bucketed_products_equal_sparse_product():
-    # a left factor with a layout multiplies one bucket when each block of
-    # the right factor has its rows in one slice (a projector is a lookup):
-    # the entries and insertion order of the plain sparse_product, on
-    # random blocks whose rows may cross slices and whose sums cancel
-    rng = random.Random(28)
-    one = GEN.one()
-    cancelled = split = 0
-    for _ in range(200):
-        dims = {(k,): rng.randint(1, 7) for k in range(rng.randint(2, 4))}
-        layout = _random_layout(rng, dims)
-        x = _unit_block_matrix(rng, dims, rng.choice([0.2, 0.5, 0.8]))
-        before = copy.deepcopy(x.sparse)
-        bucketed = BlockMatrix(dims, x.sparse, layout=layout)
-        slices = {}
-        for lam, starts in layout.items():
-            if rng.random() < 0.8:
-                lo = rng.choice(starts)
-                slices[lam] = (lo, lo + starts.count(lo))
-        projector = BlockMatrix(dims, {
-            lam: {k: {k: one} for k in range(lo, hi)}
-            for lam, (lo, hi) in slices.items()}, slices)
-        in_slice = _unit_block_matrix(
-            rng, dims, rng.choice([0.3, 0.6]),
-            rows={lam: range(*sl) for lam, sl in slices.items()})
-        anywhere = _unit_block_matrix(rng, dims, 0.4)
-        for y in (projector, in_slice, anywhere, in_slice * anywhere):
-            prod, plain = bucketed * y, _plain_product(x, y)
-            _assert_canonical(prod)
-            assert prod == plain
-            assert _product_trace(prod) == _product_trace(plain)
-            cancelled += sum(  # entries that have terms but sum to 0
-                1 for lam, a in x.sparse.items() for i, row in a.items()
-                for j in {j for k in row for j in y.block(lam).get(k, ())}
-                if j not in plain.block(lam).get(i, {}))
-        assert x.sparse == before
-        for lam, by_slice in (bucketed._buckets or {}).items():
-            starts = layout[lam]
-            for rows in by_slice.values():
-                for i, row in rows.items():
-                    whole = x.sparse[lam][i]
-                    if starts[min(whole)] == starts[max(whole)]:
-                        assert row is whole
-                    else:  # a fresh part of a row across slices
-                        split += 1
-                        assert row.items() < whole.items()
-    assert cancelled > 100 and split > 100, (cancelled, split)
-
-
-def test_products_with_rows_in_one_slice_multiply_one_bucket():
-    # g (h 1_mu) for generators g, h: the rows of h 1_mu lie in one slice
-    # in each block, so g multiplies one bucket; the same entries and
-    # insertion order as sparse_product
-    for s in (build(A2, [(2, 1)]), build(B2, [(1, 1)])):
-        gens = [s.gen((kind, i, a)) for kind in ("E", "F")
-                for i in range(s.datum.rank) for a in range(3)]
-        for mu in s.orbit_weights:
-            p = s.gen(("P", mu))
-            for h in gens:
-                y = h * p
-                for g in gens:
-                    assert _product_trace(g * y) == \
-                        _product_trace(_plain_product(g, y))
-
-
-def _accumulated(s, terms):
-    """The sum of c x term by term through _accumulate, projectors too."""
-    out = {}
+def _dense_sum(s, terms):
+    """The dense blocks of the sum of c x over (Laurent c, block matrix x)."""
+    out = {lam: dense.zero(GEN, n, n) for lam, n in s.dims.items()}
     for c, x in terms:
-        if c:
-            assembly._accumulate(out, x.sparse, GEN.from_laurent(c))
-    return BlockMatrix(s.dims, out)
+        c, blocks = GEN.from_laurent(c), x.blocks
+        out = {lam: dense.add(m, dense.scale(blocks[lam], c))
+               for lam, m in out.items()}
+    return out
 
 
 ALGEBRA_CONFIGS = [(build_root_datum("A1"), [(6,)]),
@@ -681,15 +579,30 @@ ALGEBRA_CONFIGS = [(build_root_datum("A1"), [(6,)]),
                    (A2, [(1, 1)])]
 
 
-def test_combination_of_projectors_adds_on_their_slices():
+def test_projectors_are_identities_on_their_weight_spaces():
+    # the layout of Delta(lambda): on block lambda the cached 1_mu is the
+    # identity on the indices of the weight space mu, consecutive from its
+    # offset, and the block is absent where mu is not a weight of it
+    one = GEN.one()
+    for datum, seeds in ALGEBRA_CONFIGS:
+        s = build(datum, seeds)
+        for mu in s.orbit_weights:
+            expected = {}
+            for lam, cm in s.modules.items():
+                if mu in cm.spaces:
+                    lo = cm.offset(mu)
+                    expected[lam] = {k: {k: one} for k in
+                                     range(lo, lo + cm.spaces[mu].rank)}
+            assert s.gen(("P", mu)).sparse == expected
+
+
+def test_combination_of_projectors_is_canonical():
     # K_h, a combination of the cached projectors, and mixed combinations
-    # with cancelling terms equal the sums built by _accumulate, entries
-    # and insertion order alike
+    # with cancelling terms are canonical and equal the dense sums
     rng = random.Random(22)
     for datum, seeds in ALGEBRA_CONFIGS:
         s = build(datum, seeds)
         projectors = [s.gen(("P", mu)) for mu in s.orbit_weights]
-        assert all(p.slices is not None for p in projectors)
         others = [s.identity()] + [s.gen((kind, i, 1)) for kind in ("E", "F")
                                    for i in range(datum.rank)]
         for _ in range(8):
@@ -697,8 +610,8 @@ def test_combination_of_projectors_adds_on_their_slices():
             terms = [(LaurentPoly.var(sum(a * b for a, b in zip(h, mu))),
                       s.gen(("P", mu))) for mu in s.orbit_weights]
             k = s.k_element(h)
-            assert k == _accumulated(s, terms)
-            assert _product_trace(k) == _product_trace(_accumulated(s, terms))
+            _assert_canonical(k)
+            assert k.blocks == _dense_sum(s, terms)
             mixed = []
             for _ in range(rng.randint(1, 12)):
                 c = LaurentPoly({rng.randint(-2, 2): rng.choice([-1, 1, 2])})
@@ -708,5 +621,4 @@ def test_combination_of_projectors_adds_on_their_slices():
                     mixed.append((-c, rng.choice([x, rng.choice(projectors)])))
             got = s.combination(mixed)
             _assert_canonical(got)
-            assert got == _accumulated(s, mixed)
-            assert _product_trace(got) == _product_trace(_accumulated(s, mixed))
+            assert got.blocks == _dense_sum(s, mixed)

@@ -159,6 +159,20 @@ def test_verify_passes(capsys, cfg_a2):
     assert payload["passed"] is True
 
 
+def test_verify_passes_on_the_adjoint_rank1_datum(capsys, tmp_path):
+    # <alpha^vee, lambda> = 2 lambda here: the rank-1 identity reads the
+    # datum's own pairing and root, and a passing verify exits 0
+    path = tmp_path / "adjoint.json"
+    path.write_text(json.dumps({
+        "datum": {"cartan": [[2]], "alpha": [[1]], "alphav": [[2]]},
+        "pi": {"seeds": [[1]]},
+    }))
+    rc, out, _ = run(capsys, "verify", "--config", str(path))
+    payload = json.loads(out)["payload"]
+    assert payload["rank1_canonical_identity"] is True
+    assert payload["passed"] is True and rc == 0
+
+
 def test_cellbasis(capsys, cfg_a2):
     rc, out, _ = run(capsys, "cellbasis", "--config", cfg_a2)
     assert rc == 0

@@ -190,3 +190,10 @@ def test_package_exports_resolve_on_first_access():
     assert json.loads(proc.stdout) == [[], True, True, True, True]
     with pytest.raises(AttributeError):
         qschur.no_such_export
+
+
+def test_all_is_the_export_table_and_the_specialize_module():
+    assert len(set(qschur.__all__)) == len(qschur.__all__)
+    assert set(qschur.__all__) == set(qschur._EXPORTS) | {"specialize",
+                                                          "__version__"}
+    assert "specialize" not in qschur._EXPORTS
